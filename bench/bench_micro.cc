@@ -328,7 +328,6 @@ BENCHMARK(BM_ExploreSumBlockSliceAtOverify);
 void ReportStealStats(benchmark::State& state, const SymexResult& result) {
   state.counters["steals"] = static_cast<double>(result.steals);
   state.counters["steal_batches"] = static_cast<double>(result.steal_batches);
-  state.counters["steal_reintern"] = static_cast<double>(result.steal_reintern);
 }
 
 void BM_ParallelExploreWc(benchmark::State& state) {
@@ -352,40 +351,23 @@ void BM_ParallelExploreWc(benchmark::State& state) {
 BENCHMARK(BM_ParallelExploreWc)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // The steal-heavy variant: 4 workers fed from one root, so workers 1-3
-// bootstrap (and keep re-balancing) entirely through the steal path. Run
-// once with the default shared interner — batch steals, no re-intern;
-// `steal_reintern` must report 0 — and once with the legacy per-worker
-// interners, which pay an ExprTranslator pass per stolen state. The wall
-// gap between the two entries in BENCH_symex.json is the steal path's
-// constant factor; it exists even on a single-core host (the re-intern
-// burns CPU regardless of parallelism).
-void RunParallelWcVariant(benchmark::State& state, bool shared_interner) {
+// bootstrap (and keep re-balancing) entirely through the steal path —
+// batch steals over the run's shared interner, so stolen states run as-is.
+void BM_ParallelExploreWcSteal(benchmark::State& state) {
   Compiler compiler;
   CompileResult compiled = compiler.Compile(WcListing1(), OptLevel::kO3);
   SymexLimits limits;
   limits.max_seconds = 60;
-  SymexOptions options;
-  options.jobs = 4;
-  options.shared_interner = shared_interner;
   SymexResult last;
   for (auto _ : state) {
-    last = Analyze(compiled, "umain", 6, limits, options);
+    last = Analyze(compiled, "umain", 6, limits, /*jobs=*/4);
     benchmark::DoNotOptimize(last.paths_completed);
   }
   state.counters["paths"] = static_cast<double>(last.paths_completed);
   state.counters["workers"] = static_cast<double>(last.workers);
   ReportStealStats(state, last);
 }
-
-void BM_ParallelExploreWcSteal(benchmark::State& state) {
-  RunParallelWcVariant(state, /*shared_interner=*/true);
-}
 BENCHMARK(BM_ParallelExploreWcSteal)->UseRealTime();
-
-void BM_ParallelExploreWcStealReintern(benchmark::State& state) {
-  RunParallelWcVariant(state, /*shared_interner=*/false);
-}
-BENCHMARK(BM_ParallelExploreWcStealReintern)->UseRealTime();
 
 }  // namespace
 

@@ -9,9 +9,8 @@
 # against the committed BENCH_symex.json and fail (exit 1) on a wall-time
 # slowdown beyond BENCH_CHECK_THRESHOLD (default 1.5x), on any change in
 # the hardware-independent `paths` / core-search counters (`core_candidates`,
-# `core_conflicts`, `core_learned`, `core_backjumps`, `core_restarts`), or on a
-# nonzero `steal_reintern` in the default scheduler configuration — the CI
-# regression gate. The thread_scaling section is gated the same way, but
+# `core_conflicts`, `core_learned`, `core_backjumps`, `core_restarts`) — the
+# CI regression gate. The thread_scaling section is gated the same way, but
 # only when this host has at least as many cores as the one that produced
 # the committed snapshot (fewer cores means the numbers measure overhead,
 # not scaling — the gate prints a loud warning and skips instead of
@@ -82,7 +81,7 @@ for b in micro.get("benchmarks", []):
                 "reuse_hits", "cex_evictions", "presolve_shortcuts",
                 "prefix_subset_hits", "prefix_superset_hits", "prefix_model_hits",
                 "preprocess_bindings", "preprocess_tautologies",
-                "workers", "steals", "steal_batches", "steal_reintern",
+                "workers", "steals", "steal_batches",
                 "slice_checks_found", "slices_built", "slice_fallbacks",
                 "slice_cone_pct_max", "persist_seeded", "persist_hits",
                 "persist_validations", "persist_rejects", "core_queries"):
@@ -212,16 +211,6 @@ else:
               f"validate fully)")
         failed.append("BM_ExploreWcWarmPersist")
 
-# Structural invariant of the default scheduler configuration: the shared
-# interner means stolen states never re-intern. Steal *traffic* is
-# scheduling-dependent and not diffed, but this counter is exactly zero on
-# every host.
-for name, entry in sorted(fresh.items()):
-    if name.startswith("BM_ParallelExploreWcSteal/") and entry.get("steal_reintern", 0) != 0:
-        print(f"{name}: steal_reintern = {entry['steal_reintern']} "
-              "(must be 0 with the shared interner)")
-        failed.append(name)
-
 # Thread-scaling gate: wall times per worker count. Scaling numbers are
 # only comparable when the gate host has at least as many cores as the host
 # that produced the committed snapshot (a 1-core container "scales" by pure
@@ -260,12 +249,10 @@ else:
 if failed:
     print(f"\nregression gate FAILED (wall > {THRESHOLD}x, paths/core-search "
           f"counters drifted, slice-mode queries exceeded whole-program, "
-          f"warm persist_rate below {PERSIST_RATE_MIN}, "
-          f"or steal_reintern != 0): "
+          f"or warm persist_rate below {PERSIST_RATE_MIN}): "
           f"{', '.join(failed)}")
     sys.exit(1)
 print(f"\nregression gate passed (threshold {THRESHOLD}x; paths and "
-      f"core-search counters exact; warm persist_rate >= {PERSIST_RATE_MIN}; "
-      "steal path re-intern-free)")
+      f"core-search counters exact; warm persist_rate >= {PERSIST_RATE_MIN})")
 PY
 fi

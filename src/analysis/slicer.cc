@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "src/analysis/dependence_graph.h"
 #include "src/ir/cfg.h"
@@ -25,15 +26,15 @@ Constant* ZeroOf(IRContext& ctx, Type* type) {
 }
 
 // Appends `ret 0` (typed to the function's return type) to `block` after
-// erasing its current terminator.
-void ReplaceTerminatorWithRet(IRContext& ctx, Function* fn, BasicBlock* block) {
-  Instruction* term = block->Terminator();
-  block->Erase(term);
-  if (fn->return_type()->IsVoid()) {
-    block->Append(std::make_unique<RetInst>(ctx));
-  } else {
-    block->Append(std::make_unique<RetInst>(ctx, ZeroOf(ctx, fn->return_type())));
-  }
+// erasing its current terminator. Returns the new terminator.
+Instruction* ReplaceTerminatorWithRet(IRContext& ctx, Function* fn, BasicBlock* block) {
+  block->Erase(block->Terminator());
+  auto ret = fn->return_type()->IsVoid()
+                 ? std::make_unique<RetInst>(ctx)
+                 : std::make_unique<RetInst>(ctx, ZeroOf(ctx, fn->return_type()));
+  Instruction* raw = ret.get();
+  block->Append(std::move(ret));
+  return raw;
 }
 
 }  // namespace
@@ -189,6 +190,17 @@ SliceResult Slicer::Run() {
       mapping.values[entry_->Arg(i)] = slice_fn->Arg(i);
     }
     CloneBlocksInto(entry_->BlockList(), slice_fn, "", mapping);
+    // Slice instruction -> original, kept current as terminators are
+    // replaced. Read back only for instructions still in the slice once
+    // reduction is done: erased clones leave stale keys whose addresses a
+    // later allocation may reuse, so no key is ever dereferenced or trusted
+    // on its own.
+    std::unordered_map<const Instruction*, const Instruction*> origin;
+    for (const auto& [orig, clone] : mapping.values) {
+      if (const auto* orig_inst = DynCast<Instruction>(orig)) {
+        origin[Cast<Instruction>(clone)] = orig_inst;
+      }
+    }
 
     auto clone_of = [&](Instruction* orig) {
       return Cast<Instruction>(mapping.values.at(orig));
@@ -212,7 +224,7 @@ SliceResult Slicer::Run() {
           if (join == nullptr) {
             // Both arms leave the function with no common join: end the
             // path benignly.
-            ReplaceTerminatorWithRet(ctx, slice_fn, clone->parent());
+            origin[ReplaceTerminatorWithRet(ctx, slice_fn, clone->parent())] = orig;
           } else {
             branch->MakeUnconditional(mapping.Lookup(join));
           }
@@ -222,7 +234,7 @@ SliceResult Slicer::Run() {
           if (kept_traps.count(idx) == 0) {
             // Not a kept trap: reaching it must not re-introduce a bug the
             // criterion's slice does not own.
-            ReplaceTerminatorWithRet(ctx, slice_fn, clone->parent());
+            origin[ReplaceTerminatorWithRet(ctx, slice_fn, clone->parent())] = orig;
           }
           break;
         case Opcode::kRet: {
@@ -282,11 +294,9 @@ SliceResult Slicer::Run() {
       }
     }
     slice.instructions = slice_fn->InstructionCount();
-    for (const auto& [orig, clone] : mapping.values) {
-      const auto* orig_inst = DynCast<Instruction>(orig);
-      const auto* clone_inst = DynCast<Instruction>(clone);
-      if (orig_inst != nullptr && clone_inst != nullptr) {
-        result.to_original[clone_inst] = orig_inst;
+    for (BasicBlock& block : *slice_fn) {
+      for (const auto& inst : block) {
+        result.to_original[inst.get()] = origin.at(inst.get());
       }
     }
     result.slices.push_back(slice);

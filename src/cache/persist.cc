@@ -146,11 +146,11 @@ uint64_t ModuleContentHash(Module& module) {
 
 uint64_t OptionsFingerprint(const SymexOptions& options) {
   // Fields that change which constraint sets arise or how they are judged.
-  // jobs / shared_interner / metrics_timing / trace_path are deliberately
+  // jobs / trace_path / cache_store / warm_interner are deliberately
   // excluded: the scheduler contract makes results worker-count-invariant,
   // so a 1-job warm run may reuse a 8-job cold harvest.
   PortableHasher hasher;
-  hasher.Fold(static_cast<uint8_t>(EffectiveStrategy(options)));
+  hasher.Fold(static_cast<uint8_t>(options.strategy));
   hasher.Fold(static_cast<uint8_t>(options.solver_preprocess ? 1 : 0));
   hasher.Fold(static_cast<uint8_t>(options.solver_learning ? 1 : 0));
   hasher.Fold(static_cast<uint8_t>(options.slice_checks ? 1 : 0));

@@ -53,9 +53,9 @@ SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned 
                     const SymexLimits& limits, unsigned jobs = 1,
                     SearchStrategy strategy = SearchStrategy::kDfs);
 
-// Full-options overload (scheduler A/B configurations: shared_interner,
-// validate_steals, solver_preprocess, ...). The compiled module's
-// annotations are still injected when present.
+// Full-options overload (solver A/B configurations such as
+// solver_preprocess and solver_learning, slicing, persistence, tracing).
+// The compiled module's annotations are still injected when present.
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,
                     const SymexLimits& limits, const SymexOptions& base_options);
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/cache/persist.h"
-#include "src/sched/translate.h"
 #include "src/support/string_utils.h"
 #include "src/support/trace.h"
 #include "src/symex/engine_core.h"
@@ -16,11 +15,9 @@
 namespace overify {
 namespace sched {
 
-// One worker's queue: a strategy-ordered searcher behind a mutex. In the
-// shared-interner configuration states flow between queues freely; in the
-// legacy configuration states in queue i always reference worker i's
-// ExprContext — a stolen state is re-interned by the thief before it is
-// pushed anywhere else.
+// One worker's queue: a strategy-ordered searcher behind a mutex. Every
+// worker of a multi-worker run builds into one shared interner, so states
+// flow between queues freely.
 //
 // Queues persist across Run()s on the same pool; BeginRun rebinds the
 // run's shared counters and resets the searcher, which is what clears the
@@ -112,6 +109,64 @@ std::unordered_map<const Instruction*, uint64_t> SiteOrder(Module& module) {
   return order;
 }
 
+// Stolen-state validation runs in every build without NDEBUG — the same
+// build-mode rule as kVerifyIRAfterEachPass — so the Debug + sanitizer test
+// runs check every steal and release builds pay nothing.
+#ifdef NDEBUG
+constexpr bool kValidateSteals = false;
+#else
+constexpr bool kValidateSteals = true;
+#endif
+
+void ValidateExpr(const Expr* e, const ExprInterner& interner) {
+  if (e == nullptr) {
+    return;
+  }
+  // Owns() probes the node's home shard, which transitively vouches for the
+  // children too (an interned node's children are interned), so the walk
+  // stays shallow: one probe per reachable root.
+  OVERIFY_ASSERT(interner.Owns(e),
+                 "stolen state references an expression outside the shared interner");
+}
+
+// Walks every expression reference in a stolen `state` and asserts it is
+// owned by the run's shared `interner` — what a steal must guarantee for
+// the state to run on the thief as-is. Aborts on the first foreign node.
+void ValidateStateInterned(const ExecState& state, const ExprInterner& interner) {
+  for (const StackFrame& frame : state.stack) {
+    for (const RuntimeValue& local : frame.locals) {
+      switch (local.kind) {
+        case RuntimeValue::Kind::kNone:
+          break;
+        case RuntimeValue::Kind::kInt:
+          ValidateExpr(local.expr, interner);
+          break;
+        case RuntimeValue::Kind::kPointer:
+          ValidateExpr(local.pointer.offset, interner);
+          break;
+      }
+    }
+  }
+  state.memory.ForEachByte([&interner](const Expr* e) { ValidateExpr(e, interner); });
+  for (const Expr* constraint : state.constraints) {
+    ValidateExpr(constraint, interner);
+  }
+  // The preprocessing summary survives the steal with its pre-steal
+  // expression pointers, so walk it too.
+  for (const Expr* definition : state.solver_prefix.definitions) {
+    ValidateExpr(definition, interner);
+  }
+  for (const Expr* simplified : state.solver_prefix.simplified) {
+    ValidateExpr(simplified, interner);
+  }
+  for (const Expr* byte : state.output) {
+    ValidateExpr(byte, interner);
+  }
+  for (const auto& [key, pointer] : state.pointer_slots) {
+    ValidateExpr(pointer.offset, interner);
+  }
+}
+
 }  // namespace
 
 WorkerPool::WorkerPool(Module& module, const SymexOptions& options)
@@ -158,7 +213,6 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
   if (jobs == 0) {
     jobs = std::max(1u, std::thread::hardware_concurrency());
   }
-  SearchStrategy strategy = EffectiveStrategy(options_);
 
   // Pre-stamp every defined function's local-slot numbering so no engine
   // writes to the (otherwise immutable, shared) IR once workers run.
@@ -182,17 +236,14 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
           std::chrono::duration<double>(std::min(limits.max_seconds, 86400.0 * 365)));
 
   // One shared, lock-striped interner per multi-worker run: every worker's
-  // ExprContext builds into it, so stolen states run anywhere without a
-  // re-intern pass. A single worker (or the legacy A/B configuration)
-  // keeps private per-worker interners, which elide the shard locks. A warm
-  // interner from a long-lived host (the daemon) takes precedence over
-  // both: the run interns into it, so repeated runs of the same module skip
-  // rebuilding the expression DAG.
+  // ExprContext builds into it, so stolen states run anywhere as-is. A
+  // single worker keeps a private interner, which elides the shard locks
+  // and keeps the inline memo slots. A warm interner from a long-lived host
+  // (the daemon) takes precedence over both: the run interns into it, so
+  // repeated runs of the same module skip rebuilding the expression DAG.
   ExprInterner* run_interner = options_.warm_interner;
-  const bool share_interner =
-      run_interner != nullptr || (options_.shared_interner && jobs > 1);
   std::unique_ptr<ExprInterner> interner;
-  if (run_interner == nullptr && share_interner) {
+  if (run_interner == nullptr && jobs > 1) {
     interner = std::make_unique<ExprInterner>(/*concurrent=*/true);
     run_interner = interner.get();
   }
@@ -205,7 +256,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
     queues_.reserve(jobs);
     for (unsigned w = 0; w < jobs; ++w) {
       queues_.push_back(std::make_unique<WorkerQueue>(
-          strategy, HashMix64(options_.search_seed ^ (uint64_t{w} + 1))));
+          options_.strategy, HashMix64(options_.search_seed ^ (uint64_t{w} + 1))));
     }
   }
   OVERIFY_ASSERT(queues_.size() == jobs, "worker count changed across Run()s");
@@ -277,41 +328,27 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
         }
         continue;
       }
-      const bool timed = tm.timing || tb != nullptr;
-      const uint64_t t0 = timed ? MetricsNowNs() : 0;
+      const uint64_t t0 = MetricsNowNs();
       queues_[victim]->StealBatch(batch);
       if (batch.empty()) {
         continue;
       }
       tm.Inc(Counter::kStealBatches);
       tm.Add(Counter::kSteals, batch.size());
-      if (share_interner) {
-        for (auto& state : batch) {
-          // Every expression the state references lives in the shared
-          // interner — nothing to translate. The preprocessing summary's
-          // contents stay valid too; only its interval-memo handle is tied
-          // to the victim context's generation counter, so detach that.
-          state->solver_prefix.interval_memo_generation = 0;
-          if (options_.validate_steals) {
-            ValidateStateInterned(*state, *run_interner);
-          }
-        }
-      } else {
-        // Legacy per-worker interners: re-intern the whole batch into the
-        // thief's context. One translator for the batch — all states came
-        // from the same victim context, so shared subgraphs translate once.
-        ExprTranslator translator(thief_engine.ctx());
-        for (auto& state : batch) {
-          TranslateState(*state, translator);
-          tm.Inc(Counter::kStealReintern);
+      for (auto& state : batch) {
+        // Every expression the state references lives in the shared
+        // interner — the state runs on the thief as-is. The preprocessing
+        // summary's contents stay valid too; only its interval-memo handle
+        // is tied to the victim context's generation counter, so detach it.
+        state->solver_prefix.interval_memo_generation = 0;
+        if (kValidateSteals) {
+          ValidateStateInterned(*state, *run_interner);
         }
       }
-      if (timed) {
-        const uint64_t t1 = MetricsNowNs();
-        tm.Record(Hist::kStealBatchNs, t1 - t0);
-        if (tb != nullptr) {
-          tb->Span(TraceKind::kStealBatch, t0, t1, batch.size(), victim);
-        }
+      const uint64_t t1 = MetricsNowNs();
+      tm.Record(Hist::kStealBatchNs, t1 - t0);
+      if (tb != nullptr) {
+        tb->Span(TraceKind::kStealBatch, t0, t1, batch.size(), victim);
       }
       std::unique_ptr<ExecState> first = std::move(batch.front());
       for (size_t i = 1; i < batch.size(); ++i) {

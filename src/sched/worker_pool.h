@@ -1,14 +1,13 @@
 // Work-stealing scheduler for parallel path exploration.
 //
 // N workers each own a searcher-ordered queue of pending states and a
-// private solver chain; in the default configuration all of them build
+// private solver chain; with more than one worker all of them build
 // expressions into one shared, lock-striped interner
 // (src/symex/engine_core.h, src/symex/expr.h). Forked siblings stay on the
 // forking worker's queue; an idle worker steals a batch — half the coldest
 // end of a victim's queue — and, because the interner is shared, runs the
-// stolen states as-is with no re-intern pass (SymexOptions::shared_interner
-// = false restores the legacy per-worker interners + ExprTranslator path).
-// Global limits live in lock-free shared counters enforced cooperatively.
+// stolen states as-is. Builds without NDEBUG assert every stolen state's
+// expressions belong to that interner. Global limits live in lock-free shared counters enforced cooperatively.
 //
 // Results are aggregated deterministically: exact per-worker metrics
 // shards merge element-wise (src/support/metrics.h), and bug reports are

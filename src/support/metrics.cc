@@ -61,7 +61,11 @@ uint64_t LatencyHistogram::BucketLow(size_t bucket) {
   }
   const uint64_t e = (bucket + 4) / 4;
   const uint64_t mantissa = (bucket + 4) % 4;
-  return (uint64_t{1} << e) | (mantissa << (e - 2));
+  // The top four buckets (e == 64) start at or past 2^64, which no value
+  // reaches; wrap their 2^e term to 0 (shifting by 64 is undefined) so the
+  // bounds still tile modulo 2^64.
+  const uint64_t power = e < 64 ? uint64_t{1} << e : 0;
+  return power | (mantissa << (e - 2));
 }
 
 uint64_t LatencyHistogram::BucketHigh(size_t bucket) {

@@ -11,9 +11,8 @@
 //
 // Histogram recording is gated by MetricsShard::timing: a bare SolverChain
 // (microbenchmarks, tests) keeps it off so the ~100ns cache-hit fast path
-// never pays for two clock reads; engine-owned shards switch it on
-// (SymexOptions::metrics_timing), where queries are microseconds and the
-// overhead vanishes.
+// never pays for two clock reads; engine-owned shards always switch it on,
+// since engine queries are microseconds and the overhead vanishes.
 //
 // This registry is for the engine's per-run telemetry. The process-wide
 // string-keyed StatisticsRegistry (src/support/statistics.h) serves the
@@ -87,7 +86,6 @@ namespace overify {
   X(kDaemonStoreRejects, "daemon.store_rejects", false)       \
   X(kSteals, "steal.states", false)                           \
   X(kStealBatches, "steal.batches", false)                    \
-  X(kStealReintern, "steal.reintern", false)                  \
   X(kFaultSolverUnknown, "fault.solver_unknown", false)       \
   X(kFaultCacheLookup, "fault.cache_lookup", false)           \
   X(kFaultStealBatch, "fault.steal_batch", false)             \

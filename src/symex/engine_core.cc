@@ -39,7 +39,9 @@ class EngineCore::Impl {
         injector_(options.faults, worker_index),
         num_symbols_(num_input_bytes),
         worker_index_(worker_index) {
-    metrics_.timing = options_.metrics_timing;
+    // Engine queries are microseconds-scale, so histogram timing is always
+    // on for engine-owned shards (docs/observability.md).
+    metrics_.timing = true;
     // The solver writes into this worker's shard directly; installed before
     // any query so no counts land in the chain's private fallback shard.
     solver_.set_metrics(&metrics_);
@@ -77,16 +79,12 @@ class EngineCore::Impl {
   }
 
   PathOutcome RunState(ExecState& state, ForkSink& sink, Searcher* searcher) {
-    const bool timed = TimedEngine();
-    const uint64_t t0 = timed ? MetricsNowNs() : 0;
+    const uint64_t t0 = MetricsNowNs();
     PathOutcome outcome = RunStateImpl(state, sink, searcher);
-    if (timed) {
-      const uint64_t t1 = MetricsNowNs();
-      metrics_.Record(Hist::kPathRunNs, t1 - t0);
-      if (trace_ != nullptr) {
-        trace_->Span(TraceKind::kPathRun, t0, t1, static_cast<uint64_t>(outcome),
-                     state.depth);
-      }
+    const uint64_t t1 = MetricsNowNs();
+    metrics_.Record(Hist::kPathRunNs, t1 - t0);
+    if (trace_ != nullptr) {
+      trace_->Span(TraceKind::kPathRun, t0, t1, static_cast<uint64_t>(outcome), state.depth);
     }
     return outcome;
   }
@@ -118,12 +116,9 @@ class EngineCore::Impl {
   const std::map<std::pair<const Instruction*, BugKind>, BugCandidate>& bugs() const {
     return bugs_;
   }
-  ExprContext& ctx() { return ctx_; }
   FaultInjector& faults() { return injector_; }
 
  private:
-  bool TimedEngine() const { return metrics_.timing || trace_ != nullptr; }
-
   PathOutcome RunStateImpl(ExecState& state, ForkSink& sink, Searcher* searcher) {
     sink_ = &sink;
     searcher_ = searcher;
@@ -1211,7 +1206,6 @@ const std::map<std::pair<const Instruction*, BugKind>, BugCandidate>& EngineCore
   return impl_->bugs();
 }
 
-ExprContext& EngineCore::ctx() { return impl_->ctx(); }
 
 FaultInjector& EngineCore::faults() { return impl_->faults(); }
 

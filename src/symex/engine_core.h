@@ -141,8 +141,8 @@ class EngineCore {
   // (WorkerPool::Run does this) — engines only read it. `interner`, when
   // non-null, is the run's shared lock-striped expression interner: the
   // engine's ExprContext builds into it instead of a private one, which is
-  // what lets stolen states run on any worker without re-interning
-  // (docs/scheduler.md). Null keeps the legacy private interner.
+  // what lets stolen states run on any worker as-is (docs/scheduler.md).
+  // Null gives the engine a private, lock-free interner (single-worker runs).
   EngineCore(Module& module, const SymexOptions& options, SharedCounters& shared,
              LocalSlotCache& slots, unsigned num_input_bytes, unsigned worker_index,
              ExprInterner* interner = nullptr);
@@ -174,7 +174,6 @@ class EngineCore {
   // its counterexample cache afterwards (src/cache/persist.h).
   SolverChain& solver();
   const std::map<std::pair<const Instruction*, BugKind>, BugCandidate>& bugs() const;
-  ExprContext& ctx();
   // This worker's fault injector (disabled unless SymexOptions::faults is).
   // The pool draws the scheduler-side sites (stall, steal) from it so each
   // worker has exactly one deterministic stream.

@@ -21,7 +21,6 @@ void SymexResult::FinalizeFromMetrics() {
   annotation_hits = m.Get(Counter::kAnnotationHits);
   steals = m.Get(Counter::kSteals);
   steal_batches = m.Get(Counter::kStealBatches);
-  steal_reintern = m.Get(Counter::kStealReintern);
   faults.solver_unknown = m.Get(Counter::kFaultSolverUnknown);
   faults.cache_lookup = m.Get(Counter::kFaultCacheLookup);
   faults.steal_batch = m.Get(Counter::kFaultStealBatch);

@@ -7,10 +7,10 @@
 //
 // Exploration is scheduled by the src/sched/ subsystem: a pluggable
 // Searcher orders pending states and a work-stealing WorkerPool fans them
-// out over `jobs` workers, each with a private ExprContext and solver
-// (states are re-interned on steal). Results are aggregated in canonical
-// order, so bug sets and verdicts are identical for 1..N workers on
-// exhausted runs — see docs/scheduler.md.
+// out over `jobs` workers, each with its own ExprContext and solver over
+// one shared expression interner (stolen states run as-is). Results are
+// aggregated in canonical order, so bug sets and verdicts are identical for
+// 1..N workers on exhausted runs — see docs/scheduler.md.
 #pragma once
 
 #include <cstdint>
@@ -110,10 +110,8 @@ struct SymexResult {
   FaultStats faults;
   // Work-stealing traffic (scheduling-dependent, unlike the counts above:
   // these vary run to run and are excluded from the determinism contract).
-  uint64_t steals = 0;          // states that migrated to another worker
-  uint64_t steal_batches = 0;   // steal operations that yielded work
-  uint64_t steal_reintern = 0;  // stolen states that needed a re-intern pass
-                                // (0 whenever the shared interner is on)
+  uint64_t steals = 0;         // states that migrated to another worker
+  uint64_t steal_batches = 0;  // steal operations that yielded work
   double wall_seconds = 0;
   unsigned workers = 1;  // worker threads that ran the search
   std::vector<BugReport> bugs;
@@ -159,16 +157,6 @@ struct SymexOptions {
   // identical either way — learning only prunes candidates the search
   // would have refuted one by one.
   bool solver_learning = true;
-  // Multi-worker runs share one sharded, lock-striped expression interner,
-  // so stolen states run on the thief without a re-intern pass
-  // (docs/scheduler.md). Off restores the legacy per-worker interners with
-  // ExprTranslator on every steal — kept for A/B comparisons and the
-  // translation tests; results are identical either way.
-  bool shared_interner = true;
-  // Debug: with the shared interner, walk every stolen state and assert
-  // each of its expressions is owned by the shared interner (the
-  // validation-only residue of the old re-intern pass; slow).
-  bool validate_steals = false;
   // Seed for the random-path strategy (worker index is mixed in per worker).
   uint64_t search_seed = 0x05e11a11;
   // Deterministic fault injection (src/support/fault.h). Disabled by
@@ -182,12 +170,6 @@ struct SymexOptions {
   // to whole-program mode (counted in slice.fallbacks) when slicing is not
   // possible. Only honored by Analyze(); a raw SymbolicExecutor ignores it.
   bool slice_checks = false;
-  // Latency-histogram timing for engine runs (two clock reads per solver
-  // query / fork decision / path). On by default: engine queries are
-  // microseconds-scale, so the overhead is noise — and SymexResult then
-  // carries real p50/p95 latencies. Off leaves every histogram empty;
-  // counters are unaffected either way.
-  bool metrics_timing = true;
   // When non-empty, the run writes a Chrome-trace-event JSON timeline of
   // solver queries, preprocessing, fork decisions, steals, cache lookups,
   // fault firings, and worker lifecycles to this path (load it in Perfetto;
@@ -206,19 +188,7 @@ struct SymexOptions {
   // fresh one, so repeated runs of the same module skip re-construction of
   // the expression DAG. Must be a concurrent interner when jobs > 1.
   ExprInterner* warm_interner = nullptr;
-  // DEPRECATED: pre-scheduler search toggle, kept so existing callers
-  // compile unchanged. Read only through EffectiveStrategy(): setting it to
-  // false selects BFS unless `strategy` was set explicitly.
-  bool depth_first = true;
 };
-
-// Resolves the deprecated `depth_first` shim against `strategy`.
-inline SearchStrategy EffectiveStrategy(const SymexOptions& options) {
-  if (options.strategy == SearchStrategy::kDfs && !options.depth_first) {
-    return SearchStrategy::kBfs;
-  }
-  return options.strategy;
-}
 
 class SymbolicExecutor {
  public:

@@ -588,26 +588,6 @@ const Expr* ExprContext::Concat(const Expr* high, const Expr* low) {
   return Intern(key);
 }
 
-const Expr* ExprContext::ImportNode(const Expr* src, const Expr* a, const Expr* b,
-                                    const Expr* c) {
-  switch (src->kind()) {
-    case ExprKind::kConstant:
-      return Constant(src->constant_value(), src->width());
-    case ExprKind::kSymbol:
-      return Symbol(src->symbol_index());
-    default:
-      break;
-  }
-  Key key{};
-  key.kind = src->kind();
-  key.width = src->width();
-  key.a = a;
-  key.b = b;
-  key.c = c;
-  key.extract_offset = src->extract_offset();
-  return Intern(key);
-}
-
 const Expr* ExprContext::Rebuild(const Expr* src, const Expr* a, const Expr* b,
                                  const Expr* c) {
   switch (src->kind()) {
@@ -638,7 +618,12 @@ const Expr* ExprContext::Rebuild(const Expr* src, const Expr* a, const Expr* b,
         // Binary() treats this as a miscompile, but substitution can expose
         // it inside a guarded arm of a select or a contradictory set.
         // Intern the raw node; Evaluate defines its value as 0.
-        return ImportNode(src, a, b, c);
+        Key key{};
+        key.kind = src->kind();
+        key.width = src->width();
+        key.a = a;
+        key.b = b;
+        return Intern(key);
       }
       return Binary(src->kind(), a, b);
     case ExprKind::kEq:

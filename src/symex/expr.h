@@ -269,8 +269,8 @@ class Expr {
 // A private interner (concurrent == false, the ExprContext default) elides
 // the locks entirely and matches the old single-table perf; the scheduler
 // builds one concurrent interner per multi-worker run and hands every
-// worker's ExprContext a reference, which is what lets stolen states skip
-// the re-intern pass (docs/scheduler.md).
+// worker's ExprContext a reference, which is what lets stolen states run on
+// any worker as-is (docs/scheduler.md).
 class ExprInterner {
  public:
   // The structural identity of one node; what the tables are keyed by.
@@ -302,7 +302,7 @@ class ExprInterner {
   size_t NumExprs() const;
 
   // True iff `e` is one of this interner's nodes — the steal-validation
-  // walk's primitive (src/sched/translate.h). Probes only e's home shard.
+  // walk's primitive (src/sched/worker_pool.cc). Probes only e's home shard.
   bool Owns(const Expr* e) const;
 
   bool concurrent() const { return concurrent_; }
@@ -383,24 +383,12 @@ class ExprContext {
   std::vector<const Expr*> ToBytes(const Expr* e);
   const Expr* FromBytes(const std::vector<const Expr*>& bytes);
 
-  // Re-interns one node from another context. `a`/`b`/`c` are `src`'s
-  // children already translated into this context (null where absent). The
-  // source node is canonical — built by an identical builder whose
-  // canonical orderings are structural-hash-based and therefore
-  // context-independent — so the structure is copied bit-for-bit without
-  // re-simplification, and hash-consing restores pointer identity for
-  // already-present nodes. Used by the scheduler's legacy
-  // (per-worker-interner) work-stealing re-intern pass
-  // (src/sched/translate.h); the default shared-interner configuration
-  // never needs it.
-  const Expr* ImportNode(const Expr* src, const Expr* a, const Expr* b, const Expr* c);
-
   // Rebuilds one node with replacement children through the canonicalizing
-  // builders, so constant folding and identities re-apply (unlike
-  // ImportNode's bit-for-bit copy). A binary node whose children folded to
-  // a trapping constant pair (division by zero, oversized shift) is
-  // interned raw instead — Evaluate defines those as 0, and such nodes only
-  // arise inside guarded/contradictory sets. Used by Substitute.
+  // builders, so constant folding and identities re-apply. A binary node
+  // whose children folded to a trapping constant pair (division by zero,
+  // oversized shift) is interned raw instead — Evaluate defines those as 0,
+  // and such nodes only arise inside guarded/contradictory sets. Used by
+  // Substitute.
   const Expr* Rebuild(const Expr* src, const Expr* a, const Expr* b, const Expr* c);
 
   // Substitution over the hash-consed DAG: returns `e` with every symbol in

@@ -21,16 +21,6 @@ void AddressSpace::Free(uint64_t object_id) {
   contents_.erase(object_id);
 }
 
-void AddressSpace::RewriteContents(const std::function<const Expr*(const Expr*)>& fn) {
-  for (auto& [id, state] : contents_) {
-    auto fresh = std::make_shared<ObjectState>(*state);
-    for (uint64_t i = 0; i < fresh->size(); ++i) {
-      fresh->SetByte(i, fn(state->Byte(i)));
-    }
-    state = std::move(fresh);
-  }
-}
-
 ObjectState& AddressSpace::Write(uint64_t object_id) {
   std::shared_ptr<ObjectState>& state = contents_.at(object_id);
   if (state.use_count() > 1) {
@@ -38,9 +28,9 @@ ObjectState& AddressSpace::Write(uint64_t object_id) {
   } else {
     // Sole owner: mutate in place. A count of 1 may have just been
     // produced by another worker dropping its reference after reading the
-    // object (a thief's RewriteContents); that drop is a release
-    // decrement, so pair it with an acquire before writing over the bytes
-    // it read.
+    // object (a stolen sibling state finishing on a thief); that drop is a
+    // release decrement, so pair it with an acquire before writing over the
+    // bytes it read.
     std::atomic_thread_fence(std::memory_order_acquire);
   }
   return *state;

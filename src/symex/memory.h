@@ -57,13 +57,6 @@ class AddressSpace {
 
   size_t NumObjects() const { return meta_.size(); }
 
-  // Replaces every object's contents with a fresh, unshared copy whose
-  // bytes are rewritten through `fn`. Used when a state migrates to another
-  // worker's ExprContext: the old contents may still be shared
-  // (copy-on-write) with sibling states on the original worker, so they are
-  // never mutated in place.
-  void RewriteContents(const std::function<const Expr*(const Expr*)>& fn);
-
   // Read-only visit of every object's byte expressions (the scheduler's
   // steal-validation walk).
   void ForEachByte(const std::function<void(const Expr*)>& fn) const {

@@ -30,10 +30,11 @@
 namespace overify {
 
 // Incremental per-path preprocessing summary, owned by the ExecState whose
-// constraints it summarizes. All Expr pointers belong to the context that
-// produced the constraints, so a state migrating between contexts (the
-// scheduler's work-stealing re-intern pass) must Clear() the summary; it is
-// a pure cache and is rebuilt on the next query.
+// constraints it summarizes. All Expr pointers belong to the interner that
+// produced the constraints; a stolen state keeps its summary because every
+// worker of a multi-worker run builds into one shared interner, and only
+// the context-tied `interval_memo_generation` handle is detached. It is a
+// pure cache: Clear() drops it and the next query rebuilds it.
 struct PathPrefix {
   // Leading path constraints already folded into the summary.
   size_t consumed = 0;

@@ -76,8 +76,8 @@ struct ExecState {
   std::map<std::pair<uint64_t, uint64_t>, SymPointer> pointer_slots;
   // Incremental constraint-preprocessing summary for this path's solver
   // queries (src/symex/preprocess.h). A pure cache over `constraints`:
-  // cloned with the state (same context), cleared when the state migrates
-  // to another worker's context (src/sched/translate.cc).
+  // cloned with the state and kept across a steal, which detaches only its
+  // interval-memo generation handle (src/sched/worker_pool.cc).
   PathPrefix solver_prefix;
   uint64_t instructions_executed = 0;
   uint64_t depth = 0;  // number of forks along this path

@@ -25,7 +25,6 @@ void AppendBytes(std::ostringstream& out, const std::vector<uint8_t>& bytes) {
 std::string LatticeCell::Name() const {
   std::ostringstream out;
   out << OptLevelName(level) << "/j" << jobs << "/"
-      << (shared_interner ? "shared" : "legacy") << "/"
       << (solver_preprocess ? "prep" : "noprep") << "/"
       << (solver_learning ? "learn" : "nolearn") << "/" << SearchStrategyName(strategy);
   if (slice_checks) {
@@ -37,7 +36,6 @@ std::string LatticeCell::Name() const {
 SymexOptions LatticeCell::ToOptions() const {
   SymexOptions options;
   options.jobs = jobs;
-  options.shared_interner = shared_interner;
   options.solver_preprocess = solver_preprocess;
   options.solver_learning = solver_learning;
   options.strategy = strategy;
@@ -114,21 +112,18 @@ std::vector<LatticeCell> FullLattice(const DiffOptions& options) {
   std::vector<LatticeCell> cells;
   for (OptLevel level : options.levels) {
     for (unsigned jobs : options.jobs) {
-      for (bool shared : options.interners) {
-        for (bool preprocess : options.preprocess) {
-          for (bool learning : options.learning) {
-            for (SearchStrategy strategy : options.strategies) {
-              for (bool slice : options.slicing) {
-                LatticeCell cell;
-                cell.level = level;
-                cell.jobs = jobs;
-                cell.shared_interner = shared;
-                cell.solver_preprocess = preprocess;
-                cell.solver_learning = learning;
-                cell.strategy = strategy;
-                cell.slice_checks = slice;
-                cells.push_back(cell);
-              }
+      for (bool preprocess : options.preprocess) {
+        for (bool learning : options.learning) {
+          for (SearchStrategy strategy : options.strategies) {
+            for (bool slice : options.slicing) {
+              LatticeCell cell;
+              cell.level = level;
+              cell.jobs = jobs;
+              cell.solver_preprocess = preprocess;
+              cell.solver_learning = learning;
+              cell.strategy = strategy;
+              cell.slice_checks = slice;
+              cells.push_back(cell);
             }
           }
         }

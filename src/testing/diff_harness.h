@@ -1,17 +1,16 @@
 // Differential verification harness: one workload, every configuration.
 //
-// The engine has five independently-toggleable fast paths (shared interner,
-// constraint preprocessing, prefix caching behind it, CDCL-style learning
-// in the backtracking core, searcher strategy) on top of the
-// optimization-level axis the paper studies. Each of them claims
+// The engine has independently-toggleable fast paths (constraint
+// preprocessing, prefix caching behind it, CDCL-style learning in the
+// backtracking core, searcher strategy, the multi-worker steal path) on
+// top of the optimization-level axis the paper studies. Each of them claims
 // "identical results either way" — this harness is the single oracle that
 // enforces the claim at suite scale instead of scattered per-feature
 // equivalence tests. It runs a program through the full configuration
 // lattice
 //
-//   {-O0, -OVERIFY, -O3} x {1, 4 workers} x {shared, legacy interner}
-//                        x {preprocess on, off} x {learning on, off}
-//                        x {dfs, coverage-guided}
+//   {-O0, -OVERIFY, -O3} x {1, 4 workers} x {preprocess on, off}
+//                        x {learning on, off} x {dfs, coverage-guided}
 //
 // and asserts a canonical RunSignature per cell:
 //
@@ -49,7 +48,6 @@ namespace difftest {
 struct LatticeCell {
   OptLevel level = OptLevel::kOverify;
   unsigned jobs = 1;
-  bool shared_interner = true;
   bool solver_preprocess = true;
   bool solver_learning = true;
   SearchStrategy strategy = SearchStrategy::kDfs;
@@ -60,7 +58,7 @@ struct LatticeCell {
   // cells.
   bool slice_checks = false;
 
-  // "O3/j4/shared/prep/learn/dfs" — stable, greppable cell id; slice-mode
+  // "O3/j4/prep/learn/dfs" — stable, greppable cell id; slice-mode
   // cells append "/slice".
   std::string Name() const;
   SymexOptions ToOptions() const;
@@ -138,9 +136,8 @@ RunSignature SignatureOf(const SymexResult& result, Module& module, const std::s
 struct DiffOptions {
   std::vector<OptLevel> levels = {OptLevel::kO0, OptLevel::kOverify, OptLevel::kO3};
   std::vector<unsigned> jobs = {1, 4};
-  std::vector<bool> interners = {true, false};    // shared_interner values
-  std::vector<bool> preprocess = {true, false};   // solver_preprocess values
-  std::vector<bool> learning = {true, false};     // solver_learning values
+  std::vector<bool> preprocess = {true, false};  // solver_preprocess values
+  std::vector<bool> learning = {true, false};    // solver_learning values
   std::vector<SearchStrategy> strategies = {SearchStrategy::kDfs,
                                             SearchStrategy::kCoverageGuided};
   // Slice-mode axis (docs/slicing.md). Default spans whole-program only so

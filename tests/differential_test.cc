@@ -34,9 +34,8 @@ using difftest::SemanticOf;
 TEST(LatticeTest, FullLatticeSpansEveryAxisCombination) {
   DiffOptions options;
   auto cells = FullLattice(options);
-  // 3 levels x 2 worker counts x 2 interners x 2 preprocess x 2 learning
-  // x 2 strategies.
-  EXPECT_EQ(cells.size(), 96u);
+  // 3 levels x 2 worker counts x 2 preprocess x 2 learning x 2 strategies.
+  EXPECT_EQ(cells.size(), 48u);
   // Cell names are unique (they key diffs and logs).
   std::vector<std::string> names;
   for (const LatticeCell& cell : cells) {
@@ -44,20 +43,18 @@ TEST(LatticeTest, FullLatticeSpansEveryAxisCombination) {
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
-  EXPECT_EQ(cells.front().Name(), "-O0/j1/shared/prep/learn/dfs");
+  EXPECT_EQ(cells.front().Name(), "-O0/j1/prep/learn/dfs");
 }
 
 TEST(LatticeTest, CellOptionsCarryEveryAxis) {
   LatticeCell cell;
   cell.jobs = 4;
-  cell.shared_interner = false;
   cell.solver_preprocess = false;
   cell.solver_learning = false;
   cell.strategy = SearchStrategy::kCoverageGuided;
   cell.slice_checks = true;
   SymexOptions options = cell.ToOptions();
   EXPECT_EQ(options.jobs, 4u);
-  EXPECT_FALSE(options.shared_interner);
   EXPECT_FALSE(options.solver_preprocess);
   EXPECT_FALSE(options.solver_learning);
   EXPECT_EQ(options.strategy, SearchStrategy::kCoverageGuided);
@@ -69,7 +66,7 @@ TEST(LatticeTest, SlicingAxisDoublesTheLattice) {
   DiffOptions options;
   options.slicing = {false, true};
   auto cells = FullLattice(options);
-  EXPECT_EQ(cells.size(), 192u);
+  EXPECT_EQ(cells.size(), 96u);
   size_t sliced = 0;
   for (const LatticeCell& cell : cells) {
     if (cell.slice_checks) {
@@ -77,7 +74,7 @@ TEST(LatticeTest, SlicingAxisDoublesTheLattice) {
       EXPECT_NE(cell.Name().find("/slice"), std::string::npos);
     }
   }
-  EXPECT_EQ(sliced, 96u);
+  EXPECT_EQ(sliced, 48u);
 }
 
 TEST(SignatureTest, SemanticSignatureDedupsKindsAndKeepsConfirmation) {
@@ -120,7 +117,7 @@ TEST(DifferentialTest, CleanProgramPassesTheFullLattice) {
   )",
                                       4, options);
   EXPECT_TRUE(report.ok) << report.diff;
-  EXPECT_EQ(report.cells.size(), 96u);
+  EXPECT_EQ(report.cells.size(), 48u);
   for (const auto& cell : report.cells) {
     EXPECT_TRUE(cell.signature.exhausted) << cell.cell.Name();
     EXPECT_TRUE(cell.signature.bugs.empty()) << cell.cell.Name();
@@ -160,7 +157,6 @@ TEST(DifferentialTest, BuggyProgramAgreesWithConfirmedModels) {
 TEST(DifferentialTest, SliceModeAgreesOnABuggyProgram) {
   DiffOptions options;
   options.jobs = {1};
-  options.interners = {true};
   options.preprocess = {true};
   options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};
@@ -193,7 +189,6 @@ TEST(DifferentialTest, CappedCellsFailWhenExhaustionIsRequired) {
   DiffOptions options;
   options.levels = {OptLevel::kO0};
   options.jobs = {1};
-  options.interners = {true};
   options.preprocess = {true};
   options.strategies = {SearchStrategy::kBfs};
   options.limits.max_paths = 4;  // stops the 256-way fan-out immediately
@@ -233,7 +228,6 @@ TEST_P(WorkloadDifferentialTest, SliceModeAgreesWithWholeProgram) {
   ASSERT_NE(workload, nullptr) << GetParam();
   DiffOptions options;
   options.jobs = {1, 4};
-  options.interners = {true};
   options.preprocess = {true};
   options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};
@@ -320,7 +314,6 @@ class SlowSlicingDifferentialTest : public ::testing::TestWithParam<Workload> {}
 TEST_P(SlowSlicingDifferentialTest, SliceModeAgreesAtDefaultWidth) {
   const Workload& workload = GetParam();
   DiffOptions options;
-  options.interners = {true};
   options.preprocess = {true};
   options.learning = {true};
   options.slicing = {false, true};

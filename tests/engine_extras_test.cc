@@ -28,9 +28,9 @@ TEST(SearchOrderTest, BfsAndDfsExploreTheSamePathSet) {
   )");
   SymexLimits limits;
   SymexOptions dfs;
-  dfs.depth_first = true;
+  dfs.strategy = SearchStrategy::kDfs;
   SymexOptions bfs;
-  bfs.depth_first = false;
+  bfs.strategy = SearchStrategy::kBfs;
   SymexResult dfs_result = SymbolicExecutor(*m, dfs).Run("umain", 3, limits);
   SymexResult bfs_result = SymbolicExecutor(*m, bfs).Run("umain", 3, limits);
   EXPECT_TRUE(dfs_result.exhausted);
@@ -226,7 +226,6 @@ TEST(SupportOverflowTest, HighSymbolResultsAreWorkerCountIndependent) {
   EXPECT_EQ(one.paths_completed, four.paths_completed);
   EXPECT_EQ(one.forks, four.forks);
   EXPECT_EQ(one.instructions, four.instructions);
-  EXPECT_EQ(four.steal_reintern, 0u);
 }
 
 TEST(OutputCaptureTest, SymbolicOutputBytesAreTracked) {

@@ -172,7 +172,7 @@ TEST(MetricsShardTest, RenderTableShowsNonZeroCountersAndHists) {
   EXPECT_NE(table.find("7"), std::string::npos) << table;
   EXPECT_NE(table.find(HistName(Hist::kSolverQueryNs)), std::string::npos) << table;
   // Zero counters stay out of the default rendering.
-  EXPECT_EQ(table.find(CounterName(Counter::kStealReintern)), std::string::npos) << table;
+  EXPECT_EQ(table.find(CounterName(Counter::kSteals)), std::string::npos) << table;
 }
 
 // ---- Engine-level properties ----
@@ -185,16 +185,10 @@ CompileResult CompileWc() {
   return compiled;
 }
 
-SymexResult RunWithOptions(CompileResult& compiled, const SymexOptions& options) {
+SymexResult RunWithJobs(CompileResult& compiled, unsigned jobs) {
   SymexLimits limits;
   limits.max_seconds = 60;
-  return Analyze(compiled, "umain", 5, limits, options);
-}
-
-SymexResult RunWithJobs(CompileResult& compiled, unsigned jobs) {
-  SymexOptions options;
-  options.jobs = jobs;
-  return RunWithOptions(compiled, options);
+  return Analyze(compiled, "umain", 5, limits, jobs);
 }
 
 TEST(MetricsEngineTest, MergedDeterministicCountersIdenticalAcrossWorkerCounts) {
@@ -236,29 +230,13 @@ TEST(MetricsEngineTest, LegacyViewsMatchRegistry) {
 
 TEST(MetricsEngineTest, TimingOnRecordsLatencies) {
   CompileResult m = CompileWc();
-  SymexResult r = RunWithJobs(m, 1);  // metrics_timing defaults on
+  SymexResult r = RunWithJobs(m, 1);  // engine shards always time
   ASSERT_TRUE(r.ok);
   const LatencyHistogram& h = r.metrics.hist(Hist::kSolverQueryNs);
   EXPECT_EQ(h.count(), r.solver.queries);
   EXPECT_GT(h.P95(), 0u);
   EXPECT_GE(h.max_ns(), h.P50());
   EXPECT_GT(r.metrics.hist(Hist::kPathRunNs).count(), 0u);
-}
-
-TEST(MetricsEngineTest, TimingOffLeavesHistogramsEmptyAndCountersIntact) {
-  CompileResult m = CompileWc();
-  SymexOptions options;
-  options.metrics_timing = false;
-  SymexResult off = RunWithOptions(m, options);
-  ASSERT_TRUE(off.ok);
-  for (size_t i = 0; i < kNumHists; ++i) {
-    EXPECT_EQ(off.metrics.hist(static_cast<Hist>(i)).count(), 0u)
-        << HistName(static_cast<Hist>(i));
-  }
-  SymexResult on = RunWithJobs(m, 1);
-  EXPECT_EQ(off.paths_completed, on.paths_completed);
-  EXPECT_EQ(off.solver.queries, on.solver.queries);
-  EXPECT_EQ(off.instructions, on.instructions);
 }
 
 }  // namespace

@@ -102,6 +102,37 @@ TEST(PortableHash, CreationOrderInvariance) {
   EXPECT_EQ(ProbeFingerprint(a), ProbeFingerprint(b));
 }
 
+// Persisted SAT models are only reusable if CheckSatCanonical's verdict
+// and model are a pure function of constraint structure. Context B builds
+// unrelated nodes first and then the same two constraints in reverse
+// order, so every Expr::id() differs from context A's; the answer must not.
+TEST(CrossContext, CanonicalVerdictAndModelIgnoreCreationOrder) {
+  ExprContext a;
+  const Expr* a1 = a.Compare(ICmpPredicate::kUGT, a.Symbol(0), a.Constant(10, 8));
+  const Expr* a2 = a.Compare(
+      ICmpPredicate::kEq,
+      a.Binary(ExprKind::kAdd, a.ZExt(a.Symbol(0), 32), a.ZExt(a.Symbol(1), 32)),
+      a.Constant(300, 32));
+  std::vector<uint8_t> model_a;
+  SolverChain chain_a(a);
+  ASSERT_EQ(chain_a.CheckSatCanonical({a1, a2}, &model_a), SatResult::kSat);
+
+  ExprContext b;
+  b.Compare(ICmpPredicate::kEq, b.ZExt(b.Symbol(5), 32), b.Constant(7, 32));
+  b.Binary(ExprKind::kMul, b.ZExt(b.Symbol(1), 32), b.Constant(3, 32));
+  const Expr* b2 = b.Compare(
+      ICmpPredicate::kEq,
+      b.Binary(ExprKind::kAdd, b.ZExt(b.Symbol(0), 32), b.ZExt(b.Symbol(1), 32)),
+      b.Constant(300, 32));
+  const Expr* b1 = b.Compare(ICmpPredicate::kUGT, b.Symbol(0), b.Constant(10, 8));
+  EXPECT_NE(a1->id(), b1->id());
+  EXPECT_NE(a2->id(), b2->id());
+  std::vector<uint8_t> model_b;
+  SolverChain chain_b(b);
+  ASSERT_EQ(chain_b.CheckSatCanonical({b1, b2}, &model_b), SatResult::kSat);
+  EXPECT_EQ(model_a, model_b);
+}
+
 TEST(PortableHash, SymbolTableKeepsActualIndices) {
   // x0 < 5 and x1 < 5 are alpha-equivalent (identical walk bodies) but
   // models are specific to byte positions, so the appended symbol table
@@ -449,6 +480,16 @@ TEST(RunKeys, OptionsFingerprintSeparatesBehaviorNotWorkerCount) {
   SymexOptions sliced = base;
   sliced.slice_checks = true;
   EXPECT_NE(OptionsFingerprint(sliced), fp);
+}
+
+// Golden value: the options fingerprint keys every run blob in an existing
+// store. If this fails, stores written by earlier builds stop resolving —
+// restore the value or bump kCacheStoreVersion in the same change.
+TEST(RunKeys, DefaultOptionsFingerprintGolden) {
+  EXPECT_EQ(OptionsFingerprint(SymexOptions{}), UINT64_C(0x45b894e93180da7e));
+  SymexOptions bfs;
+  bfs.strategy = SearchStrategy::kBfs;
+  EXPECT_EQ(OptionsFingerprint(bfs), UINT64_C(0x733e368778f9b62e));
 }
 
 TEST(RunKeys, ModuleContentHashTracksContent) {

@@ -9,7 +9,6 @@
 #include "src/driver/compiler.h"
 #include "src/frontend/codegen.h"
 #include "src/sched/searcher.h"
-#include "src/sched/translate.h"
 #include "src/sched/worker_pool.h"
 #include "src/symex/executor.h"
 #include "src/workloads/workloads.h"
@@ -115,17 +114,6 @@ TEST(SearcherEquivalenceTest, StrategiesAgreeOnBuggyPrograms) {
   }
 }
 
-// ---- Back-compat shim for the removed depth_first flag.
-
-TEST(SearchStrategyShimTest, DepthFirstFalseSelectsBfsUnlessStrategySet) {
-  SymexOptions options;
-  EXPECT_EQ(EffectiveStrategy(options), SearchStrategy::kDfs);
-  options.depth_first = false;
-  EXPECT_EQ(EffectiveStrategy(options), SearchStrategy::kBfs);
-  options.strategy = SearchStrategy::kRandomPath;
-  EXPECT_EQ(EffectiveStrategy(options), SearchStrategy::kRandomPath);
-}
-
 // ---- Worker-count determinism.
 
 TEST(SchedulerDeterminismTest, WorkerCountsAgreeOnForkHeavyProgram) {
@@ -147,8 +135,6 @@ TEST(SchedulerDeterminismTest, WorkerCountsAgreeOnForkHeavyProgram) {
   for (unsigned jobs : {2u, 4u}) {
     SymexResult many = RunWith(*m, strategy, jobs, 6, limits);
     ExpectEquivalent(one, many, "jobs=" + std::to_string(jobs));
-    // Shared-interner steal path: migrated states never re-intern.
-    EXPECT_EQ(many.steal_reintern, 0u);
   }
 }
 
@@ -173,7 +159,6 @@ TEST(SchedulerDeterminismTest, WorkerCountsAgreeOnBugSets) {
   for (unsigned jobs : {2u, 4u, 8u}) {
     SymexResult many = RunWith(*m, strategy, jobs, 6, limits);
     ExpectEquivalent(one, many, "jobs=" + std::to_string(jobs));
-    EXPECT_EQ(many.steal_reintern, 0u);
   }
 }
 
@@ -225,6 +210,8 @@ const char* WcSource() {
 }
 
 // A deeper run on the wc workload at -O3, where stealing actually happens.
+// Builds without NDEBUG also assert every stolen state's expressions live
+// in the run's shared interner (src/sched/worker_pool.cc).
 TEST(SchedulerDeterminismTest, WcAtO3IdenticalAcrossWorkerCountsAndStrategies) {
   Compiler compiler;
   auto compiled = compiler.Compile(WcSource(), OptLevel::kO3);
@@ -239,56 +226,6 @@ TEST(SchedulerDeterminismTest, WcAtO3IdenticalAcrossWorkerCountsAndStrategies) {
   SymexResult coverage = Analyze(compiled, "umain", 5, limits, /*jobs=*/4,
                                  SearchStrategy::kCoverageGuided);
   ExpectEquivalent(one, coverage, "wc@O3 jobs=4 coverage");
-}
-
-// ---- Shared-interner steal path vs the legacy re-intern path.
-
-// Both interner configurations must satisfy the same contract, and the
-// shared one must never pay the per-state re-intern pass; the legacy one
-// must pay it for exactly every stolen state.
-TEST(SharedInternerTest, SharedAndLegacyConfigurationsAgreeOnWcAtO3) {
-  Compiler compiler;
-  auto compiled = compiler.Compile(WcSource(), OptLevel::kO3);
-  ASSERT_TRUE(compiled.ok);
-  SymexLimits limits;
-  limits.max_seconds = 120;
-
-  SymexOptions shared;
-  shared.jobs = 4;
-  ASSERT_TRUE(shared.shared_interner);  // the default configuration
-  SymexResult with_shared = Analyze(compiled, "umain", 5, limits, shared);
-  ASSERT_TRUE(with_shared.exhausted);
-  EXPECT_GE(with_shared.paths_completed, 1000u);
-  EXPECT_EQ(with_shared.steal_reintern, 0u);
-
-  SymexOptions legacy;
-  legacy.jobs = 4;
-  legacy.shared_interner = false;
-  SymexResult with_legacy = Analyze(compiled, "umain", 5, limits, legacy);
-  ExpectEquivalent(with_shared, with_legacy, "shared vs legacy interner");
-  // Every legacy steal re-interns; a batch is at least one state.
-  EXPECT_EQ(with_legacy.steal_reintern, with_legacy.steals);
-  EXPECT_LE(with_legacy.steal_batches, with_legacy.steals);
-}
-
-// The validation-only residue of the old re-intern pass: every stolen
-// state's expressions must already live in the shared interner. The walk
-// asserts internally; the run doubles as a determinism check.
-TEST(SharedInternerTest, ValidatedStealsMatchTheUnvalidatedRun) {
-  Compiler compiler;
-  auto compiled = compiler.Compile(WcSource(), OptLevel::kO3);
-  ASSERT_TRUE(compiled.ok);
-  SymexLimits limits;
-  limits.max_seconds = 120;
-  SymexOptions plain;
-  plain.jobs = 4;
-  SymexResult baseline = Analyze(compiled, "umain", 5, limits, plain);
-  ASSERT_TRUE(baseline.exhausted);
-  SymexOptions validated = plain;
-  validated.validate_steals = true;
-  SymexResult checked = Analyze(compiled, "umain", 5, limits, validated);
-  ExpectEquivalent(baseline, checked, "validate_steals");
-  EXPECT_EQ(checked.steal_reintern, 0u);
 }
 
 // ---- Pool reuse: a second Run on the same pool starts from clean search
@@ -505,54 +442,6 @@ TEST(TerminationAccountingTest, CausesSumOnLimitStop) {
   EXPECT_GE(result.paths_limit + result.paths_unexplored, 1u);
   EXPECT_EQ(result.paths_terminated, result.paths_infeasible + result.paths_bug +
                                          result.paths_limit + result.paths_unexplored);
-}
-
-// ---- Cross-context expression translation.
-
-TEST(ExprTranslationTest, RoundTripRestoresPointerIdentity) {
-  ExprContext a;
-  ExprContext b;
-  // A representative DAG: arithmetic over symbols, comparisons, selects,
-  // extracts, shared subtrees.
-  const Expr* sum = a.Binary(ExprKind::kAdd, a.ZExt(a.Symbol(0), 32),
-                             a.Binary(ExprKind::kMul, a.ZExt(a.Symbol(1), 32),
-                                      a.Constant(3, 32)));
-  const Expr* cmp = a.Compare(ICmpPredicate::kULT, sum, a.Constant(100, 32));
-  const Expr* sel = a.Select(cmp, sum, a.Binary(ExprKind::kXor, sum, a.Constant(255, 32)));
-  const Expr* root = a.Extract(sel, 8, 16);
-
-  sched::ExprTranslator a_to_b(b);
-  const Expr* moved = a_to_b.Translate(root);
-  // Structural hashes are context-independent, so the copy hashes equal.
-  EXPECT_EQ(moved->hash(), root->hash());
-  EXPECT_EQ(moved->width(), root->width());
-  EXPECT_EQ(moved->Support().ToSet(), root->Support().ToSet());
-
-  sched::ExprTranslator b_to_a(a);
-  const Expr* back = b_to_a.Translate(moved);
-  // Hash-consing: translating back lands on the exact original node.
-  EXPECT_EQ(back, root);
-}
-
-TEST(ExprTranslationTest, TranslationPreservesSolverVerdictsAndModels) {
-  ExprContext a;
-  const Expr* c1 = a.Compare(ICmpPredicate::kUGT, a.Symbol(0), a.Constant(10, 8));
-  const Expr* c2 = a.Compare(
-      ICmpPredicate::kEq,
-      a.Binary(ExprKind::kAdd, a.ZExt(a.Symbol(0), 32), a.ZExt(a.Symbol(1), 32)),
-      a.Constant(300, 32));
-  std::vector<uint8_t> model_a;
-  SolverChain chain_a(a);
-  ASSERT_EQ(chain_a.CheckSatCanonical({c1, c2}, &model_a), SatResult::kSat);
-
-  ExprContext b;
-  sched::ExprTranslator tr(b);
-  std::vector<const Expr*> moved = {tr.Translate(c1), tr.Translate(c2)};
-  std::vector<uint8_t> model_b;
-  SolverChain chain_b(b);
-  ASSERT_EQ(chain_b.CheckSatCanonical(moved, &model_b), SatResult::kSat);
-  // The canonical model is a pure function of structure: bit-identical.
-  EXPECT_EQ(model_a, model_b);
 }
 
 // ---- Budget-limited determinism: partial results are reproducible too.

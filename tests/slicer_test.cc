@@ -335,6 +335,43 @@ TEST(SlicerTest, SlicesVerifyAndShrink) {
   }
 }
 
+// Regression: to_original was filled from the clone map, which still held
+// clones the slicer had erased, so keys pointed at freed instructions (and
+// a later slice's instruction could reuse such an address). Every key must
+// be an instruction of a live slice function, every live slice instruction
+// must be mapped, and every value must be an instruction of the original
+// entry. Pointers are only compared, never dereferenced.
+TEST(SlicerTest, CloneMapCoversExactlyTheLiveSliceInstructions) {
+  for (const Workload& workload : CoreutilsSuite()) {
+    SCOPED_TRACE(workload.name);
+    SlicedProgram p = SliceProgram(workload.source, OptLevel::kOverify);
+    ASSERT_TRUE(p.slices.ok) << p.slices.error;
+    std::set<const Instruction*> entry_insts;
+    for (BasicBlock& block : *p.compiled.module->GetFunction("umain")) {
+      for (const auto& inst : block) {
+        entry_insts.insert(inst.get());
+      }
+    }
+    std::set<const Instruction*> live;
+    for (const Slice& slice : p.slices.slices) {
+      for (BasicBlock& block : *slice.fn) {
+        for (const auto& inst : block) {
+          live.insert(inst.get());
+          EXPECT_EQ(p.slices.to_original.count(inst.get()), 1u)
+              << slice.fn->name() << " has an unmapped instruction";
+        }
+      }
+    }
+    size_t stale = 0;
+    for (const auto& [slice_inst, original] : p.slices.to_original) {
+      stale += live.count(slice_inst) == 0 ? 1 : 0;
+      EXPECT_EQ(entry_insts.count(original), 1u);
+    }
+    EXPECT_EQ(stale, 0u) << "to_original keys outside every live slice";
+    Slicer::EraseSlices(*p.compiled.module, p.slices);
+  }
+}
+
 // Distinct (kind, confirmed) verdict set of an Analyze run, the semantic
 // the slicing differential pins: `confirmed` means the bug's model input
 // reproduces a trap on the full-program concrete interpreter.

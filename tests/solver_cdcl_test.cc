@@ -349,7 +349,6 @@ TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1, 4};
-  options.interners = {true};
   options.preprocess = {true};
   options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};
@@ -383,7 +382,6 @@ TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1};
-  options.interners = {true};
   options.preprocess = {true};
   options.learning = {true};
   options.strategies = {SearchStrategy::kDfs};
