@@ -159,16 +159,25 @@ uint64_t LubyUnit(uint64_t i) {
   return uint64_t{1} << seq;
 }
 
-// A stored nogood in decision-level space: "the assignment taking every
-// (level, value) literal below cannot extend to a model". Literals ascend
-// by level; the clause is bucketed at its deepest literal's level, so it is
-// checked exactly when that level is (re)assigned — every shallower literal
-// is already assigned there, making the match test a few byte compares.
-struct ActiveClause {
-  std::vector<std::pair<uint32_t, uint8_t>> lits;  // (level, value), ascending
-  uint64_t mask = 0;                               // 1 << level per literal
-  double activity = 1.0;
-};
+// OVERIFY_SOLVER_DEBUG, resolved once per process.
+bool SolverDebug() {
+  static const bool kDebug = std::getenv("OVERIFY_SOLVER_DEBUG") != nullptr;
+  return kDebug;
+}
+
+static_assert(kMaxClauseLiterals <= 8, "clause values pack into one uint64_t");
+
+constexpr uint32_t kNoClause = ~uint32_t{0};
+
+// A clause's bucket: its deepest level and that literal's value. The clause
+// is consulted exactly when that level is assigned that value — every
+// shallower literal is already assigned there, so the match test is a few
+// byte compares, and clauses for other values are never visited.
+uint16_t BucketOf(uint64_t mask, uint64_t values) {
+  const unsigned deepest = 63 - static_cast<unsigned>(__builtin_clzll(mask));
+  const unsigned n = static_cast<unsigned>(__builtin_popcountll(mask));
+  return static_cast<uint16_t>(deepest * 256 + ((values >> (8 * (n - 1))) & 0xff));
+}
 
 }  // namespace
 
@@ -386,13 +395,32 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
 
   // ---- Clause store ----
   //
-  // Learned nogoods in level space, bucketed by their deepest literal's
-  // level. Single-literal seeds fold straight into the domains (before
-  // value ordering, so endpoints reflect them); wider seeds enter the
-  // store. Seeds come from PrefixCache entries over subsets of this
-  // constraint set, so every one of them is valid here.
-  std::vector<ActiveClause> store;
-  std::vector<std::vector<uint32_t>> clauses_at(order.size());
+  // Learned nogoods in level space (store_), indexed by (deepest level,
+  // deepest value) through bucket_tail_. The previous query's clauses are
+  // unhooked from their buckets — every other bucket is already empty — and
+  // the buffers are kept. Single-literal seeds fold straight into the
+  // domains (before value ordering, so endpoints reflect them); wider seeds
+  // enter the store. Seeds come from PrefixCache entries over subsets of
+  // this constraint set, so every one of them is valid here.
+  for (const ActiveClause& c : store_) {
+    bucket_tail_[c.bucket] = kNoClause;
+  }
+  store_.clear();
+  if (learn && bucket_tail_.size() < order.size() * 256) {
+    bucket_tail_.resize(order.size() * 256, kNoClause);
+  }
+  // Appends store_[i] to its bucket's circular list.
+  auto link = [&](uint32_t i) {
+    ActiveClause& c = store_[i];
+    uint32_t& tail = bucket_tail_[c.bucket];
+    if (tail == kNoClause) {
+      c.next = i;
+    } else {
+      c.next = store_[tail].next;
+      store_[tail].next = i;
+    }
+    tail = i;
+  };
   if (learn && extras != nullptr && extras->seeds != nullptr) {
     for (const LearnedClause* seed : *extras->seeds) {
       if (seed->lits.size() != 1) {
@@ -440,7 +468,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   };
   build_values();
 
-  const bool debug = std::getenv("OVERIFY_SOLVER_DEBUG") != nullptr;
+  const bool debug = SolverDebug();
   const uint64_t candidates_at_entry = candidates_tried_;
   if (debug) {
     std::fprintf(stderr, "[solver] query: %zu constraints (%zu unary), %zu levels, domains:",
@@ -452,15 +480,17 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   }
 
   if (learn && extras != nullptr && extras->seeds != nullptr) {
-    std::set<std::vector<std::pair<uint32_t, uint8_t>>> seen;
+    std::set<std::pair<uint64_t, uint64_t>> seen;  // (mask, values)
     for (const LearnedClause* seed : *extras->seeds) {
-      if (seed->lits.size() < 2 || seed->lits.size() > config_.max_clause_literals) {
+      const size_t n = seed->lits.size();
+      if (n < 2 || n > kMaxClauseLiterals) {
         continue;
       }
-      std::vector<std::pair<uint32_t, uint8_t>> lits;
+      std::pair<uint32_t, uint8_t> lits[kMaxClauseLiterals];
       uint64_t mask = 0;
       bool usable = true;
-      for (const auto& [sym, value] : seed->lits) {
+      for (size_t k = 0; k < n; ++k) {
+        const auto [sym, value] = seed->lits[k];
         if (sym > max_symbol || level_of[sym] < 0) {
           usable = false;  // mentions a symbol outside this query
           break;
@@ -470,19 +500,24 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
           usable = false;  // can never fire: the value is domain-excluded
           break;
         }
-        lits.emplace_back(level, value);
+        lits[k] = {level, value};
         mask |= uint64_t{1} << level;
       }
-      if (!usable) {
+      // A symbol named twice (only a hand-made store holds such a clause)
+      // has no inline encoding; skip it.
+      if (!usable || static_cast<size_t>(__builtin_popcountll(mask)) != n) {
         continue;
       }
-      std::sort(lits.begin(), lits.end());
-      if (!seen.insert(lits).second) {
+      std::sort(lits, lits + n);
+      uint64_t values = 0;
+      for (size_t k = 0; k < n; ++k) {
+        values |= uint64_t{lits[k].second} << (8 * k);
+      }
+      if (!seen.emplace(mask, values).second) {
         continue;  // duplicate across seed entries
       }
-      uint32_t deepest = lits.back().first;
-      store.push_back(ActiveClause{std::move(lits), mask, seed->activity});
-      clauses_at[deepest].push_back(static_cast<uint32_t>(store.size() - 1));
+      store_.push_back(ActiveClause{mask, values, seed->activity, 0, BucketOf(mask, values)});
+      link(static_cast<uint32_t>(store_.size() - 1));
     }
   }
 
@@ -571,40 +606,61 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     if (learn && --decay_countdown == 0) {
       decay_countdown = 128;
-      for (ActiveClause& c : store) {
+      for (ActiveClause& c : store_) {
         c.activity *= config_.activity_decay;
       }
     }
   };
 
-  // Appends a learned clause, compacting the store to its top-activity half
-  // (stable on ties, so the store's evolution is deterministic) when full.
-  auto add_clause = [&](std::vector<std::pair<uint32_t, uint8_t>> lits, uint64_t mask) {
-    if (store.size() >= config_.clause_capacity) {
-      std::vector<uint32_t> by_activity(store.size());
-      for (uint32_t i = 0; i < by_activity.size(); ++i) {
-        by_activity[i] = i;
-      }
-      std::stable_sort(by_activity.begin(), by_activity.end(),
-                       [&](uint32_t a, uint32_t b) { return store[a].activity > store[b].activity; });
-      by_activity.resize(std::max<size_t>(config_.clause_capacity / 2, 1));
-      std::sort(by_activity.begin(), by_activity.end());  // keep insertion order
-      std::vector<ActiveClause> kept;
-      kept.reserve(by_activity.size());
-      for (uint32_t i : by_activity) {
-        kept.push_back(std::move(store[i]));
-      }
-      store = std::move(kept);
-      for (auto& bucket : clauses_at) {
-        bucket.clear();
-      }
-      for (uint32_t i = 0; i < store.size(); ++i) {
-        clauses_at[store[i].lits.back().first].push_back(i);
-      }
+  // The strict total order clause selection uses: activity descending, then
+  // insertion index ascending — the order a stable sort by activity gives.
+  auto more_active = [&](uint32_t a, uint32_t b) {
+    const double x = store_[a].activity;
+    const double y = store_[b].activity;
+    return x > y || (x == y && a < b);
+  };
+  // Fills by_activity_ with the store's indices, ready for selection.
+  auto index_store = [&]() {
+    by_activity_.resize(store_.size());
+    for (uint32_t i = 0; i < by_activity_.size(); ++i) {
+      by_activity_[i] = i;
     }
-    uint32_t deepest = lits.back().first;
-    store.push_back(ActiveClause{std::move(lits), mask, 1.0});
-    clauses_at[deepest].push_back(static_cast<uint32_t>(store.size() - 1));
+  };
+
+  // Appends the nogood over `mask` at the current assignment, first
+  // compacting the store to its top-activity half when full. The kept set
+  // is selected in O(n) and keeps its insertion order, bucket lists
+  // included, so the store's evolution is deterministic.
+  auto add_clause = [&](uint64_t mask) {
+    uint64_t values = 0;
+    unsigned shift = 0;
+    for (uint64_t rest = mask; rest != 0; rest &= rest - 1, shift += 8) {
+      values |= uint64_t{assignment[order[__builtin_ctzll(rest)]]} << shift;
+    }
+    if (store_.size() >= config_.clause_capacity) {
+      const size_t keep = std::max<size_t>(config_.clause_capacity / 2, 1);
+      index_store();
+      std::nth_element(by_activity_.begin(), by_activity_.begin() + keep, by_activity_.end(),
+                       more_active);
+      // Relinking rebuilds every bucket, so `next` is free to mark the kept.
+      for (ActiveClause& c : store_) {
+        bucket_tail_[c.bucket] = kNoClause;
+        c.next = kNoClause;
+      }
+      for (size_t k = 0; k < keep; ++k) {
+        store_[by_activity_[k]].next = 0;
+      }
+      uint32_t kept = 0;
+      for (const ActiveClause& c : store_) {
+        if (c.next != kNoClause) {
+          store_[kept] = c;
+          link(kept++);
+        }
+      }
+      store_.resize(kept);
+    }
+    store_.push_back(ActiveClause{mask, values, 1.0, 0, BucketOf(mask, values)});
+    link(static_cast<uint32_t>(store_.size() - 1));
     ++learned_;
   };
 
@@ -622,18 +678,9 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       clear_domain(depth_now, value);
       return;
     }
-    if (static_cast<size_t>(n) > config_.max_clause_literals) {
-      return;
+    if (static_cast<size_t>(n) <= kMaxClauseLiterals) {
+      add_clause(m);
     }
-    std::vector<std::pair<uint32_t, uint8_t>> lits;
-    lits.reserve(static_cast<size_t>(n));
-    uint64_t rest = m;
-    while (rest != 0) {
-      uint32_t level = static_cast<uint32_t>(__builtin_ctzll(rest));
-      rest &= rest - 1;
-      lits.emplace_back(level, assignment[order[level]]);
-    }
-    add_clause(std::move(lits), m);
   };
 
   // Converts the store's top-activity clauses (and the search-derived
@@ -644,10 +691,10 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     std::vector<LearnedClause>& out = *extras->learned;
     out.clear();
-    // max_export_clauses bounds the TOTAL export; domain clears prune
+    // kMaxExportClauses bounds the TOTAL export; domain clears prune
     // hardest, so they claim slots first and the store fills the rest.
     for (const auto& [sym, v] : cleared) {
-      if (out.size() >= config_.max_export_clauses) {
+      if (out.size() >= kMaxExportClauses) {
         break;
       }
       LearnedClause c;
@@ -655,25 +702,24 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       c.activity = 2.0;
       out.push_back(std::move(c));
     }
-    std::vector<uint32_t> by_activity(store.size());
-    for (uint32_t i = 0; i < by_activity.size(); ++i) {
-      by_activity[i] = i;
-    }
-    std::stable_sort(by_activity.begin(), by_activity.end(),
-                     [&](uint32_t a, uint32_t b) { return store[a].activity > store[b].activity; });
-    const size_t remaining = config_.max_export_clauses - out.size();
-    const size_t limit = std::min(by_activity.size(), remaining);
+    const size_t limit = std::min(store_.size(), kMaxExportClauses - out.size());
+    index_store();
+    std::partial_sort(by_activity_.begin(), by_activity_.begin() + limit, by_activity_.end(),
+                      more_active);
     for (size_t i = 0; i < limit; ++i) {
-      const ActiveClause& c = store[by_activity[i]];
+      const ActiveClause& c = store_[by_activity_[i]];
       LearnedClause exported;
-      exported.lits.reserve(c.lits.size());
+      exported.lits.reserve(static_cast<size_t>(__builtin_popcountll(c.mask)));
       bool ok = true;
-      for (const auto& [level, v] : c.lits) {
+      uint64_t values = c.values;
+      for (uint64_t rest = c.mask; rest != 0; rest &= rest - 1, values >>= 8) {
+        const unsigned level = static_cast<unsigned>(__builtin_ctzll(rest));
         if (order[level] > 0xffff) {
           ok = false;
           break;
         }
-        exported.lits.emplace_back(static_cast<uint16_t>(order[level]), v);
+        exported.lits.emplace_back(static_cast<uint16_t>(order[level]),
+                                   static_cast<uint8_t>(values));
       }
       if (!ok) {
         continue;
@@ -883,16 +929,8 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
           // The jump level's value alone admits no completion: a permanent
           // domain clear, stronger than any stored clause.
           clear_domain(jump, assignment[order[jump]]);
-        } else if (static_cast<size_t>(n) <= config_.max_clause_literals) {
-          std::vector<std::pair<uint32_t, uint8_t>> lits;
-          lits.reserve(static_cast<size_t>(n));
-          uint64_t rest = mask;
-          while (rest != 0) {
-            uint32_t level = static_cast<uint32_t>(__builtin_ctzll(rest));
-            rest &= rest - 1;
-            lits.emplace_back(level, assignment[order[level]]);
-          }
-          add_clause(std::move(lits), mask);
+        } else if (static_cast<size_t>(n) <= kMaxClauseLiterals) {
+          add_clause(mask);
         }
       }
       // Merge the remaining blame into the jump target (standard CBJ).
@@ -911,7 +949,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       continue;
     }
     if (budget == 0) {
-      if (std::getenv("OVERIFY_SOLVER_DEBUG") != nullptr) {
+      if (debug) {
         std::fprintf(stderr, "[solver] budget exhausted: %zu constraints, %zu symbols\n",
                      live.size(), order.size());
         for (const Expr* c : live) {
@@ -940,32 +978,34 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     const uint64_t below = depth >= 64 ? ~uint64_t{0} : (uint64_t{1} << depth) - 1;
     bool ok = true;
     // Learned-clause consultation before any constraint evaluation: a
-    // matching nogood refutes the candidate with a few byte compares. Every
-    // clause bucketed here has its deepest literal at this level, so all of
-    // its other literals are already assigned.
-    if (learn && !clauses_at[depth].empty()) {
-      for (uint32_t idx : clauses_at[depth]) {
-        ActiveClause& c = store[idx];
-        if (c.lits.back().second != value) {
-          continue;
-        }
+    // matching nogood refutes the candidate with a few byte compares. The
+    // bucket holds exactly the clauses whose deepest literal is (this
+    // level, this value), oldest first, so the first match is the first
+    // clause of the whole store that matches; their shallower literals are
+    // all assigned already.
+    const uint32_t tail = learn ? bucket_tail_[depth * 256 + value] : kNoClause;
+    if (tail != kNoClause) {
+      uint32_t idx = tail;
+      do {
+        idx = store_[idx].next;
+        ActiveClause& c = store_[idx];
         bool match = true;
-        for (size_t k = 0; k + 1 < c.lits.size(); ++k) {
-          if (assignment[order[c.lits[k].first]] != c.lits[k].second) {
+        uint64_t values = c.values;
+        for (uint64_t rest = c.mask & below; rest != 0; rest &= rest - 1, values >>= 8) {
+          if (assignment[order[__builtin_ctzll(rest)]] != static_cast<uint8_t>(values)) {
             match = false;
             break;
           }
         }
-        if (!match) {
-          continue;
+        if (match) {
+          conflict_mask[depth] |= c.mask & below;
+          c.activity += 1.0;
+          ++learned_hits_;
+          record_conflict(depth);
+          ok = false;
+          break;
         }
-        conflict_mask[depth] |= c.mask & below;
-        c.activity += 1.0;
-        ++learned_hits_;
-        record_conflict(depth);
-        ok = false;
-        break;
-      }
+      } while (idx != tail);
     }
     if (ok) {
       // Constraints that just became fully determined.

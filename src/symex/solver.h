@@ -120,19 +120,23 @@ struct LearnedClause {
   double activity = 1.0;
 };
 
+// Longer nogoods are not worth storing. Fixed, so a stored clause's values
+// pack into one uint64_t inline in the clause record.
+constexpr size_t kMaxClauseLiterals = 8;
+// Top-activity clauses (domain clears included) kept per cache entry.
+constexpr size_t kMaxExportClauses = 16;
+
 // CDCL tuning knobs. The defaults are deliberately conservative; the solver
-// CI job sweeps restart_base / activity_decay through the environment
-// (OVERIFY_CDCL_RESTART_BASE / OVERIFY_CDCL_DECAY / OVERIFY_CDCL_CLAUSES)
-// to prove that results are parameter-independent — learned-clause pruning
-// only ever skips non-models, so the first model in the fixed value order
-// is invariant (docs/solver.md#determinism).
+// CI job sweeps restart_base / activity_decay / clause_capacity through the
+// environment (OVERIFY_CDCL_RESTART_BASE / OVERIFY_CDCL_DECAY /
+// OVERIFY_CDCL_CLAUSES) to prove that results are parameter-independent —
+// learned-clause pruning only ever skips non-models, so the first model in
+// the fixed value order is invariant (docs/solver.md#determinism).
 struct CdclConfig {
   bool learning = true;        // clause store + restarts (domains stay on)
   uint64_t restart_base = 64;  // conflicts per Luby unit
   uint32_t max_restarts = 24;  // finite so completeness never depends on luck
   size_t clause_capacity = 512;     // store bound; low-activity half evicted
-  size_t max_clause_literals = 8;   // longer nogoods are not worth storing
-  size_t max_export_clauses = 16;   // top-activity clauses kept per cache entry
   double activity_decay = 0.95;     // applied to all activities every 128 conflicts
 };
 
@@ -187,7 +191,30 @@ class CoreSolver {
   uint64_t restarts() const { return restarts_; }
 
  private:
+  // A stored nogood in decision-level space: "the assignment taking every
+  // (level, value) literal cannot extend to a model". The levels are the
+  // set bits of `mask`; byte k of `values` is the value at the k-th level in
+  // ascending order. Only queries of at most 64 levels learn, and clauses
+  // hold at most kMaxClauseLiterals literals, so the record is fixed-size.
+  struct ActiveClause {
+    uint64_t mask;     // 1 << level per literal
+    uint64_t values;   // literal values, ascending by level, one byte each
+    double activity;
+    uint32_t next;     // next clause of the same bucket (circular list)
+    uint16_t bucket;   // deepest level * 256 + deepest literal's value
+  };
+
   CdclConfig config_;
+  // The running query's clause store (docs/solver.md, "Learning and
+  // backjumping"). Members rather than locals only so their buffers
+  // outlive a query: once grown, clause bookkeeping allocates nothing.
+  std::vector<ActiveClause> store_;
+  // Per bucket, the newest clause of that (deepest level, deepest value)
+  // pair, or ~0u when empty. Each bucket is a circular list through
+  // ActiveClause::next in insertion order, so the newest clause's next is
+  // the oldest.
+  std::vector<uint32_t> bucket_tail_;
+  std::vector<uint32_t> by_activity_;  // compaction / export scratch
   uint64_t candidates_tried_ = 0;
   uint64_t conflicts_ = 0;
   uint64_t learned_ = 0;

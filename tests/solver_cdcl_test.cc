@@ -220,11 +220,116 @@ TEST_F(CdclTest, ExportedClausesRespectTheConfiguredBounds) {
             SatResult::kUnsat);
   EXPECT_GT(core.conflicts(), 0u);
   EXPECT_GT(core.learned(), 0u);
-  EXPECT_LE(exported.size(), core.config().max_export_clauses);
+  EXPECT_LE(exported.size(), kMaxExportClauses);
   for (const LearnedClause& clause : exported) {
-    EXPECT_LE(clause.lits.size(), core.config().max_clause_literals);
+    EXPECT_LE(clause.lits.size(), kMaxClauseLiterals);
     EXPECT_TRUE(std::is_sorted(clause.lits.begin(), clause.lits.end()))
         << "clause literals must ascend by symbol for cross-query matching";
+  }
+}
+
+// ---- Golden search counters: the clause store's exact behaviour.
+
+// 4-6 byte symbols, each bounded by a unary constraint (the domain sweep
+// keeps the enumeration small), tied by product / sum / xor relations over
+// arbitrary symbol pairs: conflicts learn multi-literal clauses whose
+// deepest literals spread over many (level, value) buckets.
+std::vector<const Expr*> GoldenQuery(ExprContext& ctx, Rng& rng) {
+  const unsigned n = 4 + static_cast<unsigned>(rng.NextBelow(3));
+  auto wide = [&](unsigned i) { return ctx.ZExt(ctx.Symbol(i), 32); };
+  std::vector<const Expr*> q;
+  for (unsigned i = 0; i < n; ++i) {
+    q.push_back(ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(i),
+                            ctx.Constant(6 + rng.NextBelow(8), 8)));
+  }
+  const unsigned relations = 2 + static_cast<unsigned>(rng.NextBelow(2));
+  for (unsigned r = 0; r < relations; ++r) {
+    const unsigned a = static_cast<unsigned>(rng.NextBelow(n));
+    const unsigned b = static_cast<unsigned>((a + 1 + rng.NextBelow(n - 1)) % n);
+    const unsigned c = static_cast<unsigned>(rng.NextBelow(n));
+    const Expr* lhs = nullptr;
+    switch (rng.NextBelow(3)) {
+      case 0:
+        lhs = ctx.Binary(ExprKind::kAdd, ctx.Binary(ExprKind::kMul, wide(a), wide(b)), wide(c));
+        break;
+      case 1:
+        lhs = ctx.Binary(ExprKind::kXor, ctx.Binary(ExprKind::kAdd, wide(a), wide(b)), wide(c));
+        break;
+      default:
+        lhs = ctx.Binary(ExprKind::kAdd, ctx.Binary(ExprKind::kXor, wide(a), wide(b)),
+                         ctx.Binary(ExprKind::kMul, wide(c), wide((c + 1) % n)));
+        break;
+    }
+    q.push_back(ctx.Compare(ICmpPredicate::kEq, lhs, ctx.Constant(rng.NextBelow(64), 32)));
+  }
+  return q;
+}
+
+// Which stored clause fires first decides its activity bump and the blame
+// mask it contributes, and activity decides what compaction keeps and what
+// is exported, so every counter below moves if the store ever consults
+// clauses in a different order. Capacities 4 and 8 compact every few adds.
+// One solver per configuration answers all six queries, so the store's
+// buffers are reused across queries too. The golden values were computed
+// with the clause store that scanned each level's clauses in full
+// (before the (level, value) index); the index must reproduce them.
+TEST_F(CdclTest, GoldenSearchCountersAcrossClauseCapacities) {
+  struct Golden {
+    size_t capacity;
+    uint64_t candidates, conflicts, learned, learned_hits, backjumps, restarts;
+  };
+  const Golden goldens[] = {
+      {512, 30929, 12200, 8198, 5456, 3, 0},
+      {4, 30792, 11743, 13114, 44, 12, 0},
+      {8, 30728, 11687, 13014, 80, 12, 0},
+  };
+  // Verdicts and the one model: identical at every capacity.
+  const SatResult verdicts[] = {SatResult::kUnsat, SatResult::kUnsat, SatResult::kUnsat,
+                                SatResult::kUnsat, SatResult::kSat, SatResult::kUnsat};
+  const std::vector<uint8_t> sat_model = {0, 0, 0, 7, 10};
+  // Query 3's export at the default capacity, in order.
+  const std::vector<std::vector<std::pair<uint16_t, uint8_t>>> exported_golden = {
+      {{0, 0}},         {{0, 8}},         {{0, 1}},         {{0, 2}},
+      {{0, 3}},         {{0, 4}},         {{0, 7}},         {{0, 5}},
+      {{0, 6}},         {{1, 4}, {3, 4}}, {{1, 3}, {3, 4}}, {{1, 2}, {3, 4}},
+      {{1, 1}, {3, 4}}, {{1, 5}, {3, 4}}, {{1, 8}, {3, 4}}, {{1, 9}, {3, 4}},
+  };
+
+  Rng rng(6);
+  std::vector<std::vector<const Expr*>> queries;
+  for (int i = 0; i < 6; ++i) {
+    queries.push_back(GoldenQuery(ctx, rng));
+  }
+  for (const Golden& g : goldens) {
+    CdclConfig config;
+    config.clause_capacity = g.capacity;
+    CoreSolver core;
+    core.set_config(config);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      std::vector<uint8_t> model;
+      std::vector<LearnedClause> exported;
+      CoreSolver::SearchExtras extras;
+      extras.learned = &exported;
+      ASSERT_EQ(core.CheckSat(ctx, queries[i], &model, 1 << 22, nullptr, nullptr, &extras),
+                verdicts[i])
+          << "capacity " << g.capacity << " query " << i;
+      if (verdicts[i] == SatResult::kSat) {
+        EXPECT_EQ(model, sat_model) << "capacity " << g.capacity;
+      }
+      if (g.capacity == 512 && i == 3) {
+        std::vector<std::vector<std::pair<uint16_t, uint8_t>>> got;
+        for (const LearnedClause& clause : exported) {
+          got.push_back(clause.lits);
+        }
+        EXPECT_EQ(got, exported_golden);
+      }
+    }
+    EXPECT_EQ(core.candidates_tried(), g.candidates) << "capacity " << g.capacity;
+    EXPECT_EQ(core.conflicts(), g.conflicts) << "capacity " << g.capacity;
+    EXPECT_EQ(core.learned(), g.learned) << "capacity " << g.capacity;
+    EXPECT_EQ(core.learned_hits(), g.learned_hits) << "capacity " << g.capacity;
+    EXPECT_EQ(core.backjumps(), g.backjumps) << "capacity " << g.capacity;
+    EXPECT_EQ(core.restarts(), g.restarts) << "capacity " << g.capacity;
   }
 }
 
