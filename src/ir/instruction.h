@@ -122,6 +122,8 @@ class Instruction : public Value {
   void EraseFromParent();
   // Detaches without destroying; caller receives ownership.
   std::unique_ptr<Instruction> RemoveFromParent();
+  // Clears every operand, dropping its use record, as destruction would.
+  void DropAllOperands();
 
   // Creates an un-parented copy of this instruction with the same operands.
   // Phi incoming blocks and branch targets are copied verbatim; callers remap
@@ -142,7 +144,6 @@ class Instruction : public Value {
 
  private:
   friend class BasicBlock;
-  void DropAllOperands();
 
   Opcode opcode_;
   std::vector<Value*> operands_;

@@ -1,7 +1,9 @@
 #include "src/passes/instcombine.h"
 
 #include <deque>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "src/ir/fold.h"
 #include "src/support/statistics.h"
@@ -68,10 +70,20 @@ class Combiner {
     if (auto* rep_inst = DynCast<Instruction>(replacement)) {
       Enqueue(rep_inst);
     }
-    erased_.insert(inst);
-    inst->EraseFromParent();
+    Erase(inst);
     ++g_simplified;
     return true;
+  }
+
+  // Detaches a dead instruction, dropping its operand uses now (as erasing
+  // would) but keeping it allocated until the combiner is done: a freed
+  // address could be reused by an instruction created later, which would
+  // then read as erased and never be visited.
+  void Erase(Instruction* inst) {
+    OVERIFY_ASSERT(!inst->HasUses(), "erasing an instruction that still has uses");
+    erased_.insert(inst);
+    dead_.push_back(inst->RemoveFromParent());
+    dead_.back()->DropAllOperands();
   }
 
   bool Visit(Instruction* inst) {
@@ -390,8 +402,7 @@ class Combiner {
         while (phi->NumIncoming() > 0) {
           phi->RemoveIncoming(0);
         }
-        erased_.insert(phi);
-        phi->EraseFromParent();
+        Erase(phi);
         ++g_simplified;
         return true;
       }
@@ -404,6 +415,7 @@ class Combiner {
   std::deque<Instruction*> worklist_;
   std::set<Instruction*> in_worklist_;
   std::set<Instruction*> erased_;
+  std::vector<std::unique_ptr<Instruction>> dead_;  // erased_, kept allocated
 };
 
 }  // namespace

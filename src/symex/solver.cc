@@ -251,6 +251,14 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     return SatResult::kSat;
   }
+  // Constraint ci is root ci of the program. Its memo hits are credited to
+  // the context on every way out, as if the context had evaluated.
+  program_.Build(live);
+  struct CreditMemoHits {
+    ExprContext& ctx;
+    EvalProgram& program;
+    ~CreditMemoHits() { ctx.AddMemoHits(program.TakeEvalHits(), program.TakeIntervalHits()); }
+  } credit_memo_hits{ctx, program_};
 
   std::vector<unsigned> order;
   order.reserve(support.Size());
@@ -367,7 +375,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   if (!unary.empty()) {
     for (unsigned v = 0; v < 256; ++v) {
       std::fill(assignment.begin(), assignment.end(), static_cast<uint8_t>(v));
-      ctx.NewEvaluation();
+      program_.NewEvaluation();
       for (size_t ci : unary) {
         unsigned sym = 0;
         live[ci]->Support().ForEach([&](unsigned s) { sym = s; });
@@ -380,7 +388,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
         }
         --budget;
         ++candidates_tried_;
-        if (ctx.Evaluate(live[ci], assignment) == 0) {
+        if (program_.Evaluate(ci, assignment.data()) == 0) {
           d.Clear(static_cast<uint8_t>(v));
         }
       }
@@ -760,7 +768,11 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
           continue;
         }
         hull[sym] = ExprContext::UInterval{v, v};
+        // The context's interval generation moves with the program's: the
+        // preprocessor reuses its interval memo only while that generation
+        // stands still (ConstraintPreprocessor::RangeOf).
         ctx.NewIntervalRound();
+        program_.NewIntervalRound();
         for (size_t ci : multi_at[l]) {
           if (budget == 0) {
             return give_up(UnknownCause::kCandidateBudget);
@@ -773,7 +785,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
               return give_up(why);
             }
           }
-          if (ctx.EvalIntervalRanges(live[ci], hull).hi == 0) {
+          if (program_.EvalIntervalRanges(ci, hull).hi == 0) {
             domain[l].Clear(static_cast<uint8_t>(v));
             break;
           }
@@ -1009,9 +1021,9 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     if (ok) {
       // Constraints that just became fully determined.
-      ctx.NewEvaluation();
+      program_.NewEvaluation();
       for (size_t ci : ready_at[depth]) {
-        if (ctx.Evaluate(live[ci], assignment) == 0) {
+        if (program_.Evaluate(ci, assignment.data()) == 0) {
           const uint64_t blame = level_mask[ci] & below;
           conflict_mask[depth] |= blame;
           record_conflict(depth);
@@ -1024,9 +1036,10 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       // over-approximation that already excludes `true` kills every
       // completion of this prefix.
       if (ok && !touched_at[depth].empty()) {
-        ctx.NewIntervalRound();
+        ctx.NewIntervalRound();  // see derive_domains
+        program_.NewIntervalRound();
         for (size_t ci : touched_at[depth]) {
-          ExprContext::UInterval bound = ctx.EvalInterval(live[ci], assignment, assigned);
+          const UInterval bound = program_.EvalInterval(ci, assignment.data(), assigned);
           if (bound.hi == 0) {
             const uint64_t blame = level_mask[ci] & below;
             conflict_mask[depth] |= blame;
@@ -1103,8 +1116,8 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
                   }
                 }
                 assignment[fsym] = w;
-                ctx.NewEvaluation();
-                if (ctx.Evaluate(live[ci], assignment) != 0) {
+                program_.NewEvaluation();
+                if (program_.Evaluate(ci, assignment.data()) != 0) {
                   viable_set.Set(w);
                 }
               }
@@ -1141,8 +1154,8 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
                 }
               }
               assignment[fsym] = w;
-              ctx.NewEvaluation();
-              if (ctx.Evaluate(live[ci], assignment) == 0) {
+              program_.NewEvaluation();
+              if (program_.Evaluate(ci, assignment.data()) == 0) {
                 if (!snapshotted) {
                   snapshotted = true;
                   undo[depth].push_back(

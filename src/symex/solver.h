@@ -28,6 +28,7 @@
 
 #include "src/support/fault.h"
 #include "src/support/metrics.h"
+#include "src/symex/eval_program.h"
 #include "src/symex/expr.h"
 #include "src/symex/expr_hash.h"
 #include "src/symex/preprocess.h"
@@ -215,6 +216,10 @@ class CoreSolver {
   // the oldest.
   std::vector<uint32_t> bucket_tail_;
   std::vector<uint32_t> by_activity_;  // compaction / export scratch
+  // The running query's live constraints, lowered for evaluation; every
+  // concrete and interval evaluation of the search runs on it. A member
+  // for the same reason as store_.
+  EvalProgram program_;
   uint64_t candidates_tried_ = 0;
   uint64_t conflicts_ = 0;
   uint64_t learned_ = 0;

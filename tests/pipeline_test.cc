@@ -1,9 +1,19 @@
 // Tests for pipeline construction, the pass manager, and global DCE.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/frontend/codegen.h"
 #include "src/ir/parser.h"
 #include "src/passes/global_dce.h"
 #include "src/passes/pipeline.h"
+#include "src/support/diagnostics.h"
+#include "src/support/statistics.h"
+#include "src/vlibc/vlibc.h"
+#include "src/workloads/workloads.h"
 
 namespace overify {
 namespace {
@@ -131,6 +141,69 @@ TEST(PassManagerTest, ReportsTimingsAndChangeFlags) {
     any_changed |= timing.changed;
   }
   EXPECT_TRUE(any_changed);  // the constant add folds
+}
+
+// What one compile of a workload did: every pass statistic's delta and
+// each pipeline pass's changed flag, in pipeline order.
+struct PassOutcome {
+  std::map<std::string, int64_t> stats;
+  std::vector<bool> changed;
+};
+
+PassOutcome CompileOutcome(const Workload& workload, OptLevel level) {
+  const PipelineOptions options = PipelineOptions::For(level);
+  std::vector<MiniCSource> sources;
+  sources.push_back(
+      MiniCSource{options.use_verify_libc ? VerifyLibcSource() : StandardLibcSource(), true});
+  sources.push_back(MiniCSource{workload.source, false});
+  DiagnosticEngine diags;
+  std::unique_ptr<Module> module = CompileMiniC(sources, workload.name, diags);
+  EXPECT_NE(module, nullptr) << workload.name << ": " << diags.ToString();
+  PassOutcome outcome;
+  if (module == nullptr) {
+    return outcome;
+  }
+  const std::map<std::string, int64_t> before = StatisticsRegistry::Global().Snapshot();
+  ProgramAnnotations annotations;
+  PassManager pm;
+  BuildPipeline(pm, options, &annotations);
+  pm.Run(*module);
+  for (const auto& [name, value] : StatisticsRegistry::Global().Snapshot()) {
+    auto it = before.find(name);
+    const int64_t delta = value - (it == before.end() ? 0 : it->second);
+    if (delta != 0) {
+      outcome.stats[name] = delta;
+    }
+  }
+  for (const PassManager::Timing& timing : pm.timings()) {
+    outcome.changed.push_back(timing.changed);
+  }
+  return outcome;
+}
+
+TEST(PassManagerTest, PassOutcomesDoNotDependOnHeapHistory) {
+  // A pass that keys anything on the address of a freed IR object sees a
+  // different answer once malloc hands that address to a new object. Each
+  // workload compiles twice; the second compile runs with a spread of small
+  // blocks held live, which reshuffles which freed addresses come back.
+  // Both compiles must do the same work.
+  for (OptLevel level : {OptLevel::kO3, OptLevel::kOverify}) {
+    for (const Workload& workload : CoreutilsSuite()) {
+      const PassOutcome first = CompileOutcome(workload, level);
+      std::vector<std::unique_ptr<char[]>> held;
+      for (size_t i = 0; i < 4096; ++i) {
+        held.push_back(std::make_unique<char[]>(16 + (i * 37) % 240));
+        if (i % 3 == 0) {
+          held[i / 2].reset();
+        }
+      }
+      const PassOutcome second = CompileOutcome(workload, level);
+      EXPECT_EQ(first.stats, second.stats)
+          << workload.name << " at " << OptLevelName(level);
+      EXPECT_EQ(first.changed, second.changed)
+          << workload.name << " at " << OptLevelName(level);
+    }
+  }
 }
 
 TEST(GlobalDceTest, RemovesUnreachableFunctions) {

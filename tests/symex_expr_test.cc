@@ -1,10 +1,14 @@
 // Tests for the symbolic expression DAG and its canonicalizing builder.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "src/ir/constant.h"
+#include "src/support/rng.h"
+#include "src/symex/eval_program.h"
 #include "src/symex/expr.h"
 
 namespace overify {
@@ -237,6 +241,237 @@ TEST(SharedInternerTest, PerContextMemosEvaluateTheSharedDagIndependently) {
   EXPECT_EQ(a.Evaluate(sum, x), 30u);
   EXPECT_EQ(b.Evaluate(sum, y), 3u);
   EXPECT_EQ(a.Evaluate(sum, x), 30u);  // memoized, still correct
+}
+
+// ---- The core solver's evaluation program (src/symex/eval_program.h).
+
+// Random well-typed DAGs over a few byte symbols, built mostly through the
+// canonicalizing builders plus raw interning for the shapes the builders
+// never produce themselves: kTrunc nodes, and division, remainder and
+// shifts whose constant operands trap (Rebuild interns those raw too).
+class RandomDag {
+ public:
+  static constexpr unsigned kSymbols = 5;
+  static constexpr unsigned kWidths[] = {1, 8, 16, 32, 64};
+
+  RandomDag(ExprContext& ctx, uint64_t seed) : ctx_(ctx), rng_(seed) {
+    for (unsigned s = 0; s < kSymbols; ++s) {
+      Add(ctx_.Symbol(s));
+    }
+    for (unsigned w : kWidths) {
+      const uint64_t mask = TruncateToWidth(~uint64_t{0}, w);
+      for (uint64_t v : {uint64_t{0}, uint64_t{1}, mask, uint64_t{1} << (w - 1), rng_.Next()}) {
+        Add(ctx_.Constant(v, w));
+      }
+    }
+    for (int step = 0; step < 160; ++step) {
+      Grow();
+    }
+  }
+
+  // `n` random non-constant nodes, any width.
+  std::vector<const Expr*> Roots(size_t n) {
+    std::vector<const Expr*> roots;
+    while (roots.size() < n) {
+      const Expr* e = Pick(kWidths[rng_.NextBelow(5)]);
+      if (!e->IsConstant()) {
+        roots.push_back(e);
+      }
+    }
+    return roots;
+  }
+
+ private:
+  void Add(const Expr* e) { pool_[e->width()].push_back(e); }
+
+  // Mostly recent nodes, so chains (select of select of ...) grow deep.
+  const Expr* Pick(unsigned width) {
+    std::vector<const Expr*>& p = pool_[width];
+    if (rng_.NextBelow(2) == 0) {
+      return p[p.size() - 1 - rng_.NextBelow(std::min<size_t>(p.size(), 4))];
+    }
+    return p[rng_.NextBelow(p.size())];
+  }
+
+  const Expr* Raw(ExprKind kind, unsigned width, const Expr* a, const Expr* b = nullptr,
+                  unsigned offset = 0) {
+    ExprInterner::Key key;
+    key.kind = kind;
+    key.width = width;
+    key.a = a;
+    key.b = b;
+    key.extract_offset = offset;
+    return ctx_.interner().Intern(key);
+  }
+
+  void Grow() {
+    const unsigned w = kWidths[rng_.NextBelow(5)];
+    switch (rng_.NextBelow(8)) {
+      case 0:
+      case 1: {  // binary arithmetic, kAdd .. kAShr
+        const auto kind = static_cast<ExprKind>(static_cast<unsigned>(ExprKind::kAdd) +
+                                                rng_.NextBelow(13));
+        const Expr* a = Pick(w);
+        const Expr* b = Pick(w);
+        if (rng_.NextBelow(4) == 0) {
+          // Divisor 0 or a shift amount >= width, raw.
+          b = ctx_.Constant(rng_.NextBool() ? 0 : w + rng_.NextBelow(3), w);
+          Add(Raw(kind, w, a, b));
+        } else if (a->IsConstant() && b->IsConstant()) {
+          Add(Raw(kind, w, a, b));
+        } else {
+          Add(ctx_.Binary(kind, a, b));
+        }
+        break;
+      }
+      case 2: {  // every predicate, canonicalized onto the five kinds
+        const auto pred = static_cast<ICmpPredicate>(rng_.NextBelow(10));
+        Add(ctx_.Compare(pred, Pick(w), Pick(w)));
+        break;
+      }
+      case 3:
+        Add(ctx_.Select(Pick(1), Pick(w), Pick(w)));
+        break;
+      case 4: {  // widening casts
+        const unsigned from = kWidths[rng_.NextBelow(4)];
+        const unsigned to = kWidths[1 + rng_.NextBelow(4)];
+        if (to > from) {
+          Add(rng_.NextBool() ? ctx_.ZExt(Pick(from), to) : ctx_.SExt(Pick(from), to));
+        }
+        break;
+      }
+      case 5: {  // narrowing: trunc (raw) or an extract at any offset
+        const unsigned from = kWidths[1 + rng_.NextBelow(4)];
+        const unsigned to = kWidths[rng_.NextBelow(4)];
+        if (to < from) {
+          const Expr* a = Pick(from);
+          if (a->IsConstant()) {
+            break;
+          }
+          const unsigned offset = static_cast<unsigned>(rng_.NextBelow(from - to + 1));
+          Add(rng_.NextBool() ? Raw(ExprKind::kTrunc, to, a) : ctx_.Extract(a, offset, to));
+        }
+        break;
+      }
+      default: {  // concat of two equal halves, and of a bit onto a byte
+        if (w == 1) {
+          Add(ctx_.Concat(Pick(1), Pick(8)));  // width 9
+        } else if (w > 8) {
+          Add(ctx_.Concat(Pick(w / 2), Pick(w / 2)));
+        }
+        break;
+      }
+    }
+  }
+
+  ExprContext& ctx_;
+  Rng rng_;
+  std::map<unsigned, std::vector<const Expr*>> pool_;
+};
+
+void CollectKinds(const Expr* e, std::set<ExprKind>& kinds, std::set<const Expr*>& seen) {
+  if (!seen.insert(e).second) {
+    return;
+  }
+  kinds.insert(e->kind());
+  for (const Expr* child : {e->a(), e->b(), e->c()}) {
+    if (child != nullptr) {
+      CollectKinds(child, kinds, seen);
+    }
+  }
+}
+
+// Bit-equal values and intervals, and equal memo-hit counts per round,
+// against ExprContext over the same roots.
+void ExpectProgramMatchesContext(ExprContext& ctx, const std::vector<const Expr*>& roots,
+                                 Rng& rng) {
+  EvalProgram program;
+  program.Build(roots);
+  std::vector<uint8_t> bytes(RandomDag::kSymbols);
+  std::vector<bool> assigned(RandomDag::kSymbols);
+  for (int round = 0; round < 24; ++round) {
+    for (unsigned s = 0; s < RandomDag::kSymbols; ++s) {
+      const uint8_t corner[] = {0, 1, 0x7f, 0x80, 0xff};
+      bytes[s] = rng.NextBool() ? corner[rng.NextBelow(5)] : static_cast<uint8_t>(rng.Next());
+      assigned[s] = rng.NextBool();
+    }
+    ctx.NewEvaluation();
+    program.NewEvaluation();
+    const uint64_t eval_hits = ctx.eval_memo_hits();
+    for (size_t i = 0; i < roots.size(); ++i) {
+      ASSERT_EQ(program.Evaluate(i, bytes.data()), ctx.Evaluate(roots[i], bytes))
+          << "root " << i << " round " << round;
+    }
+    EXPECT_EQ(program.TakeEvalHits(), ctx.eval_memo_hits() - eval_hits) << "round " << round;
+
+    ctx.NewIntervalRound();
+    program.NewIntervalRound();
+    uint64_t interval_hits = ctx.interval_memo_hits();
+    for (size_t i = 0; i < roots.size(); ++i) {
+      const UInterval want = ctx.EvalInterval(roots[i], bytes, assigned);
+      const UInterval got = program.EvalInterval(i, bytes.data(), assigned);
+      ASSERT_EQ(got.lo, want.lo) << "root " << i << " round " << round;
+      ASSERT_EQ(got.hi, want.hi) << "root " << i << " round " << round;
+    }
+    EXPECT_EQ(program.TakeIntervalHits(), ctx.interval_memo_hits() - interval_hits);
+
+    // Per-symbol ranges, one symbol short so the [0, 255] default shows.
+    std::vector<UInterval> ranges(RandomDag::kSymbols - 1);
+    for (UInterval& r : ranges) {
+      const uint64_t a = rng.NextBelow(256);
+      const uint64_t b = rng.NextBool() ? a : rng.NextBelow(256);
+      r = UInterval{std::min(a, b), std::max(a, b)};
+    }
+    ctx.NewIntervalRound();
+    program.NewIntervalRound();
+    interval_hits = ctx.interval_memo_hits();
+    for (size_t i = 0; i < roots.size(); ++i) {
+      const UInterval want = ctx.EvalIntervalRanges(roots[i], ranges);
+      const UInterval got = program.EvalIntervalRanges(i, ranges);
+      ASSERT_EQ(got.lo, want.lo) << "root " << i << " round " << round;
+      ASSERT_EQ(got.hi, want.hi) << "root " << i << " round " << round;
+    }
+    EXPECT_EQ(program.TakeIntervalHits(), ctx.interval_memo_hits() - interval_hits);
+  }
+}
+
+TEST(EvalProgramTest, MatchesContextEvaluationOnRandomDags) {
+  std::set<ExprKind> kinds;
+  for (bool shared : {false, true}) {
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      ExprInterner interner(/*concurrent=*/true);
+      ExprContext ctx(shared ? &interner : nullptr);
+      RandomDag dag(ctx, seed);
+      const std::vector<const Expr*> roots = dag.Roots(12);
+      std::set<const Expr*> seen;
+      for (const Expr* root : roots) {
+        CollectKinds(root, kinds, seen);
+      }
+      Rng rng(seed * 7919);
+      SCOPED_TRACE(testing::Message() << (shared ? "shared" : "private") << " seed " << seed);
+      ExpectProgramMatchesContext(ctx, roots, rng);
+    }
+  }
+  EXPECT_EQ(kinds.size(), 26u) << "the DAGs must cover every ExprKind";
+}
+
+TEST(EvalProgramTest, RebuildReplacesTheProgramAndKeepsMemosFresh) {
+  // One program reused across queries, as CoreSolver holds it: a rebuild
+  // over other roots must not read the previous query's slots.
+  ExprContext ctx;
+  EvalProgram program;
+  const Expr* x = ctx.ZExt(ctx.Symbol(0), 32);
+  const Expr* y = ctx.ZExt(ctx.Symbol(1), 32);
+  const std::vector<uint8_t> bytes = {6, 7};
+  program.Build({ctx.Binary(ExprKind::kMul, x, y)});
+  program.NewEvaluation();
+  EXPECT_EQ(program.Evaluate(0, bytes.data()), 42u);
+  program.Build({ctx.Binary(ExprKind::kAdd, x, y), ctx.Binary(ExprKind::kMul, x, y)});
+  EXPECT_EQ(program.Evaluate(0, bytes.data()), 13u);
+  EXPECT_EQ(program.Evaluate(1, bytes.data()), 42u);
+  EXPECT_EQ(program.TakeEvalHits(), 2u);  // the product re-reads both zexts
+  EXPECT_EQ(program.Evaluate(1, bytes.data()), 42u);
+  EXPECT_EQ(program.TakeEvalHits(), 1u);
 }
 
 }  // namespace
