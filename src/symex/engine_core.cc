@@ -1,5 +1,8 @@
 #include "src/symex/engine_core.h"
 
+#include <string_view>
+#include <type_traits>
+
 #include "src/ir/constant.h"
 #include "src/support/string_utils.h"
 #include "src/support/trace.h"
@@ -22,6 +25,19 @@ constexpr uint64_t kLimitCheckInterval = 32;
 // distinct constants work; the values are arbitrary.
 constexpr uint64_t kTrueSideSalt = 0x2545f4914f6cdd1dULL;
 constexpr uint64_t kFalseSideSalt = 0xd1b54a32d192ed03ULL;
+
+// A bug message is either a string literal or a callable returning the
+// formatted text; the callable runs only when a report is actually filed.
+// The guards pass one on every access and division, where formatting
+// eagerly would cost more than the rest of the step.
+template <typename Message>
+std::string MessageText(const Message& message) {
+  if constexpr (std::is_convertible_v<const Message&, const char*>) {
+    return message;
+  } else {
+    return message();
+  }
+}
 
 }  // namespace
 
@@ -311,7 +327,9 @@ class EngineCore::Impl {
   // deadline, or injected unknown) is dropped entirely rather than filed
   // without an example input — every surviving report stays replayable, and
   // the caller degrades the path to unknown instead (docs/robustness.md).
-  bool ReportBug(ExecState& state, const Instruction* site, BugKind kind, std::string message) {
+  template <typename Message>
+  bool ReportBug(ExecState& state, const Instruction* site, BugKind kind,
+                 const Message& message) {
     auto key = std::make_pair(site, kind);
     auto it = bugs_.find(key);
     if (it != bugs_.end() && it->second.path_id <= state.path_id) {
@@ -328,7 +346,7 @@ class EngineCore::Impl {
     }
     BugCandidate bug;
     bug.kind = kind;
-    bug.message = std::move(message);
+    bug.message = MessageText(message);
     bug.site = site;
     bug.path_id = state.path_id;
     model.resize(num_symbols_, 0);
@@ -515,8 +533,9 @@ class EngineCore::Impl {
   // be decided, the state dies unknown instead of silently skipping a
   // possible bug, and a bug whose witness was dropped likewise degrades to
   // unknown rather than surviving as an unreplayable report.
+  template <typename Message>
   GuardResult GuardAgainst(ExecState& state, const Expr* bad, const Instruction* site,
-                           BugKind kind, const std::string& message) {
+                           BugKind kind, const Message& message) {
     if (bad->IsFalse()) {
       return GuardResult::kOk;
     }
@@ -531,13 +550,14 @@ class EngineCore::Impl {
     }
     bool reported = false;
     if (bad_sat == SatResult::kSat) {
-      // Report with the bad branch's model.
-      auto bug_state = state.Clone();
-      bug_state->AddConstraint(bad);
-      if (!ReportBug(*bug_state, site, kind, message)) {
+      // Report with the bad branch's model: ReportBug reads only the
+      // constraints and the path id, so extend the constraints in place.
+      state.constraints.push_back(bad);
+      reported = ReportBug(state, site, kind, message);
+      state.constraints.pop_back();
+      if (!reported) {
         return GuardResult::kDiedUnknown;
       }
-      reported = true;
     }
     const Expr* safe = ctx_.Not(bad);
     if (bad_sat == SatResult::kUnsat) {
@@ -610,22 +630,26 @@ class EngineCore::Impl {
                  : GuardResult::kDiedUnknown;
     }
     const MemoryObject& meta = state.memory.Meta(ptr.object_id);
-    if (meta.size < width_bytes) {
+    const uint64_t size = meta.size;
+    const std::string_view name = meta.name;
+    if (size < width_bytes) {
       return ReportBug(state, site, BugKind::kOutOfBounds,
-                       StrFormat("%llu-byte access to %llu-byte object '%s'",
-                                 static_cast<unsigned long long>(width_bytes),
-                                 static_cast<unsigned long long>(meta.size),
-                                 meta.name.c_str()))
+                       [&] {
+                         return StrFormat("%llu-byte access to %llu-byte object '%.*s'",
+                                          static_cast<unsigned long long>(width_bytes),
+                                          static_cast<unsigned long long>(size),
+                                          static_cast<int>(name.size()), name.data());
+                       })
                  ? GuardResult::kDiedBug
                  : GuardResult::kDiedUnknown;
     }
     // In-bounds: offset <= size - width.
     const Expr* in_bounds =
-        ctx_.Compare(ICmpPredicate::kULE, ptr.offset,
-                     ctx_.Constant(meta.size - width_bytes, 64));
-    return GuardAgainst(state, ctx_.Not(in_bounds), site, BugKind::kOutOfBounds,
-                        StrFormat("access beyond object '%s' (%llu bytes)", meta.name.c_str(),
-                                  static_cast<unsigned long long>(meta.size)));
+        ctx_.Compare(ICmpPredicate::kULE, ptr.offset, ctx_.Constant(size - width_bytes, 64));
+    return GuardAgainst(state, ctx_.Not(in_bounds), site, BugKind::kOutOfBounds, [&] {
+      return StrFormat("access beyond object '%.*s' (%llu bytes)", static_cast<int>(name.size()),
+                       name.data(), static_cast<unsigned long long>(size));
+    });
   }
 
   // The offset's feasible window, bounded by interval analysis over the
@@ -649,15 +673,17 @@ class EngineCore::Impl {
   // Reads `width_bytes` little-endian bytes at ptr (already bounds-checked).
   const Expr* ReadMemory(ExecState& state, const SymPointer& ptr, uint64_t width_bytes,
                          bool* engine_error) {
+    OVERIFY_ASSERT(width_bytes <= ExprContext::kMaxBytes, "load wider than 8 bytes");
     const ObjectState& object = state.memory.Read(ptr.object_id);
     uint64_t size = object.size();
+    const unsigned count = static_cast<unsigned>(width_bytes);
+    const Expr* bytes[ExprContext::kMaxBytes];
     if (ptr.offset->IsConstant()) {
       uint64_t base = ptr.offset->constant_value();
-      std::vector<const Expr*> bytes;
-      for (uint64_t i = 0; i < width_bytes; ++i) {
-        bytes.push_back(object.Byte(base + i));
+      for (unsigned i = 0; i < count; ++i) {
+        bytes[i] = object.Byte(base + i);
       }
-      return ctx_.FromBytes(bytes);
+      return ctx_.FromBytes(bytes, count);
     }
     if (size > kMaxSymbolicAccessObject) {
       *engine_error = true;
@@ -665,14 +691,12 @@ class EngineCore::Impl {
     }
     // Select chain over the feasible positions only.
     auto [first, last] = OffsetWindow(ptr.offset, size - width_bytes);
-    std::vector<const Expr*> bytes;
     const Expr* result = nullptr;
     for (uint64_t k = first; k <= last; ++k) {
-      bytes.clear();
-      for (uint64_t i = 0; i < width_bytes; ++i) {
-        bytes.push_back(object.Byte(k + i));
+      for (unsigned i = 0; i < count; ++i) {
+        bytes[i] = object.Byte(k + i);
       }
-      const Expr* value = ctx_.FromBytes(bytes);
+      const Expr* value = ctx_.FromBytes(bytes, count);
       if (result == nullptr) {
         result = value;  // lowest offset as the default; guarded upward
       } else {
@@ -686,10 +710,11 @@ class EngineCore::Impl {
   void WriteMemory(ExecState& state, const SymPointer& ptr, const Expr* value,
                    bool* engine_error) {
     ObjectState& object = state.memory.Write(ptr.object_id);
-    std::vector<const Expr*> bytes = ctx_.ToBytes(value);
+    const Expr* bytes[ExprContext::kMaxBytes];
+    const unsigned count = ctx_.ToBytes(value, bytes);
     if (ptr.offset->IsConstant()) {
       uint64_t base = ptr.offset->constant_value();
-      for (size_t i = 0; i < bytes.size(); ++i) {
+      for (unsigned i = 0; i < count; ++i) {
         object.SetByte(base + i, bytes[i]);
       }
       return;
@@ -701,8 +726,8 @@ class EngineCore::Impl {
     // byte[j] updates when offset + i == j for some written byte i; only
     // offsets inside the interval window can hit.
     uint64_t size = object.size();
-    auto [first, last] = OffsetWindow(ptr.offset, size - bytes.size());
-    for (size_t i = 0; i < bytes.size(); ++i) {
+    auto [first, last] = OffsetWindow(ptr.offset, size - count);
+    for (unsigned i = 0; i < count; ++i) {
       for (uint64_t j = first + i; j <= last + i && j < size; ++j) {
         const Expr* hits =
             ctx_.Compare(ICmpPredicate::kEq, ptr.offset, ctx_.Constant(j - i, 64));
@@ -721,9 +746,9 @@ class EngineCore::Impl {
     switch (inst->opcode()) {
       case Opcode::kAlloca: {
         const auto* alloca = Cast<AllocaInst>(inst);
-        uint64_t id = state.memory.Allocate(ctx_, alloca->allocated_type()->SizeInBytes(),
-                                            false, true,
-                                            alloca->HasName() ? alloca->name() : "alloca");
+        uint64_t id = state.memory.Allocate(
+            ctx_, alloca->allocated_type()->SizeInBytes(), false, true,
+            alloca->HasName() ? std::string_view(alloca->name()) : std::string_view("alloca"));
         state.Frame().alloca_objects.push_back(id);
         state.SetLocal(inst, RuntimeValue::Pointer(SymPointer{id, ctx_.Constant(0, 64)}));
         state.AdvancePC();
@@ -941,7 +966,8 @@ class EngineCore::Impl {
         // Resolve all phis of the block atomically against prev_block.
         BasicBlock* from = state.Frame().prev_block;
         OVERIFY_ASSERT(from != nullptr, "phi in entry block");
-        std::vector<std::pair<Instruction*, RuntimeValue>> values;
+        std::vector<std::pair<Instruction*, RuntimeValue>>& values = phi_scratch_;
+        values.clear();
         BasicBlock* block = state.Frame().block;
         for (auto& phi_inst : *block) {
           auto* phi = DynCast<PhiInst>(phi_inst.get());
@@ -966,7 +992,7 @@ class EngineCore::Impl {
         // Compiler-inserted checks unify "various failures into run-time
         // crashes" (Table 2); the report keeps the underlying kind so bug
         // identity is stable across optimization levels.
-        BugKind kind;
+        BugKind kind = BugKind::kCheckFailed;
         switch (check->check_kind()) {
           case CheckKind::kDivByZero:
             kind = BugKind::kDivByZero;
@@ -985,10 +1011,10 @@ class EngineCore::Impl {
             kind = BugKind::kCheckFailed;
             break;
         }
-        GuardResult guard =
-            GuardAgainst(state, ctx_.Not(cond), inst, kind,
-                         StrFormat("%s: %s", CheckKindName(check->check_kind()),
-                                   check->message().c_str()));
+        GuardResult guard = GuardAgainst(state, ctx_.Not(cond), inst, kind, [check] {
+          return StrFormat("%s: %s", CheckKindName(check->check_kind()),
+                           check->message().c_str());
+        });
         if (guard != GuardResult::kOk) {
           return DeadOutcome(guard);
         }
@@ -1128,9 +1154,9 @@ class EngineCore::Impl {
     if (name == "abort") {
       return BugOutcome(ReportBug(state, call, BugKind::kAbort, "abort() called"));
     }
-    return BugOutcome(ReportBug(
-        state, call, BugKind::kEngineError,
-        StrFormat("call to unmodeled external function '%s'", name.c_str())));
+    return BugOutcome(ReportBug(state, call, BugKind::kEngineError, [&] {
+      return StrFormat("call to unmodeled external function '%s'", name.c_str());
+    }));
   }
 
   StepOutcome ExecRet(ExecState& state, const RetInst* ret) {
@@ -1172,6 +1198,8 @@ class EngineCore::Impl {
   ForkSink* sink_ = nullptr;
   Searcher* searcher_ = nullptr;
   std::unordered_map<const GlobalVariable*, uint64_t> global_objects_;
+  // Phi resolution's (phi, value) pairs, reused across steps.
+  std::vector<std::pair<Instruction*, RuntimeValue>> phi_scratch_;
 };
 
 EngineCore::EngineCore(Module& module, const SymexOptions& options, SharedCounters& shared,

@@ -229,6 +229,7 @@ ExprContext::ExprContext(ExprInterner* shared) {
     // comment. 8192 slots cover the workloads' hot DAGs comfortably.
     intern_cache_.assign(8192, nullptr);
   }
+  small_constants_.assign(7 * kSmallConstants, nullptr);
   true_ = Constant(1, 1);
   false_ = Constant(0, 1);
 }
@@ -260,10 +261,23 @@ Slot& ExprContext::SlotFor(std::vector<Slot>& slots, const Expr* e) {
 
 const Expr* ExprContext::Constant(uint64_t value, unsigned width) {
   OVERIFY_ASSERT(width >= 1 && width <= 64, "bad width");
+  value = TruncateToWidth(value, width);
+  if (value >= kSmallConstants || (width & (width - 1)) != 0) {
+    return InternConstant(value, width);
+  }
+  const Expr*& slot =
+      small_constants_[static_cast<size_t>(__builtin_ctz(width)) * kSmallConstants + value];
+  if (slot == nullptr) {
+    slot = InternConstant(value, width);
+  }
+  return slot;
+}
+
+const Expr* ExprContext::InternConstant(uint64_t value, unsigned width) {
   Key key{};
   key.kind = ExprKind::kConstant;
   key.width = width;
-  key.constant = TruncateToWidth(value, width);
+  key.constant = value;
   return Intern(key);
 }
 
@@ -700,23 +714,24 @@ const Expr* ExprContext::Substitute(const Expr* e, const std::vector<int16_t>& b
   return memo.at(e);
 }
 
-std::vector<const Expr*> ExprContext::ToBytes(const Expr* e) {
+unsigned ExprContext::ToBytes(const Expr* e, const Expr* out[kMaxBytes]) {
   OVERIFY_ASSERT(e->width() % 8 == 0 || e->width() == 1, "unaligned width");
   if (e->width() == 1) {
     // Booleans are stored as one byte holding 0/1.
-    return {ZExt(e, 8)};
+    out[0] = ZExt(e, 8);
+    return 1;
   }
-  std::vector<const Expr*> bytes;
+  unsigned count = 0;
   for (unsigned offset = 0; offset < e->width(); offset += 8) {
-    bytes.push_back(Extract(e, offset, 8));
+    out[count++] = Extract(e, offset, 8);
   }
-  return bytes;
+  return count;
 }
 
-const Expr* ExprContext::FromBytes(const std::vector<const Expr*>& bytes) {
-  OVERIFY_ASSERT(!bytes.empty() && bytes.size() <= 8, "bad byte count");
+const Expr* ExprContext::FromBytes(const Expr* const* bytes, unsigned count) {
+  OVERIFY_ASSERT(count >= 1 && count <= kMaxBytes, "bad byte count");
   const Expr* value = bytes[0];
-  for (size_t i = 1; i < bytes.size(); ++i) {
+  for (unsigned i = 1; i < count; ++i) {
     value = Concat(bytes[i], value);
   }
   return value;

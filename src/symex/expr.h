@@ -379,9 +379,12 @@ class ExprContext {
   const Expr* Extract(const Expr* e, unsigned offset, unsigned width);
   const Expr* Concat(const Expr* high, const Expr* low);
 
-  // Byte decomposition helpers (little endian).
-  std::vector<const Expr*> ToBytes(const Expr* e);
-  const Expr* FromBytes(const std::vector<const Expr*>& bytes);
+  // Byte decomposition helpers (little endian). ToBytes writes the
+  // ceil(width / 8) <= 8 bytes of `e` (one 0/1 byte for a boolean) to `out`
+  // and returns how many; FromBytes concatenates `count` (1..8) bytes.
+  static constexpr unsigned kMaxBytes = 8;
+  unsigned ToBytes(const Expr* e, const Expr* out[kMaxBytes]);
+  const Expr* FromBytes(const Expr* const* bytes, unsigned count);
 
   // Rebuilds one node with replacement children through the canonicalizing
   // builders, so constant folding and identities re-apply. A binary node
@@ -461,6 +464,7 @@ class ExprContext {
   };
 
   const Expr* Intern(const Key& key);
+  const Expr* InternConstant(uint64_t value, unsigned width);
   template <typename Slot>
   static Slot& SlotFor(std::vector<Slot>& slots, const Expr* e);
 
@@ -494,6 +498,14 @@ class ExprContext {
   std::vector<EvalSlot> eval_memo_;
   std::vector<IntervalSlot> interval_memo_;
   std::vector<const Expr*> symbols_;  // dense by symbol index; null = absent
+  // Constants below kSmallConstants at power-of-two widths 1..64, row
+  // log2(width): the step builds the same offsets, bytes and flags over
+  // and over, and a table read is cheaper than hashing and probing the
+  // interner. Filled on first use through the interner, so node creation
+  // and Expr::id order are exactly what uncached calls produce. 7 rows of
+  // 256 pointers: 14 KB per context.
+  static constexpr uint64_t kSmallConstants = 256;
+  std::vector<const Expr*> small_constants_;
   const Expr* true_;
   const Expr* false_;
 

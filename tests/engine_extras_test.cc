@@ -2,7 +2,12 @@
 // limits, the memory model's copy-on-write discipline, and output capture.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/frontend/codegen.h"
+#include "src/ir/parser.h"
 #include "src/symex/executor.h"
 #include "src/symex/memory.h"
 
@@ -143,6 +148,149 @@ TEST(MemoryModelTest, FreeRemovesObject) {
   EXPECT_EQ(space.Meta(id).size, 8u);
   space.Free(id);
   EXPECT_FALSE(space.Exists(id));
+}
+
+TEST(MemoryModelTest, FreeingAMiddleObjectThenForkingKeepsTheRest) {
+  ExprContext ctx;
+  AddressSpace space;
+  uint64_t first = space.Allocate(ctx, 2, false, false, "first");
+  uint64_t middle = space.Allocate(ctx, 3, false, true, "middle");
+  uint64_t last = space.Allocate(ctx, 4, true, false, "last");
+  space.Write(first).SetByte(1, ctx.Constant(11, 8));
+  space.Write(last).SetByte(3, ctx.Constant(44, 8));
+  space.Free(middle);
+
+  AddressSpace fork = space;
+  for (const AddressSpace* s : {&space, &fork}) {
+    EXPECT_EQ(s->NumObjects(), 2u);
+    EXPECT_FALSE(s->Exists(middle));
+    EXPECT_EQ(s->Meta(first).size, 2u);
+    EXPECT_EQ(s->Meta(first).name, "first");
+    EXPECT_EQ(s->Meta(last).size, 4u);
+    EXPECT_TRUE(s->Meta(last).read_only);
+    EXPECT_EQ(s->Read(first).Byte(1)->constant_value(), 11u);
+    EXPECT_EQ(s->Read(last).Byte(3)->constant_value(), 44u);
+  }
+  // Allocating in the fork appends past every id ever handed out.
+  uint64_t next = fork.Allocate(ctx, 1, false, true, "next");
+  EXPECT_GT(next, last);
+  EXPECT_TRUE(fork.Exists(next));
+  EXPECT_FALSE(space.Exists(next));
+  fork.Write(last).SetByte(0, ctx.Constant(5, 8));
+  EXPECT_EQ(space.Read(last).Byte(0)->constant_value(), 0u);
+  EXPECT_EQ(fork.Read(last).Byte(0)->constant_value(), 5u);
+}
+
+TEST(MemoryModelTest, FreedIdsStayDeadAndIdsAreMonotone) {
+  ExprContext ctx;
+  AddressSpace space;
+  EXPECT_FALSE(space.Exists(0));  // the null object
+  uint64_t previous = 0;
+  std::vector<uint64_t> freed;
+  for (int round = 0; round < 4; ++round) {
+    uint64_t a = space.Allocate(ctx, 1, false, true, "a");
+    uint64_t b = space.Allocate(ctx, 1, false, true, "b");
+    EXPECT_GT(a, previous);
+    EXPECT_GT(b, a);
+    previous = b;
+    // Frame-order and out-of-order frees both leave the rest addressable.
+    space.Free(round % 2 == 0 ? b : a);
+    freed.push_back(round % 2 == 0 ? b : a);
+  }
+  for (uint64_t id : freed) {
+    EXPECT_FALSE(space.Exists(id));
+  }
+  EXPECT_EQ(space.NumObjects(), 4u);
+  space.Free(freed.front());  // freeing a dead id is a no-op
+  EXPECT_EQ(space.NumObjects(), 4u);
+}
+
+TEST(MemoryModelTest, SoleOwnerWritesInPlaceAndSharedWritesDetach) {
+  ExprContext ctx;
+  AddressSpace space;
+  uint64_t id = space.Allocate(ctx, 4, false, false, "buf");
+  const ObjectState* original = &space.Read(id);
+  EXPECT_EQ(&space.Write(id), original);  // sole owner: in place
+
+  AddressSpace fork = space;
+  ObjectState& detached = fork.Write(id);  // shared: the writer clones
+  EXPECT_NE(&detached, original);
+  EXPECT_EQ(&space.Read(id), original);
+  // The clone dropped its reference, so the original is solely owned again.
+  EXPECT_EQ(&space.Write(id), original);
+  EXPECT_EQ(&fork.Write(id), &detached);
+}
+
+// Runs a textual-IR module's `umain` over `input_bytes` symbolic bytes and
+// returns the messages of every bug found.
+std::vector<std::string> BugMessages(Module& module, unsigned input_bytes) {
+  SymexLimits limits;
+  SymexResult result = SymbolicExecutor(module).Run("umain", input_bytes, limits);
+  EXPECT_TRUE(result.exhausted);
+  std::vector<std::string> messages;
+  for (const BugReport& bug : result.bugs) {
+    messages.push_back(bug.message);
+  }
+  return messages;
+}
+
+// Every bug message the engine formats only when it files a report, pinned
+// byte for byte.
+TEST(BugMessageTest, WideAccessToANarrowObjectNamesTheObject) {
+  auto m = ParseModuleOrDie(R"(
+    global @flag : i8 = [7]
+    func @umain(%in: i8*, %n: i32) -> i32 {
+    entry:
+      %p = gep i32, @flag, i64 0
+      %v = load %p
+      ret %v
+    }
+  )");
+  EXPECT_EQ(BugMessages(*m, 1),
+            std::vector<std::string>{"4-byte access to 1-byte object 'flag'"});
+}
+
+TEST(BugMessageTest, OutOfBoundsOnANamedAllocaCarriesTheIrName) {
+  auto m = ParseModuleOrDie(R"(
+    func @umain(%in: i8*, %n: i32) -> i32 {
+    entry:
+      %table = alloca [4 x i8]
+      %c = load %in
+      %ix = zext %c to i64
+      %p = gep [4 x i8], %table, i64 0, %ix
+      %v = load %p
+      %r = zext %v to i32
+      ret %r
+    }
+  )");
+  EXPECT_EQ(BugMessages(*m, 1),
+            std::vector<std::string>{"access beyond object 'table' (4 bytes)"});
+}
+
+TEST(BugMessageTest, DivisionGuardsAndChecks) {
+  auto m = ParseModuleOrDie(R"(
+    func @umain(%in: i8*, %n: i32) -> i32 {
+    entry:
+      %c = load %in
+      %d = zext %c to i32
+      %q = udiv i32 100, %d
+      %is_min = icmp eq %c, i8 1
+      %lhs = select %is_min, i32 -2147483648, i32 5
+      %is_neg = icmp eq %c, i8 2
+      %rhs = select %is_neg, i32 -1, i32 1
+      %both = icmp eq %c, i8 1
+      %rhs2 = select %both, i32 -1, %rhs
+      %s = sdiv %lhs, %rhs2
+      %ok = icmp ne %c, i8 120
+      check %ok, assert, "x is forbidden"
+      %r = add %q, %s
+      ret %r
+    }
+  )");
+  std::vector<std::string> messages = BugMessages(*m, 1);
+  std::sort(messages.begin(), messages.end());
+  EXPECT_EQ(messages, (std::vector<std::string>{"assert: x is forbidden", "division by zero",
+                                                "signed division overflow"}));
 }
 
 TEST(DeadStackObjectTest, EscapedFrameAddressIsReportedOnUse) {

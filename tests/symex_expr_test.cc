@@ -23,6 +23,62 @@ TEST(ExprTest, ConstantsInterned) {
   EXPECT_TRUE(ctx.False()->IsFalse());
 }
 
+// ---- Small-constant table: Constant() answers small values at power-of-two
+// widths from a per-context table filled through the interner. It must be
+// invisible: the same nodes, node count and creation ids as interning every
+// constant.
+
+ExprInterner::Key ConstantKey(uint64_t value, unsigned width) {
+  ExprInterner::Key key;
+  key.kind = ExprKind::kConstant;
+  key.width = width;
+  key.constant = TruncateToWidth(value, width);
+  return key;
+}
+
+TEST(SmallConstantTableTest, ConstantReturnsTheInternersNodeAtEveryWidth) {
+  for (bool shared : {false, true}) {
+    ExprInterner interner(/*concurrent=*/true);
+    ExprContext ctx(shared ? &interner : nullptr);
+    for (unsigned width = 1; width <= 64; ++width) {
+      for (uint64_t value = 0; value <= 300; ++value) {
+        const Expr* e = ctx.Constant(value, width);
+        ASSERT_EQ(e, ctx.interner().Intern(ConstantKey(value, width)))
+            << "shared=" << shared << " width=" << width << " value=" << value;
+        ASSERT_EQ(ctx.Constant(value, width), e);
+        ASSERT_EQ(e->constant_value(), TruncateToWidth(value, width));
+      }
+    }
+  }
+}
+
+TEST(SmallConstantTableTest, NodeCountAndIdOrderMatchUncachedInterning) {
+  for (bool shared : {false, true}) {
+    ExprInterner interner_a(/*concurrent=*/true);
+    ExprInterner interner_b(/*concurrent=*/true);
+    ExprContext cached(shared ? &interner_a : nullptr);
+    ExprContext bypass(shared ? &interner_b : nullptr);
+    // Repeats, small and large values, table and non-table widths, and
+    // symbols in between, so first uses and table hits interleave with
+    // fresh nodes.
+    Rng rng(7);
+    for (int i = 0; i < 4000; ++i) {
+      unsigned width = 1 + static_cast<unsigned>(rng.NextBelow(64));
+      uint64_t value = rng.NextBelow(4) == 0 ? rng.Next() : rng.NextBelow(300);
+      if (rng.NextBelow(8) == 0) {
+        unsigned sym = static_cast<unsigned>(rng.NextBelow(16));
+        ASSERT_EQ(cached.Symbol(sym)->id(), bypass.Symbol(sym)->id());
+        continue;
+      }
+      const Expr* a = cached.Constant(value, width);
+      const Expr* b = bypass.interner().Intern(ConstantKey(value, width));
+      ASSERT_EQ(a->id(), b->id()) << "step " << i << " shared=" << shared;
+      ASSERT_EQ(a->hash(), b->hash());
+    }
+    EXPECT_EQ(cached.NumExprs(), bypass.NumExprs()) << "shared=" << shared;
+  }
+}
+
 TEST(ExprTest, SymbolsHaveSupport) {
   ExprContext ctx;
   const Expr* s0 = ctx.Symbol(0);
@@ -135,12 +191,15 @@ TEST(ExprTest, ByteRoundTrip) {
   ExprContext ctx;
   const Expr* x = ctx.Symbol(0);
   const Expr* wide = ctx.ZExt(x, 32);
-  auto bytes = ctx.ToBytes(wide);
-  ASSERT_EQ(bytes.size(), 4u);
-  EXPECT_EQ(ctx.FromBytes(bytes), wide);
+  const Expr* bytes[ExprContext::kMaxBytes];
+  ASSERT_EQ(ctx.ToBytes(wide, bytes), 4u);
+  EXPECT_EQ(ctx.FromBytes(bytes, 4), wide);
   // A 32-bit constant round-trips too.
-  auto cbytes = ctx.ToBytes(ctx.Constant(0xDEADBEEF, 32));
-  EXPECT_EQ(ctx.FromBytes(cbytes)->constant_value(), 0xDEADBEEFu);
+  ASSERT_EQ(ctx.ToBytes(ctx.Constant(0xDEADBEEF, 32), bytes), 4u);
+  EXPECT_EQ(ctx.FromBytes(bytes, 4)->constant_value(), 0xDEADBEEFu);
+  // A boolean is one 0/1 byte.
+  ASSERT_EQ(ctx.ToBytes(ctx.True(), bytes), 1u);
+  EXPECT_EQ(bytes[0], ctx.Constant(1, 8));
 }
 
 TEST(ExprTest, CastsFold) {
