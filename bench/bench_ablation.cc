@@ -35,8 +35,9 @@ Cost Measure(const std::string& source, const PipelineOptions& options, unsigned
   limits.max_paths = 120000;
   limits.max_seconds = 10;
   SymexResult result = Analyze(compiled, "umain", bytes, limits);
-  return Cost{result.paths_completed, result.instructions, result.solver.queries,
-              result.exhausted};
+  const MetricsShard& m = result.metrics;
+  return Cost{m.Get(Counter::kPathsCompleted), m.Get(Counter::kInstructions),
+              m.Get(Counter::kSolverQueries), result.exhausted};
 }
 
 }  // namespace

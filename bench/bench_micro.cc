@@ -28,39 +28,51 @@ void BM_ExprInterning(benchmark::State& state) {
 }
 BENCHMARK(BM_ExprInterning);
 
-// Attaches the solver chain's fast-path counters to a benchmark's output so
-// runs double as an observability check on the new hot paths.
+// Records counter `c` of `m` under the benchmark counter name `key`.
+void Report(benchmark::State& state, const char* key, const MetricsShard& m, Counter c) {
+  state.counters[key] = static_cast<double>(m.Get(c));
+}
+
 // The preprocessing/prefix-cache effectiveness counters recorded in the
 // BENCH_symex.json snapshot (run_benches.sh picks these up by name).
-void ReportPreprocessStats(benchmark::State& state, const SolverStats& stats) {
-  state.counters["presolve_shortcuts"] = static_cast<double>(stats.presolve_shortcuts);
-  state.counters["prefix_subset_hits"] = static_cast<double>(stats.prefix_subset_hits);
-  state.counters["prefix_superset_hits"] = static_cast<double>(stats.prefix_superset_hits);
-  state.counters["prefix_model_hits"] = static_cast<double>(stats.prefix_model_hits);
-  state.counters["preprocess_bindings"] = static_cast<double>(stats.preprocess_bindings);
-  state.counters["preprocess_tautologies"] =
-      static_cast<double>(stats.preprocess_tautologies);
+void ReportPreprocessStats(benchmark::State& state, const MetricsShard& m) {
+  Report(state, "presolve_shortcuts", m, Counter::kPresolveShortcuts);
+  Report(state, "prefix_subset_hits", m, Counter::kPrefixSubsetHits);
+  Report(state, "prefix_superset_hits", m, Counter::kPrefixSupersetHits);
+  Report(state, "prefix_model_hits", m, Counter::kPrefixModelHits);
+  Report(state, "preprocess_bindings", m, Counter::kPreprocessBindings);
+  Report(state, "preprocess_tautologies", m, Counter::kPreprocessTautologies);
 }
 
 // The learning core's search counters (docs/solver.md). Single-threaded
 // exhaustive runs make every one of these deterministic, so run_benches.sh
 // --check gates them exactly alongside `paths`.
-void ReportCoreSearchStats(benchmark::State& state, const SolverStats& stats) {
-  state.counters["core_candidates"] = static_cast<double>(stats.core_candidates);
-  state.counters["core_conflicts"] = static_cast<double>(stats.core_conflicts);
-  state.counters["core_learned"] = static_cast<double>(stats.core_learned);
-  state.counters["core_backjumps"] = static_cast<double>(stats.core_backjumps);
-  state.counters["core_restarts"] = static_cast<double>(stats.core_restarts);
+void ReportCoreSearchStats(benchmark::State& state, const MetricsShard& m) {
+  Report(state, "core_candidates", m, Counter::kSolverCoreCandidates);
+  Report(state, "core_conflicts", m, Counter::kSolverCoreConflicts);
+  Report(state, "core_learned", m, Counter::kSolverCoreLearned);
+  Report(state, "core_backjumps", m, Counter::kSolverCoreBackjumps);
+  Report(state, "core_restarts", m, Counter::kSolverCoreRestarts);
 }
 
-void ReportSolverStats(benchmark::State& state, const SolverStats& stats) {
-  state.counters["cache_hits"] = static_cast<double>(stats.cache_hits);
-  state.counters["reuse_hits"] = static_cast<double>(stats.reuse_hits);
-  state.counters["eval_memo_hits"] = static_cast<double>(stats.eval_memo_hits);
-  state.counters["interval_memo_hits"] = static_cast<double>(stats.interval_memo_hits);
-  state.counters["independence_drops"] = static_cast<double>(stats.independence_drops);
-  state.counters["cex_evictions"] = static_cast<double>(stats.cex_evictions);
-  ReportPreprocessStats(state, stats);
+// Attaches a bare solver chain's fast-path counters to a benchmark's output
+// so runs double as an observability check on the hot paths.
+void ReportChainStats(benchmark::State& state, const MetricsShard& m) {
+  Report(state, "cache_hits", m, Counter::kSolverCacheHits);
+  Report(state, "reuse_hits", m, Counter::kSolverReuseHits);
+  Report(state, "eval_memo_hits", m, Counter::kSolverEvalMemoHits);
+  Report(state, "interval_memo_hits", m, Counter::kSolverIntervalMemoHits);
+  Report(state, "independence_drops", m, Counter::kSolverIndependenceDrops);
+  Report(state, "cex_evictions", m, Counter::kSolverCexEvictions);
+  ReportPreprocessStats(state, m);
+}
+
+// The per-run counters every single-worker exploration bench records.
+void ReportExploreStats(benchmark::State& state, const MetricsShard& m) {
+  Report(state, "paths", m, Counter::kPathsCompleted);
+  Report(state, "solver_queries", m, Counter::kSolverQueries);
+  Report(state, "eval_memo_hits", m, Counter::kSolverEvalMemoHits);
+  Report(state, "independence_drops", m, Counter::kSolverIndependenceDrops);
 }
 
 // Macro-run latency/effectiveness summary from the run's metrics registry
@@ -94,7 +106,7 @@ void BM_SolverSingleByteQuery(benchmark::State& state) {
                                    ctx.Constant(11 + (round++ % 200), 8));
     benchmark::DoNotOptimize(chain.MayBeTrue(path, cond, nullptr));
   }
-  ReportSolverStats(state, chain.stats());
+  ReportChainStats(state, chain.metrics());
 }
 BENCHMARK(BM_SolverSingleByteQuery);
 
@@ -160,14 +172,11 @@ void BM_ExploreWcAtOverify(benchmark::State& state) {
   SymexResult last;
   for (auto _ : state) {
     last = Analyze(compiled, "umain", 6, limits);
-    benchmark::DoNotOptimize(last.paths_completed);
+    benchmark::DoNotOptimize(last.exhausted);
   }
-  state.counters["paths"] = static_cast<double>(last.paths_completed);
-  state.counters["solver_queries"] = static_cast<double>(last.solver.queries);
-  state.counters["eval_memo_hits"] = static_cast<double>(last.solver.eval_memo_hits);
-  state.counters["independence_drops"] = static_cast<double>(last.solver.independence_drops);
-  ReportCoreSearchStats(state, last.solver);
-  ReportPreprocessStats(state, last.solver);
+  ReportExploreStats(state, last.metrics);
+  ReportCoreSearchStats(state, last.metrics);
+  ReportPreprocessStats(state, last.metrics);
   ReportLatencyStats(state, last);
 }
 BENCHMARK(BM_ExploreWcAtOverify);
@@ -182,14 +191,11 @@ void BM_ExploreWcAtO3(benchmark::State& state) {
   SymexResult last;
   for (auto _ : state) {
     last = Analyze(compiled, "umain", 6, limits);
-    benchmark::DoNotOptimize(last.paths_completed);
+    benchmark::DoNotOptimize(last.exhausted);
   }
-  state.counters["paths"] = static_cast<double>(last.paths_completed);
-  state.counters["solver_queries"] = static_cast<double>(last.solver.queries);
-  state.counters["eval_memo_hits"] = static_cast<double>(last.solver.eval_memo_hits);
-  state.counters["independence_drops"] = static_cast<double>(last.solver.independence_drops);
-  ReportCoreSearchStats(state, last.solver);
-  ReportPreprocessStats(state, last.solver);
+  ReportExploreStats(state, last.metrics);
+  ReportCoreSearchStats(state, last.metrics);
+  ReportPreprocessStats(state, last.metrics);
   ReportLatencyStats(state, last);
 }
 BENCHMARK(BM_ExploreWcAtO3);
@@ -224,20 +230,17 @@ void BM_ExploreWcWarmPersist(benchmark::State& state) {
     SymexOptions options;
     options.cache_store = &reloaded;
     last = Analyze(compiled, "umain", 6, limits, options);
-    benchmark::DoNotOptimize(last.paths_completed);
+    benchmark::DoNotOptimize(last.exhausted);
   }
   const double hits = static_cast<double>(last.metrics.Get(Counter::kPersistHits));
   const double core_queries =
       static_cast<double>(last.metrics.Get(Counter::kSolverCoreQueries));
-  state.counters["paths"] = static_cast<double>(last.paths_completed);
-  state.counters["solver_queries"] = static_cast<double>(last.solver.queries);
-  state.counters["persist_seeded"] =
-      static_cast<double>(last.metrics.Get(Counter::kPersistSeeded));
+  Report(state, "paths", last.metrics, Counter::kPathsCompleted);
+  Report(state, "solver_queries", last.metrics, Counter::kSolverQueries);
+  Report(state, "persist_seeded", last.metrics, Counter::kPersistSeeded);
   state.counters["persist_hits"] = hits;
-  state.counters["persist_validations"] =
-      static_cast<double>(last.metrics.Get(Counter::kPersistValidations));
-  state.counters["persist_rejects"] =
-      static_cast<double>(last.metrics.Get(Counter::kPersistRejects));
+  Report(state, "persist_validations", last.metrics, Counter::kPersistValidations);
+  Report(state, "persist_rejects", last.metrics, Counter::kPersistRejects);
   state.counters["core_queries"] = core_queries;
   state.counters["persist_rate"] =
       hits + core_queries > 0 ? hits / (hits + core_queries) : 0.0;
@@ -271,22 +274,18 @@ void RunExploreWorkload(benchmark::State& state, const char* name, OptLevel leve
   SymexResult last;
   for (auto _ : state) {
     last = Analyze(compiled, "umain", workload->default_sym_bytes, limits, options);
-    benchmark::DoNotOptimize(last.paths_completed);
+    benchmark::DoNotOptimize(last.exhausted);
   }
-  state.counters["paths"] = static_cast<double>(last.paths_completed);
-  state.counters["solver_queries"] = static_cast<double>(last.solver.queries);
-  state.counters["eval_memo_hits"] = static_cast<double>(last.solver.eval_memo_hits);
-  state.counters["independence_drops"] = static_cast<double>(last.solver.independence_drops);
+  ReportExploreStats(state, last.metrics);
   if (slice) {
     // Slice-mode effectiveness (docs/slicing.md): deterministic, gated
     // exactly by run_benches.sh --check like paths and the core-search
     // counters. The --check gate additionally asserts slice-mode
     // solver_queries <= the whole-program variant's.
     const MetricsShard& m = last.metrics;
-    state.counters["slice_checks_found"] =
-        static_cast<double>(m.Get(Counter::kSliceChecksFound));
-    state.counters["slices_built"] = static_cast<double>(m.Get(Counter::kSlicesBuilt));
-    state.counters["slice_fallbacks"] = static_cast<double>(m.Get(Counter::kSliceFallbacks));
+    Report(state, "slice_checks_found", m, Counter::kSliceChecksFound);
+    Report(state, "slices_built", m, Counter::kSlicesBuilt);
+    Report(state, "slice_fallbacks", m, Counter::kSliceFallbacks);
     const LatencyHistogram& ratio = m.hist(Hist::kSliceConeRatioPct);
     state.counters["slice_cone_pct_max"] = static_cast<double>(ratio.max_ns());
     state.counters["slice_cone_pct_mean"] =
@@ -294,8 +293,8 @@ void RunExploreWorkload(benchmark::State& state, const char* name, OptLevel leve
                                 static_cast<double>(ratio.count())
                           : 0.0;
   }
-  ReportCoreSearchStats(state, last.solver);
-  ReportPreprocessStats(state, last.solver);
+  ReportCoreSearchStats(state, last.metrics);
+  ReportPreprocessStats(state, last.metrics);
   ReportLatencyStats(state, last);
 }
 
@@ -326,8 +325,8 @@ void BM_ExploreSumBlockSliceAtOverify(benchmark::State& state) {
 BENCHMARK(BM_ExploreSumBlockSliceAtOverify);
 
 void ReportStealStats(benchmark::State& state, const SymexResult& result) {
-  state.counters["steals"] = static_cast<double>(result.steals);
-  state.counters["steal_batches"] = static_cast<double>(result.steal_batches);
+  Report(state, "steals", result.metrics, Counter::kSteals);
+  Report(state, "steal_batches", result.metrics, Counter::kStealBatches);
 }
 
 void BM_ParallelExploreWc(benchmark::State& state) {
@@ -342,9 +341,9 @@ void BM_ParallelExploreWc(benchmark::State& state) {
   SymexResult last;
   for (auto _ : state) {
     last = Analyze(compiled, "umain", 6, limits, jobs);
-    benchmark::DoNotOptimize(last.paths_completed);
+    benchmark::DoNotOptimize(last.exhausted);
   }
-  state.counters["paths"] = static_cast<double>(last.paths_completed);
+  Report(state, "paths", last.metrics, Counter::kPathsCompleted);
   state.counters["workers"] = static_cast<double>(last.workers);
   ReportStealStats(state, last);
 }
@@ -361,9 +360,9 @@ void BM_ParallelExploreWcSteal(benchmark::State& state) {
   SymexResult last;
   for (auto _ : state) {
     last = Analyze(compiled, "umain", 6, limits, /*jobs=*/4);
-    benchmark::DoNotOptimize(last.paths_completed);
+    benchmark::DoNotOptimize(last.exhausted);
   }
-  state.counters["paths"] = static_cast<double>(last.paths_completed);
+  Report(state, "paths", last.metrics, Counter::kPathsCompleted);
   state.counters["workers"] = static_cast<double>(last.workers);
   ReportStealStats(state, last);
 }

@@ -60,8 +60,8 @@ int main() {
     tverify.push_back(FormatMillis(analysis.wall_seconds) + cap_marker);
     tcompile.push_back(FormatMillis(compiled.compile_seconds));
     trun.push_back(FormatCount(run.cost_units));
-    instructions.push_back(FormatCount(analysis.instructions) + cap_marker);
-    paths.push_back(FormatCount(analysis.paths_completed) + cap_marker);
+    instructions.push_back(FormatCount(analysis.metrics.Get(Counter::kInstructions)) + cap_marker);
+    paths.push_back(FormatCount(analysis.metrics.Get(Counter::kPathsCompleted)) + cap_marker);
 
     if (!analysis.bugs.empty()) {
       std::fprintf(stderr, "unexpected bug at %s: %s\n", OptLevelName(level),

@@ -18,10 +18,10 @@ using namespace overify::bench;
 
 int main() {
   struct LevelTotals {
-    int64_t inlined = 0;
-    int64_t unswitched = 0;
-    int64_t unrolled = 0;
-    int64_t converted = 0;
+    uint64_t inlined = 0;
+    uint64_t unswitched = 0;
+    uint64_t unrolled = 0;
+    uint64_t converted = 0;
     double compile_seconds = 0;
   };
 
@@ -43,14 +43,11 @@ int main() {
                      OptLevelName(kLevels[i]), compiled.errors.c_str());
         return 1;
       }
-      auto stat = [&](const char* name) {
-        auto it = compiled.pass_stats.find(name);
-        return it == compiled.pass_stats.end() ? int64_t{0} : it->second;
-      };
-      totals[i].inlined += stat("inline.functions_inlined");
-      totals[i].unswitched += stat("unswitch.loops_unswitched");
-      totals[i].unrolled += stat("unroll.loops_unrolled");
-      totals[i].converted += stat("ifconvert.branches_converted");
+      const MetricsShard& m = compiled.metrics;
+      totals[i].inlined += m.Get(Counter::kInlineFunctionsInlined);
+      totals[i].unswitched += m.Get(Counter::kUnswitchLoopsUnswitched);
+      totals[i].unrolled += m.Get(Counter::kUnrollLoopsUnrolled);
+      totals[i].converted += m.Get(Counter::kIfConvertBranchesConverted);
       totals[i].compile_seconds += compiled.compile_seconds;
     }
   }
@@ -59,9 +56,8 @@ int main() {
               CoreutilsSuite().size());
   TextTable table({"Optimization", "-O0", "-O3", "-OSYMBEX (-OVERIFY)", "paper -O0/-O3/-OSYMBEX"});
   auto row = [&](const char* name, auto get, const char* paper) {
-    table.AddRow({name, FormatCount(static_cast<uint64_t>(get(totals[0]))),
-                  FormatCount(static_cast<uint64_t>(get(totals[1]))),
-                  FormatCount(static_cast<uint64_t>(get(totals[2]))), paper});
+    table.AddRow({name, FormatCount(get(totals[0])), FormatCount(get(totals[1])),
+                  FormatCount(get(totals[2])), paper});
   };
   row("# functions inlined", [](const LevelTotals& t) { return t.inlined; },
       "0 / 7,746 / 16,505");

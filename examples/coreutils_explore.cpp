@@ -102,7 +102,7 @@ LevelStats ExploreAt(const Workload& workload, OptLevel level, unsigned sym_byte
   options.slice_checks = cli.slice;
   SymexResult analysis = Analyze(compiled, "umain", sym_bytes, limits, options);
   stats.instructions = compiled.instruction_count;
-  stats.paths = analysis.paths_completed;
+  stats.paths = analysis.metrics.Get(Counter::kPathsCompleted);
   stats.exhausted = analysis.exhausted;
   stats.analysis_ms = analysis.wall_seconds * 1e3;
   stats.metrics = analysis.metrics;
@@ -226,7 +226,7 @@ int ExploreOne(const Workload& workload, unsigned sym_bytes, const CliOptions& c
 
     table.AddRow({OptLevelName(level), std::to_string(compiled.instruction_count),
                   FormatDouble(compiled.compile_seconds * 1e3, 1),
-                  std::to_string(analysis.paths_completed),
+                  std::to_string(analysis.metrics.Get(Counter::kPathsCompleted)),
                   analysis.exhausted ? "yes" : "NO (capped)",
                   FormatDouble(analysis.wall_seconds * 1e3, 1),
                   run.ok ? std::to_string(run.return_value) : ("trap: " + run.error)});

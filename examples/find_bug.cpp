@@ -54,7 +54,7 @@ int main() {
   SymexResult result = Analyze(compiled, "umain", 6, limits);
 
   std::printf("explored %llu paths (%s); %zu distinct bugs found:\n\n",
-              static_cast<unsigned long long>(result.paths_completed),
+              static_cast<unsigned long long>(result.metrics.Get(Counter::kPathsCompleted)),
               result.exhausted ? "exhausted" : "budget hit", result.bugs.size());
 
   for (const BugReport& bug : result.bugs) {

@@ -55,8 +55,7 @@ int main() {
       std::fprintf(stderr, "compile failed:\n%s\n", compiled.errors.c_str());
       return 1;
     }
-    auto stat_it = compiled.pass_stats.find("ifconvert.branches_converted");
-    int64_t converted = stat_it == compiled.pass_stats.end() ? 0 : stat_it->second;
+    const uint64_t converted = compiled.metrics.Get(Counter::kIfConvertBranchesConverted);
 
     SymexLimits limits;
     limits.max_paths = 300000;
@@ -68,9 +67,9 @@ int main() {
 
     table.AddRow({branch_cost == (1 << 20) ? "infinite (-OVERIFY)" : std::to_string(branch_cost),
                   std::to_string(converted),
-                  std::to_string(analysis.paths_completed) +
+                  std::to_string(analysis.metrics.Get(Counter::kPathsCompleted)) +
                       (analysis.exhausted ? "" : " (capped)"),
-                  std::to_string(analysis.instructions),
+                  std::to_string(analysis.metrics.Get(Counter::kInstructions)),
                   std::to_string(run.cost_units)});
   }
   std::printf("%s\n", table.ToString().c_str());

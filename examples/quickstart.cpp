@@ -64,22 +64,23 @@ int main() {
   SymexResult verify_result = Analyze(verify_build, "umain", 6, limits);
   std::printf("-OVERIFY exploration: %llu paths (exhausted=%s), %llu interpreted "
               "instructions, %llu solver queries, %.1f ms\n",
-              static_cast<unsigned long long>(verify_result.paths_completed),
+              static_cast<unsigned long long>(verify_result.metrics.Get(Counter::kPathsCompleted)),
               verify_result.exhausted ? "yes" : "no",
-              static_cast<unsigned long long>(verify_result.instructions),
-              static_cast<unsigned long long>(verify_result.solver.queries),
+              static_cast<unsigned long long>(verify_result.metrics.Get(Counter::kInstructions)),
+              static_cast<unsigned long long>(verify_result.metrics.Get(Counter::kSolverQueries)),
               verify_result.wall_seconds * 1e3);
 
   // 4. The same exploration against the -O0 build (capped — it explodes).
   limits.max_paths = 20000;
   SymexResult debug_result = Analyze(debug_build, "umain", 6, limits);
   std::printf("-O0 exploration:      %llu paths (exhausted=%s) before hitting the cap\n\n",
-              static_cast<unsigned long long>(debug_result.paths_completed),
+              static_cast<unsigned long long>(debug_result.metrics.Get(Counter::kPathsCompleted)),
               debug_result.exhausted ? "yes" : "no");
 
   std::printf("-OVERIFY explored every path of wc with %u symbolic bytes in %llu paths;\n"
               "the -O0 build of the same source exceeds %llu paths (Theta(3^n)).\n",
-              6u, static_cast<unsigned long long>(verify_result.paths_completed),
-              static_cast<unsigned long long>(debug_result.paths_completed));
+              6u,
+              static_cast<unsigned long long>(verify_result.metrics.Get(Counter::kPathsCompleted)),
+              static_cast<unsigned long long>(debug_result.metrics.Get(Counter::kPathsCompleted)));
   return 0;
 }

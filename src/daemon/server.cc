@@ -119,7 +119,7 @@ std::vector<uint8_t> DaemonServer::HandleAnalyze(const std::vector<uint8_t>& req
   reply.ok = true;
   reply.signature = blob->run_signature;
   reply.exhausted = result.exhausted;
-  reply.paths = result.paths_completed;
+  reply.paths = result.metrics.Get(Counter::kPathsCompleted);
   reply.bugs = result.bugs.size();
   reply.persist_seeded = result.metrics.Get(Counter::kPersistSeeded);
   reply.persist_hits = result.metrics.Get(Counter::kPersistHits);

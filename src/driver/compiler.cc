@@ -8,7 +8,6 @@
 #include "src/exec/interpreter.h"
 #include "src/frontend/codegen.h"
 #include "src/ir/verifier.h"
-#include "src/support/statistics.h"
 #include "src/support/stopwatch.h"
 #include "src/vlibc/vlibc.h"
 
@@ -36,7 +35,6 @@ SymexResult AnalyzeSliced(CompileResult& compiled, Function* entry_fn,
     SymbolicExecutor engine(module, options);
     SymexResult result = engine.Run(entry_fn, input_bytes, limits);
     result.metrics.Inc(Counter::kSliceFallbacks);
-    result.FinalizeFromMetrics();
     return result;
   }
 
@@ -127,7 +125,6 @@ CompileResult Compiler::CompileWithOptions(const std::string& program_source,
   }
 
   result.annotations = std::make_unique<ProgramAnnotations>();
-  auto stats_before = StatisticsRegistry::Global().Snapshot();
 
   // Inter-pass IR verification follows the build-level default
   // (kVerifyIRAfterEachPass: debug builds and -DOVERIFY_VERIFY_IR=ON).
@@ -135,7 +132,7 @@ CompileResult Compiler::CompileWithOptions(const std::string& program_source,
   BuildPipeline(pm, options, result.annotations.get());
   pm.Run(*result.module);
 
-  result.pass_stats = SnapshotDelta(stats_before, StatisticsRegistry::Global().Snapshot());
+  result.metrics = pm.metrics();
   result.compile_seconds = watch.ElapsedSeconds();
   result.instruction_count = result.module->InstructionCount();
   result.ok = true;

@@ -1,13 +1,12 @@
 // The compiler driver: MiniC source + a C library flavor + an optimization
-// level -> an optimized module with pass statistics, timing, and (under
-// -OVERIFY) the annotation side table.
+// level -> an optimized module with compile-phase counters, timing, and
+// (under -OVERIFY) the annotation side table.
 //
 // This is the toolkit's equivalent of invoking `clang -O<level>`; Figure 3 of
 // the paper shows -OVERIFY as a third build configuration next to the debug
 // and release ones, which is exactly how the benchmarks drive this class.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -24,8 +23,9 @@ struct CompileResult {
   // Annotation side table (populated when the pipeline annotates). Must stay
   // alive while the module is analyzed.
   std::unique_ptr<ProgramAnnotations> annotations;
-  // Per-pass statistic deltas for this compilation (Table 3's rows).
-  std::map<std::string, int64_t> pass_stats;
+  // The compile-phase counters of this compilation (Table 3's rows): the
+  // pipeline's PassManager shard, e.g. Counter::kInlineFunctionsInlined.
+  MetricsShard metrics;
   double compile_seconds = 0;
   size_t instruction_count = 0;  // static size after optimization
 };

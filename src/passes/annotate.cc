@@ -2,15 +2,8 @@
 
 #include "src/ir/loop_info.h"
 #include "src/passes/loop_utils.h"
-#include "src/support/statistics.h"
 
 namespace overify {
-
-namespace {
-
-Statistic g_annotated("annotate.values_annotated");
-
-}  // namespace
 
 bool AnnotatePass::RunOnFunction(Function& fn) {
   RangeAnalysis ranges(fn);
@@ -22,7 +15,7 @@ bool AnnotatePass::RunOnFunction(Function& fn) {
       ValueRange r = ranges.RangeOf(inst.get());
       if (!r.IsFull(inst->type()->bits())) {
         out_->value_ranges[inst.get()] = r;
-        ++g_annotated;
+        Count(Counter::kAnnotateValuesAnnotated);
       }
     }
   }
@@ -33,7 +26,7 @@ bool AnnotatePass::RunOnFunction(Function& fn) {
     auto trip = ComputeTripCount(loop, 1u << 16);
     if (trip.has_value()) {
       out_->trip_counts[loop->header()] = trip->trip_count;
-      ++g_annotated;
+      Count(Counter::kAnnotateValuesAnnotated);
     }
   }
   // Annotation never mutates the IR.

@@ -6,13 +6,10 @@
 
 #include "src/analysis/alias_analysis.h"
 #include "src/ir/dominators.h"
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_eliminated("cse.eliminated");
 
 // Structural key for pure instructions. Extras fold predicate/type variation.
 struct ExprKey {
@@ -85,9 +82,10 @@ class ScopedCse {
  public:
   explicit ScopedCse(Function& fn) : fn_(fn), dom_(fn) {}
 
-  bool Run() {
+  // Returns the number of instructions eliminated.
+  uint64_t Run() {
     Visit(fn_.entry());
-    return changed_;
+    return eliminated_;
   }
 
  private:
@@ -108,8 +106,7 @@ class ScopedCse {
         if (it != block_loads.end() && it->second->type() == load->type()) {
           load->ReplaceAllUsesWith(it->second);
           load->EraseFromParent();
-          ++g_eliminated;
-          changed_ = true;
+          ++eliminated_;
           continue;
         }
         block_loads[load->pointer()] = load;
@@ -142,8 +139,7 @@ class ScopedCse {
       if (it != available_.end()) {
         inst->ReplaceAllUsesWith(it->second);
         inst->EraseFromParent();
-        ++g_eliminated;
-        changed_ = true;
+        ++eliminated_;
         continue;
       }
       available_[*key] = inst;
@@ -161,11 +157,15 @@ class ScopedCse {
   Function& fn_;
   DominatorTree dom_;
   std::map<ExprKey, Value*> available_;
-  bool changed_ = false;
+  uint64_t eliminated_ = 0;
 };
 
 }  // namespace
 
-bool CsePass::RunOnFunction(Function& fn) { return ScopedCse(fn).Run(); }
+bool CsePass::RunOnFunction(Function& fn) {
+  const uint64_t eliminated = ScopedCse(fn).Run();
+  Count(Counter::kCseEliminated, eliminated);
+  return eliminated > 0;
+}
 
 }  // namespace overify

@@ -3,13 +3,10 @@
 #include <set>
 #include <vector>
 
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_removed("dce.removed");
 
 // Liveness seed: instructions whose effects are observable.
 bool IsTriviallyLive(const Instruction* inst) {
@@ -71,7 +68,7 @@ bool DcePass::RunOnFunction(Function& fn) {
   for (Instruction* inst : dead) {
     OVERIFY_ASSERT(!inst->HasUses(), "dead instruction still used by live code");
     inst->EraseFromParent();
-    ++g_removed;
+    Count(Counter::kDceRemoved);
   }
   return true;
 }

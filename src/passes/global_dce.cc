@@ -4,15 +4,8 @@
 #include <vector>
 
 #include "src/analysis/call_graph.h"
-#include "src/support/statistics.h"
 
 namespace overify {
-
-namespace {
-
-Statistic g_removed("globaldce.functions_removed");
-
-}  // namespace
 
 bool GlobalDcePass::Run(Module& module) {
   // Entry points anchor reachability. Without one, the module is a library
@@ -49,7 +42,7 @@ bool GlobalDcePass::Run(Module& module) {
   }
   for (Function* fn : dead) {
     module.EraseFunction(fn);
-    ++g_removed;
+    Count(Counter::kGlobalDceFunctionsRemoved);
   }
   return !dead.empty();
 }

@@ -6,13 +6,10 @@
 
 #include "src/ir/cfg.h"
 #include "src/ir/dominators.h"
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_converted("ifconvert.branches_converted");
 
 // True if a load/store to exactly `pointer` appears in `head` or one of its
 // dominators before the branch: speculating another load of the same address
@@ -215,7 +212,6 @@ bool ConvertShape(Function& fn, const Shape& shape, DominatorTree& dom,
   if (shape.false_side != nullptr) {
     fn.EraseBlock(shape.false_side);
   }
-  ++g_converted;
   return true;
 }
 
@@ -234,6 +230,7 @@ bool IfConvertPass::RunOnFunction(Function& fn) {
         continue;
       }
       if (ConvertShape(fn, *shape, dom, options_)) {
+        Count(Counter::kIfConvertBranchesConverted);
         changed = true;
         progress = true;
         break;  // CFG changed; recompute analyses

@@ -5,15 +5,8 @@
 #include "src/analysis/call_graph.h"
 #include "src/ir/cfg.h"
 #include "src/ir/cloning.h"
-#include "src/support/statistics.h"
 
 namespace overify {
-
-namespace {
-
-Statistic g_inlined("inline.functions_inlined");
-
-}  // namespace
 
 bool InlineCallSite(CallInst* call) {
   Function* callee = call->callee();
@@ -103,7 +96,6 @@ bool InlineCallSite(CallInst* call) {
   // still needs to hold the moved tail; mark entry edge instead: with no
   // returns, cont has no predecessors and later CFG cleanup removes it.
   call->EraseFromParent();
-  ++g_inlined;
   return true;
 }
 
@@ -147,6 +139,7 @@ bool InlinerPass::Run(Module& module) {
           continue;
         }
         if (InlineCallSite(call)) {
+          Count(Counter::kInlineFunctionsInlined);
           local_changed = true;
           changed = true;
           break;  // block structure changed; rescan

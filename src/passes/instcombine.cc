@@ -6,13 +6,10 @@
 #include <vector>
 
 #include "src/ir/fold.h"
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_simplified("instcombine.simplified");
 
 bool IsCommutative(Opcode opcode) {
   switch (opcode) {
@@ -50,6 +47,8 @@ class Combiner {
     return changed;
   }
 
+  uint64_t simplified() const { return simplified_; }
+
  private:
   void Enqueue(Instruction* inst) {
     if (erased_.count(inst) == 0 && in_worklist_.insert(inst).second) {
@@ -71,7 +70,7 @@ class Combiner {
       Enqueue(rep_inst);
     }
     Erase(inst);
-    ++g_simplified;
+    ++simplified_;
     return true;
   }
 
@@ -205,7 +204,7 @@ class Combiner {
                 inst->SetOperand(0, lhs_inst->lhs());
                 inst->SetOperand(1, ctx_.GetInt(inst->type(), *folded));
                 Enqueue(inst);
-                ++g_simplified;
+                ++simplified_;
                 return true;
               }
             }
@@ -403,7 +402,7 @@ class Combiner {
           phi->RemoveIncoming(0);
         }
         Erase(phi);
-        ++g_simplified;
+        ++simplified_;
         return true;
       }
     }
@@ -416,10 +415,16 @@ class Combiner {
   std::set<Instruction*> in_worklist_;
   std::set<Instruction*> erased_;
   std::vector<std::unique_ptr<Instruction>> dead_;  // erased_, kept allocated
+  uint64_t simplified_ = 0;
 };
 
 }  // namespace
 
-bool InstCombinePass::RunOnFunction(Function& fn) { return Combiner(fn).Run(); }
+bool InstCombinePass::RunOnFunction(Function& fn) {
+  Combiner combiner(fn);
+  const bool changed = combiner.Run();
+  Count(Counter::kInstCombineSimplified, combiner.simplified());
+  return changed;
+}
 
 }  // namespace overify

@@ -7,13 +7,10 @@
 #include "src/ir/cfg.h"
 #include "src/ir/dominators.h"
 #include "src/ir/fold.h"
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_threaded("jumpthread.threaded");
 
 // Knowledge about a value along one CFG edge: either "the i1 value is K" or
 // "icmp(pred, x, C) evaluated to K".
@@ -338,7 +335,6 @@ void ApplyThread(const ThreadAction& action) {
       phi->RemoveIncoming(static_cast<unsigned>(index));
     }
   }
-  ++g_threaded;
 }
 
 }  // namespace
@@ -353,6 +349,7 @@ bool JumpThreadingPass::RunOnFunction(Function& fn) {
       break;
     }
     ApplyThread(*action);
+    Count(Counter::kJumpThreadThreaded);
     RemoveUnreachableBlocks(fn);
     changed = true;
   }

@@ -5,13 +5,10 @@
 #include "src/analysis/alias_analysis.h"
 #include "src/ir/loop_info.h"
 #include "src/passes/loop_utils.h"
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_hoisted("licm.hoisted");
 
 // All operands available outside the loop?
 bool OperandsInvariant(const Instruction* inst, const Loop* loop,
@@ -53,12 +50,12 @@ bool IsHoistableLoad(LoadInst* load, Loop* loop, DominatorTree& dom, BasicBlock*
   return true;
 }
 
-bool RunOnLoop(Loop* loop, DominatorTree& dom) {
+// Returns the number of instructions hoisted.
+size_t RunOnLoop(Loop* loop, DominatorTree& dom) {
   BasicBlock* preheader = EnsurePreheader(loop);
   BasicBlock* latch = loop->Latch();
   Instruction* anchor = preheader->Terminator();
   std::set<const Instruction*> hoisted;
-  bool changed = false;
 
   // Iterate to a fixpoint: hoisting one instruction can make its users
   // hoistable.
@@ -88,13 +85,11 @@ bool RunOnLoop(Loop* loop, DominatorTree& dom) {
         }
         preheader->InsertBefore(anchor, block->Remove(inst));
         hoisted.insert(inst);
-        ++g_hoisted;
         progress = true;
-        changed = true;
       }
     }
   }
-  return changed;
+  return hoisted.size();
 }
 
 }  // namespace
@@ -118,7 +113,9 @@ bool LicmPass::RunOnFunction(Function& fn) {
       break;
     }
     processed_headers.insert(next->header());
-    changed |= RunOnLoop(next, dom);
+    const size_t hoisted = RunOnLoop(next, dom);
+    Count(Counter::kLicmHoisted, hoisted);
+    changed |= hoisted > 0;
   }
   return changed;
 }

@@ -5,14 +5,11 @@
 #include "src/ir/cfg.h"
 #include "src/ir/cloning.h"
 #include "src/passes/loop_utils.h"
-#include "src/support/statistics.h"
 #include "src/support/string_utils.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_unrolled("unroll.loops_unrolled");
 
 size_t LoopSize(const Loop* loop) {
   size_t size = 0;
@@ -176,7 +173,7 @@ bool LoopUnrollPass::RunOnFunction(Function& fn) {
                 std::make_unique<UnreachableInst>(fn.parent()->context()));
           }
         }
-        ++g_unrolled;
+        Count(Counter::kUnrollLoopsUnrolled);
         changed = true;
         progress = true;
         break;  // loop structures changed; recompute analyses

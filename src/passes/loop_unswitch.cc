@@ -5,13 +5,10 @@
 #include "src/ir/cfg.h"
 #include "src/ir/cloning.h"
 #include "src/passes/loop_utils.h"
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_unswitched("unswitch.loops_unswitched");
 
 struct Candidate {
   Loop* loop = nullptr;
@@ -149,7 +146,6 @@ bool UnswitchOne(Function& fn, const Candidate& candidate) {
   // Dead edges may leave whole regions unreachable; clean them up now so the
   // verifier (and later passes) see consistent phis.
   RemoveUnreachableBlocks(fn);
-  ++g_unswitched;
   return true;
 }
 
@@ -168,6 +164,7 @@ bool LoopUnswitchPass::RunOnFunction(Function& fn) {
     if (!UnswitchOne(fn, *candidate)) {
       break;
     }
+    Count(Counter::kUnswitchLoopsUnswitched);
     changed = true;
     --budget;
   }

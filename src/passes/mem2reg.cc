@@ -6,13 +6,10 @@
 
 #include "src/ir/cfg.h"
 #include "src/ir/dominators.h"
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_promoted("mem2reg.promoted_allocas");
 
 // An alloca is promotable if it is a first-class scalar and only ever used
 // directly by loads and stores (no GEPs, no address escapes).
@@ -179,7 +176,6 @@ class Promoter {
     for (AllocaInst* alloca : allocas_) {
       OVERIFY_ASSERT(!alloca->HasUses(), "promoted alloca still has uses");
       alloca->EraseFromParent();
-      ++g_promoted;
     }
     // Remove placed phis that ended up dead. Liveness must be computed as a
     // closure because loop-carried phis can form use cycles among
@@ -256,6 +252,7 @@ bool Mem2RegPass::RunOnFunction(Function& fn) {
   }
   DominatorTree dom(fn);
   Promoter(fn, promotable, dom).Run();
+  Count(Counter::kMem2RegPromotedAllocas, promotable.size());
   return true;
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/ir/module.h"
+#include "src/support/metrics.h"
 
 namespace overify {
 
@@ -19,6 +20,20 @@ class Pass {
   virtual const char* name() const = 0;
   // Returns true if the IR was modified.
   virtual bool Run(Module& module) = 0;
+
+  // Where the pass's compile-phase counters land: the owning PassManager's
+  // shard. A pass run outside a manager counts nothing.
+  void set_metrics(MetricsShard* metrics) { metrics_ = metrics; }
+
+ protected:
+  void Count(Counter c, uint64_t n = 1) {
+    if (metrics_ != nullptr) {
+      metrics_->Add(c, n);
+    }
+  }
+
+ private:
+  MetricsShard* metrics_ = nullptr;
 };
 
 // A pass that processes each function body independently.
@@ -51,18 +66,29 @@ class PassManager {
   // When true, the IR verifier runs after every pass and aborts on breakage.
   explicit PassManager(bool verify_after_each = kVerifyIRAfterEachPass)
       : verify_after_each_(verify_after_each) {}
+  // Added passes point at metrics_, so a manager stays where it was built.
+  PassManager(const PassManager&) = delete;
+  PassManager& operator=(const PassManager&) = delete;
 
-  void Add(std::unique_ptr<Pass> pass) { passes_.push_back(std::move(pass)); }
+  void Add(std::unique_ptr<Pass> pass) {
+    pass->set_metrics(&metrics_);
+    passes_.push_back(std::move(pass));
+  }
 
   // Runs all passes in order; returns true if any changed the module.
   bool Run(Module& module);
 
   const std::vector<Timing>& timings() const { return timings_; }
+  // The compile-phase counters of every pass this manager ran (Table 3's
+  // rows), accumulated across Run calls. Each manager owns its shard, so
+  // concurrent compiles never see each other's counts.
+  const MetricsShard& metrics() const { return metrics_; }
   bool verify_after_each() const { return verify_after_each_; }
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
   std::vector<Timing> timings_;
+  MetricsShard metrics_;
   bool verify_after_each_;
 };
 

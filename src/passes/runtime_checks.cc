@@ -3,16 +3,9 @@
 #include <vector>
 
 #include "src/analysis/range_analysis.h"
-#include "src/support/statistics.h"
 #include "src/support/string_utils.h"
 
 namespace overify {
-
-namespace {
-
-Statistic g_inserted("checks.inserted");
-
-}  // namespace
 
 bool RuntimeCheckPass::RunOnFunction(Function& fn) {
   IRContext& ctx = fn.parent()->context();
@@ -52,7 +45,7 @@ bool RuntimeCheckPass::RunOnFunction(Function& fn) {
         Value* cond = block->InsertBefore(inst, std::move(cmp));
         block->InsertBefore(inst, std::make_unique<CheckInst>(ctx, cond, CheckKind::kDivByZero,
                                                               "division by zero"));
-        ++g_inserted;
+        Count(Counter::kChecksInserted);
         changed = true;
         break;
       }
@@ -79,7 +72,7 @@ bool RuntimeCheckPass::RunOnFunction(Function& fn) {
         Value* cond = block->InsertBefore(inst, std::move(cmp));
         block->InsertBefore(inst, std::make_unique<CheckInst>(ctx, cond, CheckKind::kShift,
                                                               "oversized shift amount"));
-        ++g_inserted;
+        Count(Counter::kChecksInserted);
         changed = true;
         break;
       }
@@ -111,7 +104,7 @@ bool RuntimeCheckPass::RunOnFunction(Function& fn) {
                          ctx, cond, CheckKind::kBounds,
                          StrFormat("array index out of bounds (size %llu)",
                                    static_cast<unsigned long long>(count))));
-            ++g_inserted;
+            Count(Counter::kChecksInserted);
             changed = true;
           } else if (current->IsStruct()) {
             uint64_t field = Cast<ConstantInt>(gep->Index(i))->value();

@@ -3,15 +3,10 @@
 #include <set>
 
 #include "src/ir/cfg.h"
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_folded("simplifycfg.branches_folded");
-Statistic g_merged("simplifycfg.blocks_merged");
-Statistic g_forwarded("simplifycfg.blocks_forwarded");
 
 // br (const) -> unconditional; br %c, X, X -> br X.
 bool FoldBranch(BasicBlock* block) {
@@ -40,7 +35,6 @@ bool FoldBranch(BasicBlock* block) {
       }
     }
   }
-  ++g_folded;
   return true;
 }
 
@@ -87,7 +81,6 @@ bool MergeChain(Function& fn) {
       RedirectPhiIncoming(after, succ, &block);
     }
     fn.EraseBlock(succ);
-    ++g_merged;
     return true;  // predecessor map invalidated; caller loops
   }
   return false;
@@ -149,7 +142,6 @@ bool ForwardEmptyBlocks(Function& fn) {
       }
     }
     fn.EraseBlock(&block);
-    ++g_forwarded;
     return true;
   }
   return false;
@@ -164,14 +156,23 @@ bool SimplifyCfgPass::RunOnFunction(Function& fn) {
     local_change = false;
     local_change |= RemoveUnreachableBlocks(fn) > 0;
     for (BasicBlock& block : fn) {
-      local_change |= FoldBranch(&block);
+      if (FoldBranch(&block)) {
+        Count(Counter::kSimplifyCfgBranchesFolded);
+        local_change = true;
+      }
     }
     local_change |= RemoveUnreachableBlocks(fn) > 0;
     for (BasicBlock& block : fn) {
       local_change |= SimplifyTrivialPhis(&block);
     }
-    local_change |= MergeChain(fn);
-    local_change |= ForwardEmptyBlocks(fn);
+    if (MergeChain(fn)) {
+      Count(Counter::kSimplifyCfgBlocksMerged);
+      local_change = true;
+    }
+    if (ForwardEmptyBlocks(fn)) {
+      Count(Counter::kSimplifyCfgBlocksForwarded);
+      local_change = true;
+    }
     changed |= local_change;
   }
   return changed;

@@ -4,13 +4,10 @@
 #include <tuple>
 #include <vector>
 
-#include "src/support/statistics.h"
 
 namespace overify {
 
 namespace {
-
-Statistic g_split("sroa.split_allocas");
 
 // Byte offset of a fully-constant gep from its base (declared early for the
 // overlap check below).
@@ -117,7 +114,6 @@ void Split(Function& fn, AllocaInst* alloca) {
     gep->EraseFromParent();
   }
   alloca->EraseFromParent();
-  ++g_split;
 }
 
 }  // namespace
@@ -135,6 +131,7 @@ bool SroaPass::RunOnFunction(Function& fn) {
   }
   for (AllocaInst* alloca : candidates) {
     Split(fn, alloca);
+    Count(Counter::kSroaSplitAllocas);
   }
   return !candidates.empty();
 }

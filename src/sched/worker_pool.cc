@@ -188,7 +188,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
     }
     if (entry->NumArgs() != 0 && entry->NumArgs() != 2 && entry->NumArgs() != 4) {
       invalid.error = StrFormat(
-          "entry '%s' takes %u arguments; supported signatures are (), "
+          "entry '%s' takes %zu arguments; supported signatures are (), "
           "(u8* buf, i32 len), and (u8* a, i32 na, u8* b, i32 nb)",
           entry->name().c_str(), entry->NumArgs());
       return invalid;
@@ -468,19 +468,19 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
   // the raw draw fires accumulated from the per-worker injector stats.
   result.metrics.Set(Counter::kFaultWorkerDeaths,
                      shared.worker_deaths.load(std::memory_order_relaxed));
-  // Fills every legacy counter field from the registry and asserts the
-  // unknown-cause and terminated-cause sum invariants in one place.
+  // Asserts the unknown-cause sum invariant in one place.
   result.FinalizeFromMetrics();
   // Exhausted means every path actually ran to its end — not merely "no
   // limit tripped": a run that completes its last path exactly at a limit
-  // (paths_completed == max_paths with nothing queued) latches the stop
+  // (paths.completed == max_paths with nothing queued) latches the stop
   // flag yet explored everything. A path the solver gave up on is a path
   // that did not run to its end, so unknowns also forfeit exhaustion.
-  result.exhausted = result.paths_limit == 0 && result.paths_unexplored == 0 &&
-                     result.paths_unknown == 0;
+  const MetricsShard& m = result.metrics;
+  result.exhausted = m.Get(Counter::kPathsLimit) == 0 && m.Get(Counter::kPathsUnexplored) == 0 &&
+                     m.Get(Counter::kPathsUnknown) == 0;
   result.stop_cause = static_cast<StopCause>(shared.stop_cause.load(std::memory_order_relaxed));
   if (!result.exhausted && result.stop_cause == StopCause::kNone &&
-      result.faults.worker_deaths > 0) {
+      m.Get(Counter::kFaultWorkerDeaths) > 0) {
     // No limit latched the stop, but injected deaths left states behind.
     result.stop_cause = StopCause::kWorkerDeath;
   }

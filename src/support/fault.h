@@ -56,10 +56,10 @@ struct FaultConfig {
   static FaultConfig FromEnv();
 };
 
-// Fires per site, aggregated into SymexResult::faults. Excluded from the
-// determinism contract's RunSignature, like steal traffic: multi-worker
-// draw interleavings are schedule-dependent even though each worker's
-// stream is not.
+// Fires per site, synced into the fault.* counters of the run's metrics
+// registry (SymexResult::metrics). Excluded from the determinism contract's
+// RunSignature, like steal traffic: multi-worker draw interleavings are
+// schedule-dependent even though each worker's stream is not.
 struct FaultStats {
   uint64_t solver_unknown = 0;
   uint64_t cache_lookup = 0;

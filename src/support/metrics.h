@@ -14,9 +14,11 @@
 // never pays for two clock reads; engine-owned shards always switch it on,
 // since engine queries are microseconds and the overhead vanishes.
 //
-// This registry is for the engine's per-run telemetry. The process-wide
-// string-keyed StatisticsRegistry (src/support/statistics.h) serves the
-// compiler passes' Table 3 reporting and is unrelated.
+// The registry is the only store of every count in the toolkit: the
+// engine's per-run telemetry (SymexResult::metrics, SolverChain::metrics())
+// and the optimization passes' compile-phase counters (Table 3's rows),
+// which a PassManager collects into its own shard and the driver copies
+// into CompileResult::metrics.
 #pragma once
 
 #include <chrono>
@@ -34,7 +36,18 @@ namespace overify {
 // RunSignature covers. Solver/preprocess/cache counters are NOT
 // deterministic: caches are per-worker, so where a state runs decides
 // whether its queries hit or search; steal and fault counters are
-// schedule-dependent by nature.
+// schedule-dependent by nature. The compile-phase counters at the end (what
+// each optimization pass did, Table 3's rows) are counted by a PassManager,
+// never by the engine; one compile is single-threaded and deterministic.
+//
+// A terminated path counts under exactly one cause: paths.infeasible (no
+// feasible branch direction remained), paths.bug (died at a bug site),
+// paths.limit (running when a limit stopped the search), paths.unexplored
+// (still queued then) or paths.unknown (the solver gave up on a decisive
+// query; never explored past, and always the sum of the three
+// paths.unknown_* causes, docs/robustness.md). engine.annotation_hits
+// counts branch decisions settled by annotations; steal.states and
+// steal.batches count migrated states and steals that yielded work.
 #define OVERIFY_METRIC_COUNTERS(X)                            \
   X(kPathsCompleted, "paths.completed", true)                 \
   X(kPathsInfeasible, "paths.infeasible", true)               \
@@ -98,7 +111,24 @@ namespace overify {
   X(kSliceEntryInstructions, "slice.entry_instructions", true) \
   X(kSliceFallbacks, "slice.fallbacks", true)                 \
   X(kSliceReplayConfirmed, "slice.replay_confirmed", true)    \
-  X(kSliceReplayFailed, "slice.replay_failed", true)
+  X(kSliceReplayFailed, "slice.replay_failed", true)                  \
+  X(kAnnotateValuesAnnotated, "annotate.values_annotated", true)     \
+  X(kChecksInserted, "checks.inserted", true)                         \
+  X(kCseEliminated, "cse.eliminated", true)                           \
+  X(kDceRemoved, "dce.removed", true)                                 \
+  X(kGlobalDceFunctionsRemoved, "globaldce.functions_removed", true)  \
+  X(kIfConvertBranchesConverted, "ifconvert.branches_converted", true) \
+  X(kInlineFunctionsInlined, "inline.functions_inlined", true)        \
+  X(kInstCombineSimplified, "instcombine.simplified", true)           \
+  X(kJumpThreadThreaded, "jumpthread.threaded", true)                 \
+  X(kLicmHoisted, "licm.hoisted", true)                               \
+  X(kMem2RegPromotedAllocas, "mem2reg.promoted_allocas", true)        \
+  X(kSimplifyCfgBranchesFolded, "simplifycfg.branches_folded", true)  \
+  X(kSimplifyCfgBlocksMerged, "simplifycfg.blocks_merged", true)      \
+  X(kSimplifyCfgBlocksForwarded, "simplifycfg.blocks_forwarded", true) \
+  X(kSroaSplitAllocas, "sroa.split_allocas", true)                    \
+  X(kUnrollLoopsUnrolled, "unroll.loops_unrolled", true)              \
+  X(kUnswitchLoopsUnswitched, "unswitch.loops_unswitched", true)
 
 // X-macro: (enum name, dotted display name). Query, core-search, path-run
 // and steal-batch latencies are recorded whenever the shard's timing flag is

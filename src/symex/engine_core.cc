@@ -127,7 +127,6 @@ class EngineCore::Impl {
   }
   TraceBuffer* trace() { return trace_; }
 
-  const SolverStats& solver_stats() const { return solver_.stats(); }
   SolverChain& solver() { return solver_; }
   const std::map<std::pair<const Instruction*, BugKind>, BugCandidate>& bugs() const {
     return bugs_;
@@ -1225,8 +1224,6 @@ void EngineCore::SyncMetrics() { impl_->SyncMetrics(); }
 void EngineCore::set_trace(TraceBuffer* trace) { impl_->set_trace(trace); }
 
 TraceBuffer* EngineCore::trace() { return impl_->trace(); }
-
-const SolverStats& EngineCore::solver_stats() const { return impl_->solver_stats(); }
 
 SolverChain& EngineCore::solver() { return impl_->solver(); }
 

@@ -168,7 +168,6 @@ class EngineCore {
   // the pool wires one per worker when a trace path is configured).
   void set_trace(TraceBuffer* trace);
   TraceBuffer* trace();
-  const SolverStats& solver_stats() const;
   // This worker's solver chain, exposed for cross-run persistence: the pool
   // seeds it from the CacheStore's run blob before exploration and harvests
   // its counterexample cache afterwards (src/cache/persist.h).

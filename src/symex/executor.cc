@@ -5,60 +5,14 @@
 
 namespace overify {
 
-void SymexResult::FinalizeFromMetrics() {
+void SymexResult::FinalizeFromMetrics() const {
   const MetricsShard& m = metrics;
-  paths_completed = m.Get(Counter::kPathsCompleted);
-  paths_infeasible = m.Get(Counter::kPathsInfeasible);
-  paths_bug = m.Get(Counter::kPathsBug);
-  paths_limit = m.Get(Counter::kPathsLimit);
-  paths_unexplored = m.Get(Counter::kPathsUnexplored);
-  paths_unknown = m.Get(Counter::kPathsUnknown);
-  paths_unknown_budget = m.Get(Counter::kPathsUnknownBudget);
-  paths_unknown_deadline = m.Get(Counter::kPathsUnknownDeadline);
-  paths_unknown_injected = m.Get(Counter::kPathsUnknownInjected);
-  instructions = m.Get(Counter::kInstructions);
-  forks = m.Get(Counter::kForks);
-  annotation_hits = m.Get(Counter::kAnnotationHits);
-  steals = m.Get(Counter::kSteals);
-  steal_batches = m.Get(Counter::kStealBatches);
-  faults.solver_unknown = m.Get(Counter::kFaultSolverUnknown);
-  faults.cache_lookup = m.Get(Counter::kFaultCacheLookup);
-  faults.steal_batch = m.Get(Counter::kFaultStealBatch);
-  faults.worker_stalls = m.Get(Counter::kFaultWorkerStalls);
-  faults.worker_deaths = m.Get(Counter::kFaultWorkerDeaths);
-  faults.draws = m.Get(Counter::kFaultDraws);
-  solver.queries = m.Get(Counter::kSolverQueries);
-  solver.cache_hits = m.Get(Counter::kSolverCacheHits);
-  solver.reuse_hits = m.Get(Counter::kSolverReuseHits);
-  solver.core_queries = m.Get(Counter::kSolverCoreQueries);
-  solver.core_candidates = m.Get(Counter::kSolverCoreCandidates);
-  solver.independence_drops = m.Get(Counter::kSolverIndependenceDrops);
-  solver.eval_memo_hits = m.Get(Counter::kSolverEvalMemoHits);
-  solver.interval_memo_hits = m.Get(Counter::kSolverIntervalMemoHits);
-  solver.cex_evictions = m.Get(Counter::kSolverCexEvictions);
-  solver.preprocess_bindings = m.Get(Counter::kPreprocessBindings);
-  solver.preprocess_substitutions = m.Get(Counter::kPreprocessSubstitutions);
-  solver.preprocess_tautologies = m.Get(Counter::kPreprocessTautologies);
-  solver.preprocess_contradictions = m.Get(Counter::kPreprocessContradictions);
-  solver.presolve_shortcuts = m.Get(Counter::kPresolveShortcuts);
-  solver.prefix_subset_hits = m.Get(Counter::kPrefixSubsetHits);
-  solver.prefix_superset_hits = m.Get(Counter::kPrefixSupersetHits);
-  solver.prefix_model_hits = m.Get(Counter::kPrefixModelHits);
-  solver.unknown_budget = m.Get(Counter::kSolverUnknownBudget);
-  solver.unknown_deadline = m.Get(Counter::kSolverUnknownDeadline);
-  solver.unknown_cancelled = m.Get(Counter::kSolverUnknownCancelled);
-  solver.unknown_injected = m.Get(Counter::kSolverUnknownInjected);
-
-  // The accounting invariants, asserted in this one place for every run
-  // (docs/robustness.md): each unknown path carries exactly one cause, and
-  // paths_terminated is exactly the sum of its per-cause components.
-  OVERIFY_ASSERT(paths_unknown == paths_unknown_budget + paths_unknown_deadline +
-                                      paths_unknown_injected,
+  // The accounting invariant, asserted in this one place for every run
+  // (docs/robustness.md): each unknown path carries exactly one cause.
+  OVERIFY_ASSERT(m.Get(Counter::kPathsUnknown) == m.Get(Counter::kPathsUnknownBudget) +
+                                                      m.Get(Counter::kPathsUnknownDeadline) +
+                                                      m.Get(Counter::kPathsUnknownInjected),
                  "every unknown path must be attributed to exactly one cause");
-  paths_terminated =
-      paths_infeasible + paths_bug + paths_limit + paths_unexplored + paths_unknown;
-  OVERIFY_ASSERT(paths_terminated >= paths_unknown,
-                 "terminated-cause accounting must cover the unknown paths");
 }
 
 const char* StopCauseName(StopCause cause) {

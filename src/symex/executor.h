@@ -83,50 +83,24 @@ struct SymexResult {
   bool ok = true;
   std::string error;
   bool exhausted = false;  // every path explored within the limits
-  uint64_t paths_completed = 0;
-  // Terminated paths by cause; paths_terminated is always their sum.
-  uint64_t paths_terminated = 0;
-  uint64_t paths_infeasible = 0;   // no feasible branch direction remained
-  uint64_t paths_bug = 0;          // died at a bug site
-  uint64_t paths_limit = 0;        // running when a limit stopped the search
-  uint64_t paths_unexplored = 0;   // still queued when a limit stopped the search
-  // Paths terminated because the solver gave up (kUnknown) on a decisive
-  // query — never silently explored past: an unproven branch direction is a
-  // completeness loss, not a soundness one. Always the sum of the per-cause
-  // breakdown below (docs/robustness.md).
-  uint64_t paths_unknown = 0;
-  uint64_t paths_unknown_budget = 0;    // per-query candidate/time budget
-  uint64_t paths_unknown_deadline = 0;  // run deadline expired mid-query
-  uint64_t paths_unknown_injected = 0;  // FaultInjector kSolverUnknown
-  uint64_t instructions = 0;
-  uint64_t forks = 0;
-  uint64_t annotation_hits = 0;  // branch decisions settled by annotations
   // Which limit latched the stop flag first (kNone when the run drained
   // naturally; kWorkerDeath when only injected deaths cut it short).
   StopCause stop_cause = StopCause::kNone;
-  // Injected-fault fires (zero unless SymexOptions::faults enabled them).
-  // Schedule-dependent across workers, so excluded from the determinism
-  // contract like the steal counters below.
-  FaultStats faults;
-  // Work-stealing traffic (scheduling-dependent, unlike the counts above:
-  // these vary run to run and are excluded from the determinism contract).
-  uint64_t steals = 0;         // states that migrated to another worker
-  uint64_t steal_batches = 0;  // steal operations that yielded work
   double wall_seconds = 0;
   unsigned workers = 1;  // worker threads that ran the search
   std::vector<BugReport> bugs;
-  SolverStats solver;
-  // The merged metrics registry for the run: every counter above plus the
-  // latency histograms (src/support/metrics.h). Single source of truth —
-  // the flat fields and `solver`/`faults` views are filled from it by
-  // FinalizeFromMetrics (docs/observability.md).
+  // The merged metrics registry for the run and the only store of its
+  // counts: paths by cause, instructions, forks, annotation hits, solver,
+  // steal and fault counters, plus the latency histograms. Read a count as
+  // metrics.Get(Counter::kPathsCompleted) (src/support/metrics.h,
+  // docs/observability.md).
   MetricsShard metrics;
 
-  // Fills every legacy counter field (paths_*, instructions, forks, steal
-  // and fault counts, the SolverStats view) from `metrics`, and asserts the
-  // accounting invariants — unknown-cause and terminated-cause sums — in
-  // this one place. The pool calls it once after merging worker shards.
-  void FinalizeFromMetrics();
+  // Asserts the accounting invariant over `metrics` in this one place:
+  // every unknown path carries exactly one cause. Every producer of a
+  // merged result (the pool, the slice driver) calls it once after merging
+  // shards.
+  void FinalizeFromMetrics() const;
 
   bool FoundBug(BugKind kind) const {
     for (const BugReport& bug : bugs) {

@@ -138,18 +138,19 @@ std::vector<LatticeCell> FullLattice(const DiffOptions& options) {
 RunSignature SignatureOf(const SymexResult& result, Module& module, const std::string& entry,
                          bool confirm_models) {
   RunSignature signature;
+  const MetricsShard& m = result.metrics;
   signature.exhausted = result.exhausted;
-  signature.paths_completed = result.paths_completed;
-  signature.paths_infeasible = result.paths_infeasible;
-  signature.paths_bug = result.paths_bug;
-  signature.paths_limit = result.paths_limit;
-  signature.paths_unexplored = result.paths_unexplored;
-  signature.paths_unknown = result.paths_unknown;
-  signature.paths_unknown_budget = result.paths_unknown_budget;
-  signature.paths_unknown_deadline = result.paths_unknown_deadline;
-  signature.paths_unknown_injected = result.paths_unknown_injected;
-  signature.instructions = result.instructions;
-  signature.forks = result.forks;
+  signature.paths_completed = m.Get(Counter::kPathsCompleted);
+  signature.paths_infeasible = m.Get(Counter::kPathsInfeasible);
+  signature.paths_bug = m.Get(Counter::kPathsBug);
+  signature.paths_limit = m.Get(Counter::kPathsLimit);
+  signature.paths_unexplored = m.Get(Counter::kPathsUnexplored);
+  signature.paths_unknown = m.Get(Counter::kPathsUnknown);
+  signature.paths_unknown_budget = m.Get(Counter::kPathsUnknownBudget);
+  signature.paths_unknown_deadline = m.Get(Counter::kPathsUnknownDeadline);
+  signature.paths_unknown_injected = m.Get(Counter::kPathsUnknownInjected);
+  signature.instructions = m.Get(Counter::kInstructions);
+  signature.forks = m.Get(Counter::kForks);
   signature.stop_cause = result.stop_cause;
   Function* entry_fn = module.GetFunction(entry);
   for (const BugReport& bug : result.bugs) {
@@ -304,21 +305,16 @@ namespace {
 
 // The degradation contract's invariants on one result, independent of any
 // reference: cause attribution must sum, and a partial run must say why it
-// is partial.
+// is partial. `signature` carries the result's path counters.
 void CheckAttribution(std::ostringstream& diff, const std::string& label,
                       const SymexResult& result, const RunSignature& signature) {
-  if (result.paths_unknown != result.paths_unknown_budget + result.paths_unknown_deadline +
-                                  result.paths_unknown_injected) {
+  if (signature.paths_unknown != signature.paths_unknown_budget +
+                                     signature.paths_unknown_deadline +
+                                     signature.paths_unknown_injected) {
     diff << label << ": unknown breakdown does not sum: " << signature.ToString() << "\n";
   }
-  if (result.paths_terminated != result.paths_infeasible + result.paths_bug +
-                                     result.paths_limit + result.paths_unexplored +
-                                     result.paths_unknown) {
-    diff << label << ": terminated paths do not sum by cause: " << signature.ToString()
-         << "\n";
-  }
   if (!result.exhausted && result.stop_cause == StopCause::kNone &&
-      result.paths_unknown == 0) {
+      signature.paths_unknown == 0) {
     diff << label << ": partial run with no attributed cause: " << signature.ToString()
          << "\n";
   }

@@ -202,8 +202,8 @@ DiffReport RunDifferential(const Workload& workload, unsigned sym_bytes = 0,
 //    fault-free run (faults may only cost completeness, never change
 //    results);
 //  - every partial run is fully cause-attributed: the unknown breakdown
-//    sums, paths_terminated sums, and a non-exhausted run names a stop
-//    cause or carries unknown paths;
+//    sums, and a non-exhausted run names a stop cause or carries unknown
+//    paths;
 //  - every surviving bug report (engine errors aside) is confirmed by
 //    concrete replay — soundness never degrades.
 struct RobustnessOptions {

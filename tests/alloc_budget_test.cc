@@ -56,12 +56,13 @@ TEST(AllocationBudgetTest, ExploringWcAtO0AllocatesPerForkNotPerInstruction) {
   const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
 
   ASSERT_TRUE(result.exhausted);
-  ASSERT_GT(result.instructions, 0u);
+  const uint64_t instructions = result.metrics.Get(Counter::kInstructions);
+  ASSERT_GT(instructions, 0u);
   const double per_instruction =
-      static_cast<double>(allocations) / static_cast<double>(result.instructions);
+      static_cast<double>(allocations) / static_cast<double>(instructions);
   std::printf("wc -O0 width 4: %llu allocations, %llu instructions, %.3f per instruction\n",
               static_cast<unsigned long long>(allocations),
-              static_cast<unsigned long long>(result.instructions), per_instruction);
+              static_cast<unsigned long long>(instructions), per_instruction);
   EXPECT_LT(per_instruction, kMaxAllocationsPerInstruction);
 }
 

@@ -40,9 +40,9 @@ TEST(SearchOrderTest, BfsAndDfsExploreTheSamePathSet) {
   SymexResult bfs_result = SymbolicExecutor(*m, bfs).Run("umain", 3, limits);
   EXPECT_TRUE(dfs_result.exhausted);
   EXPECT_TRUE(bfs_result.exhausted);
-  EXPECT_EQ(dfs_result.paths_completed, 8u);
-  EXPECT_EQ(bfs_result.paths_completed, 8u);
-  EXPECT_EQ(dfs_result.forks, bfs_result.forks);
+  EXPECT_EQ(dfs_result.metrics.Get(Counter::kPathsCompleted), 8u);
+  EXPECT_EQ(bfs_result.metrics.Get(Counter::kPathsCompleted), 8u);
+  EXPECT_EQ(dfs_result.metrics.Get(Counter::kForks), bfs_result.metrics.Get(Counter::kForks));
 }
 
 TEST(ForkIsolationTest, SiblingPathsDoNotShareMemoryWrites) {
@@ -61,7 +61,7 @@ TEST(ForkIsolationTest, SiblingPathsDoNotShareMemoryWrites) {
   SymexResult result = SymbolicExecutor(*m).Run("umain", 1, limits);
   EXPECT_TRUE(result.exhausted);
   EXPECT_TRUE(result.bugs.empty()) << result.bugs[0].message;
-  EXPECT_EQ(result.paths_completed, 2u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 2u);
 }
 
 TEST(ForkIsolationTest, PointerSlotsArePathLocal) {
@@ -98,9 +98,10 @@ TEST(LimitsTest, MaxForksStopsExploration) {
   limits.max_forks = 3;
   SymexResult result = SymbolicExecutor(*m).Run("umain", 8, limits);
   EXPECT_FALSE(result.exhausted);
-  EXPECT_LE(result.forks, 4u);  // one in-flight fork may complete the step
-  EXPECT_EQ(result.paths_terminated, result.paths_infeasible + result.paths_bug +
-                                         result.paths_limit + result.paths_unexplored);
+  // One in-flight fork may complete the step.
+  EXPECT_LE(result.metrics.Get(Counter::kForks), 4u);
+  // Every terminated path has a non-solver cause: the limit stopped it.
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsUnknown), 0u);
 }
 
 TEST(LimitsTest, MaxInstructionsStopsExploration) {
@@ -115,13 +116,13 @@ TEST(LimitsTest, MaxInstructionsStopsExploration) {
   limits.max_instructions = 500;
   SymexResult result = SymbolicExecutor(*m).Run("umain", 1, limits);
   EXPECT_FALSE(result.exhausted);
-  EXPECT_EQ(result.paths_completed, 0u);
-  EXPECT_GE(result.instructions, 500u);
-  EXPECT_LE(result.instructions, 600u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 0u);
+  EXPECT_GE(result.metrics.Get(Counter::kInstructions), 500u);
+  EXPECT_LE(result.metrics.Get(Counter::kInstructions), 600u);
   // The looping state was killed mid-flight by the limit stop.
-  EXPECT_EQ(result.paths_limit, 1u);
-  EXPECT_EQ(result.paths_terminated, result.paths_infeasible + result.paths_bug +
-                                         result.paths_limit + result.paths_unexplored);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsLimit), 1u);
+  // Every terminated path has a non-solver cause: the limit stopped it.
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsUnknown), 0u);
 }
 
 TEST(MemoryModelTest, CopyOnWriteSharesUntilMutation) {
@@ -350,7 +351,7 @@ TEST(SupportOverflowTest, WorkloadWithMoreThan64SymbolicBytesIsExplored) {
   }
   // Independence filtering keeps overflow-support constraints when they
   // share a high symbol: the in[0] == in[68] branch forks on both sides.
-  EXPECT_GE(result.paths_completed, 4u);
+  EXPECT_GE(result.metrics.Get(Counter::kPathsCompleted), 4u);
 }
 
 TEST(SupportOverflowTest, HighSymbolResultsAreWorkerCountIndependent) {
@@ -371,9 +372,9 @@ TEST(SupportOverflowTest, HighSymbolResultsAreWorkerCountIndependent) {
   SymexOptions four_opts;
   four_opts.jobs = 4;
   SymexResult four = SymbolicExecutor(*m, four_opts).Run("umain", 72, limits);
-  EXPECT_EQ(one.paths_completed, four.paths_completed);
-  EXPECT_EQ(one.forks, four.forks);
-  EXPECT_EQ(one.instructions, four.instructions);
+  EXPECT_EQ(one.metrics.Get(Counter::kPathsCompleted), four.metrics.Get(Counter::kPathsCompleted));
+  EXPECT_EQ(one.metrics.Get(Counter::kForks), four.metrics.Get(Counter::kForks));
+  EXPECT_EQ(one.metrics.Get(Counter::kInstructions), four.metrics.Get(Counter::kInstructions));
 }
 
 TEST(OutputCaptureTest, SymbolicOutputBytesAreTracked) {
@@ -387,7 +388,7 @@ TEST(OutputCaptureTest, SymbolicOutputBytesAreTracked) {
   SymexLimits limits;
   SymexResult result = SymbolicExecutor(*m).Run("umain", 1, limits);
   EXPECT_TRUE(result.exhausted);
-  EXPECT_EQ(result.paths_completed, 1u);  // output does not fork
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 1u);  // output does not fork
 }
 
 }  // namespace

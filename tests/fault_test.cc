@@ -185,9 +185,10 @@ TEST(DeadlineGranularityTest, TightDeadlineOnCksumWideReturnsPromptly) {
   EXPECT_FALSE(result.exhausted);
   EXPECT_LT(elapsed, 5.0) << "deadline must interrupt mid-query, not after the budget";
   EXPECT_EQ(result.stop_cause, StopCause::kDeadline) << StopCauseName(result.stop_cause);
-  EXPECT_EQ(result.paths_unknown,
-            result.paths_unknown_budget + result.paths_unknown_deadline +
-                result.paths_unknown_injected);
+  const MetricsShard& m = result.metrics;
+  EXPECT_EQ(m.Get(Counter::kPathsUnknown), m.Get(Counter::kPathsUnknownBudget) +
+                                               m.Get(Counter::kPathsUnknownDeadline) +
+                                               m.Get(Counter::kPathsUnknownInjected));
 }
 
 // ---- Worker-failure recovery ----
@@ -220,14 +221,11 @@ SymexResult RunBranchy(CompileResult& compiled, unsigned jobs, const FaultConfig
 
 void ExpectIdenticalRuns(const SymexResult& a, const SymexResult& b, const std::string& label) {
   EXPECT_EQ(a.exhausted, b.exhausted) << label;
-  EXPECT_EQ(a.paths_completed, b.paths_completed) << label;
-  EXPECT_EQ(a.paths_infeasible, b.paths_infeasible) << label;
-  EXPECT_EQ(a.paths_bug, b.paths_bug) << label;
-  EXPECT_EQ(a.paths_limit, b.paths_limit) << label;
-  EXPECT_EQ(a.paths_unexplored, b.paths_unexplored) << label;
-  EXPECT_EQ(a.paths_unknown, b.paths_unknown) << label;
-  EXPECT_EQ(a.instructions, b.instructions) << label;
-  EXPECT_EQ(a.forks, b.forks) << label;
+  for (Counter c : {Counter::kPathsCompleted, Counter::kPathsInfeasible, Counter::kPathsBug,
+                    Counter::kPathsLimit, Counter::kPathsUnexplored, Counter::kPathsUnknown,
+                    Counter::kInstructions, Counter::kForks}) {
+    EXPECT_EQ(a.metrics.Get(c), b.metrics.Get(c)) << label << " " << CounterName(c);
+  }
   EXPECT_EQ(a.stop_cause, b.stop_cause) << label;
   ASSERT_EQ(a.bugs.size(), b.bugs.size()) << label;
   for (size_t i = 0; i < a.bugs.size(); ++i) {
@@ -244,7 +242,8 @@ TEST(WorkerFailureTest, RunSurvivesWorkerDeathsBitIdentically) {
 
   SymexResult clean = RunBranchy(compiled, 4, FaultConfig{});
   ASSERT_TRUE(clean.exhausted);
-  EXPECT_GT(clean.paths_completed + clean.paths_bug, 0u);
+  EXPECT_GT(clean.metrics.Get(Counter::kPathsCompleted) + clean.metrics.Get(Counter::kPathsBug),
+            0u);
 
   FaultConfig faults;
   faults.seed = 0x9d7a11;
@@ -255,7 +254,7 @@ TEST(WorkerFailureTest, RunSurvivesWorkerDeathsBitIdentically) {
 
   ASSERT_TRUE(faulted.exhausted)
       << "with a guaranteed survivor the run must still exhaust";
-  EXPECT_LE(faulted.faults.worker_deaths, 3u);
+  EXPECT_LE(faulted.metrics.Get(Counter::kFaultWorkerDeaths), 3u);
   ExpectIdenticalRuns(clean, faulted, "worker-death recovery");
 }
 
@@ -273,8 +272,8 @@ TEST(WorkerFailureTest, AllWorkersDyingDegradesWithAttribution) {
 
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_FALSE(result.exhausted);
-  EXPECT_GT(result.paths_unexplored, 0u);
-  EXPECT_GE(result.faults.worker_deaths, 1u);
+  EXPECT_GT(result.metrics.Get(Counter::kPathsUnexplored), 0u);
+  EXPECT_GE(result.metrics.Get(Counter::kFaultWorkerDeaths), 1u);
   EXPECT_EQ(result.stop_cause, StopCause::kWorkerDeath) << StopCauseName(result.stop_cause);
 }
 

@@ -78,19 +78,20 @@ TEST(WcTable1Test, PathCountsFollowThePaper) {
 
   // Paper Table 1: -O2 reduces instructions but "the number of explored
   // paths remains the same as for -O0".
-  EXPECT_EQ(r0.paths_completed, r2.paths_completed);
+  EXPECT_EQ(r0.metrics.Get(Counter::kPathsCompleted), r2.metrics.Get(Counter::kPathsCompleted));
   EXPECT_LT(o2.instruction_count, o0.instruction_count);
 
   // -O3 fundamentally restructures: far fewer paths.
-  EXPECT_LT(r3.paths_completed * 10, r2.paths_completed);
+  EXPECT_LT(r3.metrics.Get(Counter::kPathsCompleted) * 10,
+            r2.metrics.Get(Counter::kPathsCompleted));
 
   // -OVERIFY leaves only the loop-exit branch: exactly n+1 paths.
-  EXPECT_EQ(rv.paths_completed, kBytes + 1);
+  EXPECT_EQ(rv.metrics.Get(Counter::kPathsCompleted), kBytes + 1);
 
   // And the work shrinks monotonically along the headline ordering.
-  EXPECT_GT(r0.instructions, r2.instructions);
-  EXPECT_GT(r2.instructions, r3.instructions);
-  EXPECT_GT(r3.instructions, rv.instructions);
+  EXPECT_GT(r0.metrics.Get(Counter::kInstructions), r2.metrics.Get(Counter::kInstructions));
+  EXPECT_GT(r2.metrics.Get(Counter::kInstructions), r3.metrics.Get(Counter::kInstructions));
+  EXPECT_GT(r3.metrics.Get(Counter::kInstructions), rv.metrics.Get(Counter::kInstructions));
 
   // No level may invent a bug in a bug-free program.
   EXPECT_TRUE(r0.bugs.empty());
@@ -273,7 +274,7 @@ TEST(AnnotationTest, AnnotationsDecideBranchesWithoutSolver) {
   EXPECT_TRUE(result.exhausted);
   // Either the branch was folded outright (paths == 1) or annotations
   // short-circuited it; in no case may both arms survive.
-  EXPECT_EQ(result.paths_completed, 1u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 1u);
 }
 
 TEST(PipelineStatsTest, OverifyPerformsMoreTransformationsThanO3) {
@@ -294,16 +295,12 @@ TEST(PipelineStatsTest, OverifyPerformsMoreTransformationsThanO3) {
   )";
   auto o3 = CompileLevel(source, OptLevel::kO3);
   auto ov = CompileLevel(source, OptLevel::kOverify);
-  auto stat = [](const CompileResult& r, const char* name) {
-    auto it = r.pass_stats.find(name);
-    return it == r.pass_stats.end() ? int64_t{0} : it->second;
-  };
   // -OVERIFY must exercise its signature transformations. (Raw counts are
   // not comparable against -O3 here because the two levels link different
   // libc flavors; the Table 3 benchmark reports the full-suite numbers.)
-  EXPECT_GT(stat(ov, "ifconvert.branches_converted"), 0);
-  EXPECT_GT(stat(ov, "inline.functions_inlined"), 0);
-  EXPECT_GT(stat(ov, "unswitch.loops_unswitched"), 0);
+  EXPECT_GT(ov.metrics.Get(Counter::kIfConvertBranchesConverted), 0u);
+  EXPECT_GT(ov.metrics.Get(Counter::kInlineFunctionsInlined), 0u);
+  EXPECT_GT(ov.metrics.Get(Counter::kUnswitchLoopsUnswitched), 0u);
 
   // The outcome that matters: -OVERIFY's build is strictly cheaper to
   // analyze than -O3's.
@@ -311,8 +308,10 @@ TEST(PipelineStatsTest, OverifyPerformsMoreTransformationsThanO3) {
   auto ov_result = AnalyzeLevel(ov, 3);
   ASSERT_TRUE(o3_result.exhausted);
   ASSERT_TRUE(ov_result.exhausted);
-  EXPECT_LE(ov_result.paths_completed, o3_result.paths_completed);
-  EXPECT_LT(ov_result.instructions, o3_result.instructions);
+  EXPECT_LE(ov_result.metrics.Get(Counter::kPathsCompleted),
+            o3_result.metrics.Get(Counter::kPathsCompleted));
+  EXPECT_LT(ov_result.metrics.Get(Counter::kInstructions),
+            o3_result.metrics.Get(Counter::kInstructions));
 }
 
 TEST(CompileErrorsTest, DriverSurfacesFrontendErrors) {
@@ -355,6 +354,19 @@ TEST(DriverErrorTest, ZeroWidthSymbolicBufferReturnsError) {
   SymexResult result = Analyze(compiled, "umain", 0, limits);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("zero-width"), std::string::npos) << result.error;
+}
+
+TEST(DriverErrorTest, WrongArityEntryReturnsError) {
+  CompileResult compiled = CompileLevel(R"(
+    int umain(unsigned char *in, int n, int mode) {
+      return (int)in[0] + n + mode;
+    }
+  )", OptLevel::kOverify);
+  ASSERT_TRUE(compiled.ok);
+  SymexLimits limits;
+  SymexResult result = Analyze(compiled, "umain", 4, limits);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("takes 3 arguments"), std::string::npos) << result.error;
 }
 
 TEST(DriverErrorTest, FourArgEntryNeedsRoomForTheSizeSplit) {

@@ -211,29 +211,12 @@ TEST(MetricsEngineTest, MergedDeterministicCountersIdenticalAcrossWorkerCounts) 
   }
 }
 
-TEST(MetricsEngineTest, LegacyViewsMatchRegistry) {
-  CompileResult m = CompileWc();
-  SymexResult r = RunWithJobs(m, 2);
-  ASSERT_TRUE(r.ok);
-  // FinalizeFromMetrics filled every legacy field from the registry; spot
-  // checks across the counter families.
-  EXPECT_EQ(r.paths_completed, r.metrics.Get(Counter::kPathsCompleted));
-  EXPECT_EQ(r.instructions, r.metrics.Get(Counter::kInstructions));
-  EXPECT_EQ(r.forks, r.metrics.Get(Counter::kForks));
-  EXPECT_EQ(r.solver.queries, r.metrics.Get(Counter::kSolverQueries));
-  EXPECT_EQ(r.solver.presolve_shortcuts, r.metrics.Get(Counter::kPresolveShortcuts));
-  EXPECT_EQ(r.steals, r.metrics.Get(Counter::kSteals));
-  EXPECT_EQ(r.paths_terminated, r.paths_infeasible + r.paths_bug + r.paths_limit +
-                                    r.paths_unexplored + r.paths_unknown);
-  EXPECT_GT(r.solver.queries, 0u);
-}
-
 TEST(MetricsEngineTest, TimingOnRecordsLatencies) {
   CompileResult m = CompileWc();
   SymexResult r = RunWithJobs(m, 1);  // engine shards always time
   ASSERT_TRUE(r.ok);
   const LatencyHistogram& h = r.metrics.hist(Hist::kSolverQueryNs);
-  EXPECT_EQ(h.count(), r.solver.queries);
+  EXPECT_EQ(h.count(), r.metrics.Get(Counter::kSolverQueries));
   EXPECT_GT(h.P95(), 0u);
   EXPECT_GE(h.max_ns(), h.P50());
   EXPECT_GT(r.metrics.hist(Hist::kPathRunNs).count(), 0u);

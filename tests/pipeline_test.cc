@@ -1,17 +1,18 @@
 // Tests for pipeline construction, the pass manager, and global DCE.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/cache/persist.h"
+#include "src/driver/compiler.h"
 #include "src/frontend/codegen.h"
 #include "src/ir/parser.h"
 #include "src/passes/global_dce.h"
 #include "src/passes/pipeline.h"
 #include "src/support/diagnostics.h"
-#include "src/support/statistics.h"
 #include "src/vlibc/vlibc.h"
 #include "src/workloads/workloads.h"
 
@@ -143,11 +144,13 @@ TEST(PassManagerTest, ReportsTimingsAndChangeFlags) {
   EXPECT_TRUE(any_changed);  // the constant add folds
 }
 
-// What one compile of a workload did: every pass statistic's delta and
-// each pipeline pass's changed flag, in pipeline order.
+// What one compile of a workload did: every compile-phase counter of the
+// pass manager's shard, each pipeline pass's changed flag in pipeline order,
+// and the content hash of the module it produced.
 struct PassOutcome {
-  std::map<std::string, int64_t> stats;
+  std::vector<uint64_t> counters;
   std::vector<bool> changed;
+  uint64_t module_hash = 0;
 };
 
 PassOutcome CompileOutcome(const Workload& workload, OptLevel level) {
@@ -163,22 +166,35 @@ PassOutcome CompileOutcome(const Workload& workload, OptLevel level) {
   if (module == nullptr) {
     return outcome;
   }
-  const std::map<std::string, int64_t> before = StatisticsRegistry::Global().Snapshot();
   ProgramAnnotations annotations;
   PassManager pm;
   BuildPipeline(pm, options, &annotations);
   pm.Run(*module);
-  for (const auto& [name, value] : StatisticsRegistry::Global().Snapshot()) {
-    auto it = before.find(name);
-    const int64_t delta = value - (it == before.end() ? 0 : it->second);
-    if (delta != 0) {
-      outcome.stats[name] = delta;
-    }
-  }
+  outcome.counters.assign(pm.metrics().counters, pm.metrics().counters + kNumCounters);
   for (const PassManager::Timing& timing : pm.timings()) {
     outcome.changed.push_back(timing.changed);
   }
+  outcome.module_hash = ModuleContentHash(*module);
   return outcome;
+}
+
+// The compile-phase counters and output module hash of one
+// Compiler::Compile call, as its CompileResult reports them.
+struct CompiledCounters {
+  std::vector<uint64_t> counters;
+  uint64_t module_hash = 0;
+};
+
+CompiledCounters CompileCounters(const Workload& workload, OptLevel level) {
+  CompileResult compiled = Compiler().Compile(workload.source, level, workload.name);
+  EXPECT_TRUE(compiled.ok) << workload.name << ": " << compiled.errors;
+  CompiledCounters result;
+  if (!compiled.ok) {
+    return result;
+  }
+  result.counters.assign(compiled.metrics.counters, compiled.metrics.counters + kNumCounters);
+  result.module_hash = ModuleContentHash(*compiled.module);
+  return result;
 }
 
 TEST(PassManagerTest, PassOutcomesDoNotDependOnHeapHistory) {
@@ -186,7 +202,8 @@ TEST(PassManagerTest, PassOutcomesDoNotDependOnHeapHistory) {
   // different answer once malloc hands that address to a new object. Each
   // workload compiles twice; the second compile runs with a spread of small
   // blocks held live, which reshuffles which freed addresses come back.
-  // Both compiles must do the same work.
+  // Both compiles must count the same work, report the same per-pass changed
+  // flags and produce the same module.
   for (OptLevel level : {OptLevel::kO3, OptLevel::kOverify}) {
     for (const Workload& workload : CoreutilsSuite()) {
       const PassOutcome first = CompileOutcome(workload, level);
@@ -198,10 +215,48 @@ TEST(PassManagerTest, PassOutcomesDoNotDependOnHeapHistory) {
         }
       }
       const PassOutcome second = CompileOutcome(workload, level);
-      EXPECT_EQ(first.stats, second.stats)
+      EXPECT_EQ(first.counters, second.counters)
           << workload.name << " at " << OptLevelName(level);
       EXPECT_EQ(first.changed, second.changed)
           << workload.name << " at " << OptLevelName(level);
+      EXPECT_EQ(first.module_hash, second.module_hash)
+          << workload.name << " at " << OptLevelName(level);
+    }
+  }
+}
+
+TEST(PassManagerTest, ConcurrentCompilesKeepTheirOwnCounters) {
+  // Every compile counts into its own PassManager's shard, so compiles on
+  // two threads at once each report exactly their single-threaded counts.
+  const Workload* workloads[] = {FindWorkload("wc"), FindWorkload("cksum_wide")};
+  ASSERT_NE(workloads[0], nullptr);
+  ASSERT_NE(workloads[1], nullptr);
+  CompiledCounters expected[2];
+  for (int i = 0; i < 2; ++i) {
+    expected[i] = CompileCounters(*workloads[i], OptLevel::kOverify);
+    ASSERT_NE(expected[i].counters, std::vector<uint64_t>(kNumCounters, 0))
+        << workloads[i]->name;
+  }
+  ASSERT_NE(expected[0].counters, expected[1].counters);
+
+  constexpr int kRounds = 4;
+  std::vector<CompiledCounters> outcomes[2];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      for (int round = 0; round < kRounds; ++round) {
+        outcomes[i].push_back(CompileCounters(*workloads[i], OptLevel::kOverify));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(outcomes[i].size(), static_cast<size_t>(kRounds));
+    for (const CompiledCounters& outcome : outcomes[i]) {
+      EXPECT_EQ(outcome.counters, expected[i].counters) << workloads[i]->name;
+      EXPECT_EQ(outcome.module_hash, expected[i].module_hash) << workloads[i]->name;
     }
   }
 }

@@ -209,25 +209,26 @@ TEST(PrefixCacheTest, SubsetSupersetAndExtensionHits) {
   ASSERT_EQ(chain.CheckSat(pair, nullptr), SatResult::kUnsat);
   std::vector<const Expr*> wider = {rel01, rel10, ult(3, 100)};
   EXPECT_EQ(chain.CheckSat(wider, nullptr), SatResult::kUnsat);
-  EXPECT_GE(chain.stats().prefix_subset_hits, 1u);
+  EXPECT_GE(chain.metrics().Get(Counter::kPrefixSubsetHits), 1u);
 
   // SAT prefix cached; the depth-k+1 extension reuses/extends its model.
   std::vector<const Expr*> grow = {rel01};
   std::vector<uint8_t> model;
   ASSERT_EQ(chain.CheckSat(grow, &model, nullptr), SatResult::kSat);
-  uint64_t core_before = chain.stats().core_queries;
+  uint64_t core_before = chain.metrics().Get(Counter::kSolverCoreQueries);
   grow.push_back(rel12);
   ASSERT_EQ(chain.CheckSat(grow, &model, nullptr), SatResult::kSat);
-  EXPECT_GE(chain.stats().prefix_model_hits + chain.stats().prefix_superset_hits +
-                chain.stats().core_queries - core_before,
+  EXPECT_GE(chain.metrics().Get(Counter::kPrefixModelHits) +
+                chain.metrics().Get(Counter::kPrefixSupersetHits) +
+                chain.metrics().Get(Counter::kSolverCoreQueries) - core_before,
             1u);
   // SAT superset cached ({rel01, rel12}); its subset is answered with the
   // superset's model without a core search.
-  core_before = chain.stats().core_queries;
+  core_before = chain.metrics().Get(Counter::kSolverCoreQueries);
   std::vector<const Expr*> sub = {rel12};
   ASSERT_EQ(chain.CheckSat(sub, &model, nullptr), SatResult::kSat);
-  EXPECT_EQ(chain.stats().core_queries, core_before);
-  EXPECT_GE(chain.stats().prefix_superset_hits, 1u);
+  EXPECT_EQ(chain.metrics().Get(Counter::kSolverCoreQueries), core_before);
+  EXPECT_GE(chain.metrics().Get(Counter::kPrefixSupersetHits), 1u);
   ctx.NewEvaluation();
   EXPECT_NE(ctx.Evaluate(rel12, model), 0u);
 }
@@ -243,9 +244,9 @@ std::unique_ptr<Module> CompileOrDie(const std::string& source) {
 
 void ExpectSameOutcome(const SymexResult& a, const SymexResult& b, const std::string& label) {
   EXPECT_EQ(a.exhausted, b.exhausted) << label;
-  EXPECT_EQ(a.paths_completed, b.paths_completed) << label;
-  EXPECT_EQ(a.paths_infeasible, b.paths_infeasible) << label;
-  EXPECT_EQ(a.paths_bug, b.paths_bug) << label;
+  for (Counter c : {Counter::kPathsCompleted, Counter::kPathsInfeasible, Counter::kPathsBug}) {
+    EXPECT_EQ(a.metrics.Get(c), b.metrics.Get(c)) << label << " " << CounterName(c);
+  }
   ASSERT_EQ(a.bugs.size(), b.bugs.size()) << label;
   for (size_t i = 0; i < a.bugs.size(); ++i) {
     EXPECT_EQ(a.bugs[i].kind, b.bugs[i].kind) << label << " bug " << i;

@@ -426,7 +426,7 @@ TEST(SolverChainPropertyTest, ChainAgreesWithCoreAndModelsAreValid) {
       }
     }
   }
-  EXPECT_GE(chain.stats().cache_hits, 1u);
+  EXPECT_GE(chain.metrics().Get(Counter::kSolverCacheHits), 1u);
 }
 
 // ---- Printer/parser round trip over real modules ----------------------------

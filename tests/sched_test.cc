@@ -58,11 +58,10 @@ SearchStrategy DeterminismStrategy() {
 // Two results must agree on everything the determinism contract covers.
 void ExpectEquivalent(const SymexResult& a, const SymexResult& b, const std::string& label) {
   EXPECT_EQ(a.exhausted, b.exhausted) << label;
-  EXPECT_EQ(a.paths_completed, b.paths_completed) << label;
-  EXPECT_EQ(a.paths_infeasible, b.paths_infeasible) << label;
-  EXPECT_EQ(a.paths_bug, b.paths_bug) << label;
-  EXPECT_EQ(a.instructions, b.instructions) << label;
-  EXPECT_EQ(a.forks, b.forks) << label;
+  for (Counter c : {Counter::kPathsCompleted, Counter::kPathsInfeasible, Counter::kPathsBug,
+                    Counter::kInstructions, Counter::kForks}) {
+    EXPECT_EQ(a.metrics.Get(c), b.metrics.Get(c)) << label << " " << CounterName(c);
+  }
   ASSERT_EQ(a.bugs.size(), b.bugs.size()) << label;
   for (size_t i = 0; i < a.bugs.size(); ++i) {
     EXPECT_EQ(a.bugs[i].kind, b.bugs[i].kind) << label << " bug " << i;
@@ -90,7 +89,7 @@ TEST(SearcherEquivalenceTest, EveryStrategyExploresTheSamePathSet) {
   EXPECT_TRUE(baseline.exhausted);
   // 3 independent branches fork 8 ways; the equality only forks on the 4
   // combos where in[0] and in[2] sit on the same side of 'm'.
-  EXPECT_EQ(baseline.paths_completed, 12u);
+  EXPECT_EQ(baseline.metrics.Get(Counter::kPathsCompleted), 12u);
   for (SearchStrategy strategy : AllStrategies()) {
     SymexResult result = RunWith(*m, strategy, 1, 3, limits);
     ExpectEquivalent(baseline, result, SearchStrategyName(strategy));
@@ -131,7 +130,7 @@ TEST(SchedulerDeterminismTest, WorkerCountsAgreeOnForkHeavyProgram) {
   SearchStrategy strategy = DeterminismStrategy();
   SymexResult one = RunWith(*m, strategy, 1, 6, limits);
   EXPECT_TRUE(one.exhausted);
-  EXPECT_GE(one.paths_completed, 64u);
+  EXPECT_GE(one.metrics.Get(Counter::kPathsCompleted), 64u);
   for (unsigned jobs : {2u, 4u}) {
     SymexResult many = RunWith(*m, strategy, jobs, 6, limits);
     ExpectEquivalent(one, many, "jobs=" + std::to_string(jobs));
@@ -220,7 +219,7 @@ TEST(SchedulerDeterminismTest, WcAtO3IdenticalAcrossWorkerCountsAndStrategies) {
   limits.max_seconds = 120;
   SymexResult one = Analyze(compiled, "umain", 5, limits, /*jobs=*/1);
   ASSERT_TRUE(one.exhausted);
-  EXPECT_GE(one.paths_completed, 1000u);
+  EXPECT_GE(one.metrics.Get(Counter::kPathsCompleted), 1000u);
   SymexResult four = Analyze(compiled, "umain", 5, limits, /*jobs=*/4);
   ExpectEquivalent(one, four, "wc@O3 jobs=4");
   SymexResult coverage = Analyze(compiled, "umain", 5, limits, /*jobs=*/4,
@@ -400,11 +399,11 @@ TEST(TerminationAccountingTest, CausesSumOnExhaustedRun) {
   SymexLimits limits;
   SymexResult result = SymbolicExecutor(*m).Run("umain", 2, limits);
   EXPECT_TRUE(result.exhausted);
-  EXPECT_GE(result.paths_bug, 1u);
-  EXPECT_EQ(result.paths_limit, 0u);
-  EXPECT_EQ(result.paths_unexplored, 0u);
-  EXPECT_EQ(result.paths_terminated, result.paths_infeasible + result.paths_bug +
-                                         result.paths_limit + result.paths_unexplored);
+  EXPECT_GE(result.metrics.Get(Counter::kPathsBug), 1u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsLimit), 0u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsUnexplored), 0u);
+  // Every terminated path has a non-solver cause.
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsUnknown), 0u);
 }
 
 TEST(TerminationAccountingTest, CompletingExactlyAtTheLimitIsStillExhausted) {
@@ -417,10 +416,10 @@ TEST(TerminationAccountingTest, CompletingExactlyAtTheLimitIsStillExhausted) {
   SymexLimits limits;
   limits.max_paths = 2;  // the program has exactly two paths
   SymexResult result = SymbolicExecutor(*m).Run("umain", 1, limits);
-  EXPECT_EQ(result.paths_completed, 2u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 2u);
   EXPECT_TRUE(result.exhausted);  // everything ran to its end
-  EXPECT_EQ(result.paths_limit, 0u);
-  EXPECT_EQ(result.paths_unexplored, 0u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsLimit), 0u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsUnexplored), 0u);
 }
 
 TEST(TerminationAccountingTest, CausesSumOnLimitStop) {
@@ -439,9 +438,11 @@ TEST(TerminationAccountingTest, CausesSumOnLimitStop) {
   options.strategy = SearchStrategy::kBfs;  // keeps plenty of states queued
   SymexResult result = SymbolicExecutor(*m, options).Run("umain", 8, limits);
   EXPECT_FALSE(result.exhausted);
-  EXPECT_GE(result.paths_limit + result.paths_unexplored, 1u);
-  EXPECT_EQ(result.paths_terminated, result.paths_infeasible + result.paths_bug +
-                                         result.paths_limit + result.paths_unexplored);
+  EXPECT_GE(result.metrics.Get(Counter::kPathsLimit) +
+                result.metrics.Get(Counter::kPathsUnexplored),
+            1u);
+  // Every terminated path has a non-solver cause.
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsUnknown), 0u);
 }
 
 // ---- Budget-limited determinism: partial results are reproducible too.
@@ -453,12 +454,11 @@ TEST(TerminationAccountingTest, CausesSumOnLimitStop) {
 void ExpectIdenticalPartial(const SymexResult& a, const SymexResult& b,
                             const std::string& label) {
   ExpectEquivalent(a, b, label);
-  EXPECT_EQ(a.paths_limit, b.paths_limit) << label;
-  EXPECT_EQ(a.paths_unexplored, b.paths_unexplored) << label;
-  EXPECT_EQ(a.paths_unknown, b.paths_unknown) << label;
-  EXPECT_EQ(a.paths_unknown_budget, b.paths_unknown_budget) << label;
-  EXPECT_EQ(a.paths_unknown_deadline, b.paths_unknown_deadline) << label;
-  EXPECT_EQ(a.paths_unknown_injected, b.paths_unknown_injected) << label;
+  for (Counter c : {Counter::kPathsLimit, Counter::kPathsUnexplored, Counter::kPathsUnknown,
+                    Counter::kPathsUnknownBudget, Counter::kPathsUnknownDeadline,
+                    Counter::kPathsUnknownInjected}) {
+    EXPECT_EQ(a.metrics.Get(c), b.metrics.Get(c)) << label << " " << CounterName(c);
+  }
   EXPECT_EQ(a.stop_cause, b.stop_cause) << label;
 }
 
@@ -481,7 +481,10 @@ TEST(BudgetDeterminismTest, PathBudgetedRunsAreBitIdentical) {
     std::string label = std::string("max_paths=10 ") + SearchStrategyName(strategy);
     EXPECT_FALSE(first.exhausted) << label;
     EXPECT_EQ(first.stop_cause, StopCause::kPaths) << label;
-    EXPECT_GT(first.paths_unexplored + first.paths_limit, 0u) << label;
+    EXPECT_GT(first.metrics.Get(Counter::kPathsUnexplored) +
+                  first.metrics.Get(Counter::kPathsLimit),
+              0u)
+        << label;
     SymexResult second = RunWith(*m, strategy, 1, 6, limits);
     ExpectIdenticalPartial(first, second, label);
   }

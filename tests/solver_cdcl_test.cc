@@ -437,10 +437,11 @@ TEST_F(CdclTest, ChainClauseReuseKeepsVerdictsAndNeverAddsWork) {
   EXPECT_EQ(learning.CheckSat(q2, nullptr), SatResult::kUnsat);
   EXPECT_EQ(frozen.CheckSat(q2, nullptr), SatResult::kUnsat);
 
-  EXPECT_GT(learning.stats().core_conflicts, 0u);
-  EXPECT_GT(learning.stats().core_learned, 0u);
-  EXPECT_EQ(frozen.stats().core_learned, 0u);
-  EXPECT_LE(learning.stats().core_candidates, frozen.stats().core_candidates);
+  EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreConflicts), 0u);
+  EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreLearned), 0u);
+  EXPECT_EQ(frozen.metrics().Get(Counter::kSolverCoreLearned), 0u);
+  EXPECT_LE(learning.metrics().Get(Counter::kSolverCoreCandidates),
+            frozen.metrics().Get(Counter::kSolverCoreCandidates));
 }
 
 // ---- Engine-level determinism with learning enabled.

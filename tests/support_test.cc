@@ -3,7 +3,6 @@
 
 #include "src/support/diagnostics.h"
 #include "src/support/rng.h"
-#include "src/support/statistics.h"
 #include "src/support/string_utils.h"
 #include "src/support/table.h"
 
@@ -39,29 +38,6 @@ TEST(DiagnosticsTest, ClearResets) {
   diags.Clear();
   EXPECT_FALSE(diags.HasErrors());
   EXPECT_TRUE(diags.Diagnostics().empty());
-}
-
-TEST(StatisticsTest, CountersAccumulate) {
-  StatisticsRegistry::Global().Reset();
-  Statistic counter("test.counter");
-  EXPECT_EQ(counter.Value(), 0);
-  ++counter;
-  counter += 4;
-  EXPECT_EQ(counter.Value(), 5);
-}
-
-TEST(StatisticsTest, SnapshotDeltaReportsOnlyChanges) {
-  StatisticsRegistry::Global().Reset();
-  Statistic a("test.a");
-  Statistic b("test.b");
-  ++a;
-  auto before = StatisticsRegistry::Global().Snapshot();
-  ++b;
-  b += 2;
-  auto after = StatisticsRegistry::Global().Snapshot();
-  auto delta = SnapshotDelta(before, after);
-  EXPECT_EQ(delta.size(), 1u);
-  EXPECT_EQ(delta.at("test.b"), 3);
 }
 
 TEST(StringUtilsTest, SplitAndJoin) {

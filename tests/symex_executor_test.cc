@@ -37,8 +37,8 @@ TEST(ExecutorTest, StraightLineSinglePath) {
   )");
   SymexResult result = RunOn(*m, "umain", 2);
   EXPECT_TRUE(result.exhausted);
-  EXPECT_EQ(result.paths_completed, 1u);
-  EXPECT_EQ(result.forks, 0u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 1u);
+  EXPECT_EQ(result.metrics.Get(Counter::kForks), 0u);
   EXPECT_TRUE(result.bugs.empty());
 }
 
@@ -51,8 +51,8 @@ TEST(ExecutorTest, OneBranchTwoPaths) {
   )");
   SymexResult result = RunOn(*m, "umain", 1);
   EXPECT_TRUE(result.exhausted);
-  EXPECT_EQ(result.paths_completed, 2u);
-  EXPECT_EQ(result.forks, 1u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 2u);
+  EXPECT_EQ(result.metrics.Get(Counter::kForks), 1u);
 }
 
 TEST(ExecutorTest, InfeasiblePathNotExplored) {
@@ -69,7 +69,7 @@ TEST(ExecutorTest, InfeasiblePathNotExplored) {
   )");
   SymexResult result = RunOn(*m, "umain", 1);
   EXPECT_TRUE(result.exhausted);
-  EXPECT_EQ(result.paths_completed, 2u);  // not 3
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 2u);  // not 3
 }
 
 TEST(ExecutorTest, LoopOverInputPathsScaleWithLength) {
@@ -83,7 +83,7 @@ TEST(ExecutorTest, LoopOverInputPathsScaleWithLength) {
   )");
   SymexResult result = RunOn(*m, "umain", 4);
   EXPECT_TRUE(result.exhausted);
-  EXPECT_EQ(result.paths_completed, 5u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 5u);
 }
 
 TEST(ExecutorTest, FindsDivisionByZero) {
@@ -103,7 +103,7 @@ TEST(ExecutorTest, FindsDivisionByZero) {
     }
   }
   // The non-crashing continuation still completes.
-  EXPECT_GE(result.paths_completed, 1u);
+  EXPECT_GE(result.metrics.Get(Counter::kPathsCompleted), 1u);
 }
 
 TEST(ExecutorTest, FindsOutOfBoundsAccess) {
@@ -159,7 +159,7 @@ TEST(ExecutorTest, NullDereferenceDetected) {
   )");
   SymexResult result = RunOn(*m, "umain", 1);
   EXPECT_TRUE(result.FoundBug(BugKind::kNullDeref));
-  EXPECT_GE(result.paths_completed, 1u);  // the 'z' path survives
+  EXPECT_GE(result.metrics.Get(Counter::kPathsCompleted), 1u);  // the 'z' path survives
 }
 
 TEST(ExecutorTest, FunctionCallsWork) {
@@ -173,7 +173,7 @@ TEST(ExecutorTest, FunctionCallsWork) {
   )");
   SymexResult result = RunOn(*m, "umain", 1);
   EXPECT_TRUE(result.exhausted);
-  EXPECT_EQ(result.paths_completed, 2u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 2u);
 }
 
 TEST(ExecutorTest, RecursionExecutes) {
@@ -186,7 +186,7 @@ TEST(ExecutorTest, RecursionExecutes) {
   SymexResult result = RunOn(*m, "umain", 1);
   EXPECT_TRUE(result.exhausted);
   // Depth of recursion forks on x <= 1 per level: several paths complete.
-  EXPECT_GE(result.paths_completed, 2u);
+  EXPECT_GE(result.metrics.Get(Counter::kPathsCompleted), 2u);
   EXPECT_TRUE(result.bugs.empty());
 }
 
@@ -205,7 +205,7 @@ TEST(ExecutorTest, GlobalTablesReadable) {
   SymexResult result = RunOn(*m, "umain", 4);
   EXPECT_TRUE(result.exhausted);
   // Paths: fail at position 0..3 plus full match.
-  EXPECT_EQ(result.paths_completed, 5u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 5u);
 }
 
 TEST(ExecutorTest, WriteToReadOnlyGlobalIsBug) {
@@ -229,7 +229,7 @@ TEST(ExecutorTest, WriteToReadOnlyGlobalIsBug) {
   )");
   SymexResult result = RunOn(*m2, "umain", 1);
   EXPECT_TRUE(result.bugs.empty());
-  EXPECT_EQ(result.paths_completed, 1u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 1u);
 }
 
 TEST(ExecutorTest, PutcharCollectsOutput) {
@@ -262,7 +262,7 @@ TEST(ExecutorTest, SymbolicStoreThenLoad) {
   // read uninitialized (0) or... uninitialized stack reads are 0 here, so
   // returning 2 requires buf[j]==42 with i!=j, impossible. Expect paths for
   // both branch outcomes of the compound condition but only return 1 paths.
-  EXPECT_GE(result.paths_completed, 1u);
+  EXPECT_GE(result.metrics.Get(Counter::kPathsCompleted), 1u);
   EXPECT_TRUE(result.bugs.empty());
 }
 
@@ -282,7 +282,7 @@ TEST(ExecutorTest, PathLimitRespected) {
   limits.max_seconds = 60;
   SymexResult result = engine.Run("umain", 6, limits);
   EXPECT_FALSE(result.exhausted);
-  EXPECT_EQ(result.paths_completed, 4u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 4u);
 }
 
 TEST(ExecutorTest, ExhaustiveBranchingCount) {
@@ -298,7 +298,7 @@ TEST(ExecutorTest, ExhaustiveBranchingCount) {
   )");
   SymexResult result = RunOn(*m, "umain", 5);
   EXPECT_TRUE(result.exhausted);
-  EXPECT_EQ(result.paths_completed, 32u);  // 2^5
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 32u);  // 2^5
 }
 
 }  // namespace

@@ -115,13 +115,16 @@ TEST_F(TraceTest, TracingDoesNotPerturbResults) {
   SymexResult traced = RunWc(m, traced_opts);
   ASSERT_TRUE(untraced.ok);
   ASSERT_TRUE(traced.ok);
-  EXPECT_EQ(untraced.paths_completed, traced.paths_completed);
-  EXPECT_EQ(untraced.paths_terminated, traced.paths_terminated);
-  EXPECT_EQ(untraced.instructions, traced.instructions);
-  EXPECT_EQ(untraced.forks, traced.forks);
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    const Counter c = static_cast<Counter>(i);
+    if (CounterIsDeterministic(c)) {
+      EXPECT_EQ(untraced.metrics.Get(c), traced.metrics.Get(c)) << CounterName(c);
+    }
+  }
   EXPECT_EQ(untraced.exhausted, traced.exhausted);
   EXPECT_EQ(untraced.bugs.size(), traced.bugs.size());
-  EXPECT_EQ(untraced.solver.queries, traced.solver.queries);
+  EXPECT_EQ(untraced.metrics.Get(Counter::kSolverQueries),
+            traced.metrics.Get(Counter::kSolverQueries));
 }
 
 }  // namespace

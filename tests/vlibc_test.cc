@@ -271,8 +271,8 @@ TEST(SymbolicCtypeTest, VerifyFlavorPredicatesAreForkFreeAtOverify) {
     limits.max_seconds = 30;
     auto result = Analyze(compiled, "umain", 1, limits);
     EXPECT_TRUE(result.exhausted) << fn;
-    EXPECT_EQ(result.forks, 0u) << fn << ": verify-flavor predicate forked";
-    EXPECT_EQ(result.paths_completed, 1u) << fn;
+    EXPECT_EQ(result.metrics.Get(Counter::kForks), 0u) << fn << ": verify-flavor predicate forked";
+    EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 1u) << fn;
     EXPECT_TRUE(result.bugs.empty()) << fn;
   }
 }

@@ -93,7 +93,7 @@ TEST_P(WorkloadTest, SymbolicAnalysisTerminatesAtOverify) {
   limits.max_paths = 60000;
   limits.max_seconds = 30;
   auto result = Analyze(compiled, "umain", 3, limits);
-  EXPECT_GE(result.paths_completed, 1u) << workload.name;
+  EXPECT_GE(result.metrics.Get(Counter::kPathsCompleted), 1u) << workload.name;
   for (const BugReport& bug : result.bugs) {
     EXPECT_NE(bug.kind, BugKind::kEngineError) << workload.name << ": " << bug.message;
   }
@@ -151,7 +151,7 @@ TEST(SuiteShapeTest, TwoBufferWorkloadsRunThroughBothExecutors) {
   limits.max_seconds = 30;
   auto result = Analyze(compiled, "umain", 6, limits);
   EXPECT_TRUE(result.exhausted);
-  EXPECT_GE(result.paths_completed, 4u);
+  EXPECT_GE(result.metrics.Get(Counter::kPathsCompleted), 4u);
   for (const BugReport& bug : result.bugs) {
     EXPECT_NE(bug.kind, BugKind::kEngineError) << bug.message;
   }
