@@ -1,6 +1,8 @@
 // Pipeline tuning: sweep the if-conversion branch-cost parameter and watch
 // the paper's central tension appear as a curve — verification cost falls as
-// branches are priced higher, while (CPU-modeled) execution cost rises.
+// branches are priced higher, while (CPU-modeled) execution cost rises. The
+// last row is -OVERIFY's verifier cost model, which prices a conversion by
+// what the select costs the verifier instead.
 //
 //   $ ./pipeline_tuning
 //
@@ -44,16 +46,12 @@ int main() {
   TextTable table({"branch cost", "branches converted", "paths (5 bytes)", "verif instrs",
                    "exec cost units"});
 
-  for (int branch_cost : {0, 2, 4, 8, 32, 1 << 20}) {
-    PipelineOptions options = PipelineOptions::For(OptLevel::kOverify);
-    options.if_converter.branch_cost = branch_cost;
-    options.if_convert = branch_cost > 0;
-
+  auto add_row = [&](const std::string& label, const PipelineOptions& options) {
     Compiler compiler;
     CompileResult compiled = compiler.CompileWithOptions(kProgram, options);
     if (!compiled.ok) {
       std::fprintf(stderr, "compile failed:\n%s\n", compiled.errors.c_str());
-      return 1;
+      return false;
     }
     const uint64_t converted = compiled.metrics.Get(Counter::kIfConvertBranchesConverted);
 
@@ -65,12 +63,28 @@ int main() {
     Interpreter interp(*compiled.module);
     InterpResult run = interp.Run("umain", text);
 
-    table.AddRow({branch_cost == (1 << 20) ? "infinite (-OVERIFY)" : std::to_string(branch_cost),
-                  std::to_string(converted),
+    table.AddRow({label, std::to_string(converted),
                   std::to_string(analysis.metrics.Get(Counter::kPathsCompleted)) +
                       (analysis.exhausted ? "" : " (capped)"),
                   std::to_string(analysis.metrics.Get(Counter::kInstructions)),
                   std::to_string(run.cost_units)});
+    return true;
+  };
+
+  // The CPU cost model at rising branch costs...
+  for (int branch_cost : {0, 2, 4, 8, 32, 1 << 20}) {
+    PipelineOptions options = PipelineOptions::For(OptLevel::kOverify);
+    options.if_converter.verifier_cost = false;
+    options.if_converter.branch_cost = branch_cost;
+    options.if_convert = branch_cost > 0;
+    if (!add_row(std::to_string(branch_cost), options)) {
+      return 1;
+    }
+  }
+  // ...then -OVERIFY's own: every safe branch unless its select would
+  // reach a memory address.
+  if (!add_row("verifier (-OVERIFY)", PipelineOptions::For(OptLevel::kOverify))) {
+    return 1;
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf("reading: raising the modeled branch cost converts more branches, shrinking\n"

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "src/ir/cfg.h"
@@ -68,6 +69,45 @@ bool IsSpeculatableBlock(BasicBlock* block, BasicBlock* head, DominatorTree& dom
     }
   }
   return true;
+}
+
+// True if `value` flows into a memory address: a GEP operand, a load's
+// pointer or a store's pointer. The walk follows uses forward through
+// arithmetic, casts, compares, selects and phis; the seen-set terminates
+// loop phis. The answer is a reachability fact, so it does not depend on the
+// order uses are visited in.
+bool ReachesAddress(Value* value) {
+  std::vector<Value*> worklist = {value};
+  std::set<Value*> seen = {value};
+  while (!worklist.empty()) {
+    Value* current = worklist.back();
+    worklist.pop_back();
+    for (const Use& use : current->uses()) {
+      Instruction* user = use.user;
+      switch (user->opcode()) {
+        case Opcode::kGep:
+        case Opcode::kLoad:
+          return true;
+        case Opcode::kStore:
+          if (use.operand_index == 1) {
+            return true;
+          }
+          continue;
+        case Opcode::kICmp:
+        case Opcode::kSelect:
+        case Opcode::kPhi:
+          break;
+        default:
+          if (!user->IsBinaryOp() && !user->IsCast()) {
+            continue;
+          }
+      }
+      if (seen.insert(user).second) {
+        worklist.push_back(user);
+      }
+    }
+  }
+  return false;
 }
 
 // Moves all non-terminator instructions of `from` into `to` before `before`.
@@ -140,17 +180,19 @@ std::optional<Shape> MatchShape(BasicBlock* head,
   return std::nullopt;
 }
 
-bool ConvertShape(Function& fn, const Shape& shape, DominatorTree& dom,
-                  const IfConvertOptions& options) {
+enum class Decision { kConverted, kDeclined, kAddressRefused };
+
+Decision ConvertShape(Function& fn, const Shape& shape, DominatorTree& dom,
+                      const IfConvertOptions& options) {
   size_t true_cost = 0;
   size_t false_cost = 0;
   if (shape.true_side != nullptr &&
       !IsSpeculatableBlock(shape.true_side, shape.head, dom, options, true_cost)) {
-    return false;
+    return Decision::kDeclined;
   }
   if (shape.false_side != nullptr &&
       !IsSpeculatableBlock(shape.false_side, shape.head, dom, options, false_cost)) {
-    return false;
+    return Decision::kDeclined;
   }
 
   auto* br = Cast<BranchInst>(shape.head->Terminator());
@@ -159,16 +201,29 @@ bool ConvertShape(Function& fn, const Shape& shape, DominatorTree& dom,
   std::vector<PhiInst*> phis = shape.join->Phis();
   for (PhiInst* phi : phis) {
     if (phi->IncomingIndexFor(true_pred) < 0 || phi->IncomingIndexFor(false_pred) < 0) {
-      return false;
+      return Decision::kDeclined;
     }
   }
 
-  // Cost model: speculation executes both sides plus one select per phi,
-  // instead of one branch. Under -OVERIFY the branch cost dominates always.
-  int speculation_cost = static_cast<int>(true_cost + false_cost + phis.size()) *
-                         options.instruction_cost;
-  if (speculation_cost > options.branch_cost) {
-    return false;
+  if (options.verifier_cost) {
+    // A select that reaches an address makes the access's offset symbolic,
+    // and the engine reads a symbolic offset as a select chain over the
+    // object's bytes: the path saved costs more solver search than it
+    // spares (docs/engine.md#what-a-select-costs-the-verifier).
+    for (PhiInst* phi : phis) {
+      if (phi->IncomingValueFor(true_pred) != phi->IncomingValueFor(false_pred) &&
+          ReachesAddress(phi)) {
+        return Decision::kAddressRefused;
+      }
+    }
+  } else {
+    // CPU cost model: speculation executes both sides plus one select per
+    // phi, instead of one branch.
+    int speculation_cost = static_cast<int>(true_cost + false_cost + phis.size()) *
+                           options.instruction_cost;
+    if (speculation_cost > options.branch_cost) {
+      return Decision::kDeclined;
+    }
   }
 
   // Hoist both sides into head, before its terminator.
@@ -212,7 +267,7 @@ bool ConvertShape(Function& fn, const Shape& shape, DominatorTree& dom,
   if (shape.false_side != nullptr) {
     fn.EraseBlock(shape.false_side);
   }
-  return true;
+  return Decision::kConverted;
 }
 
 }  // namespace
@@ -220,6 +275,10 @@ bool ConvertShape(Function& fn, const Shape& shape, DominatorTree& dom,
 bool IfConvertPass::RunOnFunction(Function& fn) {
   bool changed = false;
   bool progress = true;
+  // Heads refused so far: the scan restarts after every conversion, and each
+  // refused branch counts once per run. Heads are never erased here (only
+  // side blocks are), so the set holds no dangling pointers.
+  std::set<BasicBlock*> refused;
   while (progress) {
     progress = false;
     auto preds = PredecessorMap(fn);
@@ -229,7 +288,11 @@ bool IfConvertPass::RunOnFunction(Function& fn) {
       if (!shape.has_value()) {
         continue;
       }
-      if (ConvertShape(fn, *shape, dom, options_)) {
+      Decision decision = ConvertShape(fn, *shape, dom, options_);
+      if (decision == Decision::kAddressRefused && refused.insert(&block).second) {
+        Count(Counter::kIfConvertAddressSelectsRefused);
+      }
+      if (decision == Decision::kConverted) {
         Count(Counter::kIfConvertBranchesConverted);
         changed = true;
         progress = true;

@@ -89,9 +89,10 @@ PipelineOptions PipelineOptions::For(OptLevel level) {
       o.unroll = true;
       o.unroller.max_trip_count = 64;
       o.unroller.size_limit = 8192;
-      // ...and convert every safely-speculatable branch into selects.
+      // ...and convert safely-speculatable branches into selects, priced by
+      // the verifier: any size, but never a select that reaches an address.
       o.if_convert = true;
-      o.if_converter.branch_cost = 1 << 20;
+      o.if_converter.verifier_cost = true;
       o.if_converter.max_speculated = 256;
       o.if_converter.speculate_loads = true;
       // (3) metadata and (4) library flavor.

@@ -4,9 +4,10 @@
 // Per §3 of the paper, -OVERIFY differs from -O3 in four ways, all visible
 // below: (1) pass selection (adds if-conversion, runtime checks,
 // annotations; drops nothing that helps verification), (2) cost parameters
-// (branch cost treated as enormous, inline threshold and unroll budget
-// enlarged), (3) preserved metadata (the annotations side table), and
-// (4) the C library flavor (chosen by the driver via `use_verify_libc`).
+// (if-conversion priced by the verifier's cost instead of the CPU's, inline
+// threshold and unroll budget enlarged), (3) preserved metadata (the
+// annotations side table), and (4) the C library flavor (chosen by the
+// driver via `use_verify_libc`).
 #pragma once
 
 #include "src/passes/annotate.h"

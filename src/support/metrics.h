@@ -118,6 +118,7 @@ namespace overify {
   X(kDceRemoved, "dce.removed", true)                                 \
   X(kGlobalDceFunctionsRemoved, "globaldce.functions_removed", true)  \
   X(kIfConvertBranchesConverted, "ifconvert.branches_converted", true) \
+  X(kIfConvertAddressSelectsRefused, "ifconvert.address_selects_refused", true) \
   X(kInlineFunctionsInlined, "inline.functions_inlined", true)        \
   X(kInstCombineSimplified, "instcombine.simplified", true)           \
   X(kJumpThreadThreaded, "jumpthread.threaded", true)                 \

@@ -226,7 +226,7 @@ DiffReport RunDifferential(const std::string& name, const std::string& source,
       }
       RunSignature signature =
           SignatureOf(result, *compiled.module, options.entry, options.confirm_models);
-      report.cells.push_back(CellResult{cell, signature});
+      report.cells.push_back(CellResult{cell, signature, result.metrics});
 
       for (const BugSignature& bug : signature.bugs) {
         if (bug.kind == BugKind::kEngineError) {
@@ -492,8 +492,9 @@ DiffReport RunWarmColdDifferential(const std::string& name, const std::string& s
     };
 
     // The reference: a cold run with no store at all.
-    RunSignature reference = run_once(nullptr, base + "/cold", nullptr);
-    report.cells.push_back(CellResult{cell, reference});
+    SymexResult cold_result;
+    RunSignature reference = run_once(nullptr, base + "/cold", &cold_result);
+    report.cells.push_back(CellResult{cell, reference, cold_result.metrics});
     if (!reference.exhausted) {
       diff << base << "/cold did not exhaust within the limits (size "
            << "WarmColdOptions::limits so it does): " << reference.ToString() << "\n";

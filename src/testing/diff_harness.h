@@ -166,6 +166,10 @@ std::vector<LatticeCell> FullLattice(const DiffOptions& options);
 struct CellResult {
   LatticeCell cell;
   RunSignature signature;
+  // The run's registry, schedule-dependent counters included. Never
+  // compared; it lets a caller check what the run exercised (that a solver
+  // workload reached the learning core, say).
+  MetricsShard metrics;
 };
 
 struct DiffReport {

@@ -8,6 +8,7 @@
 #include "src/exec/interpreter.h"
 #include "src/ir/verifier.h"
 #include "src/support/rng.h"
+#include "src/workloads/workloads.h"
 
 namespace overify {
 namespace {
@@ -312,6 +313,18 @@ TEST(PipelineStatsTest, OverifyPerformsMoreTransformationsThanO3) {
             o3_result.metrics.Get(Counter::kPathsCompleted));
   EXPECT_LT(ov_result.metrics.Get(Counter::kInstructions),
             o3_result.metrics.Get(Counter::kInstructions));
+}
+
+TEST(PipelineStatsTest, OnlyOverifyRefusesSelectsThatReachAnAddress) {
+  // expr_add's atoi sign diamond leaves the scan index a select that indexes
+  // every later digit load. -OVERIFY's verifier cost model keeps that branch;
+  // -O3's CPU model never applies the rule.
+  const Workload* workload = FindWorkload("expr_add");
+  ASSERT_NE(workload, nullptr);
+  auto ov = CompileLevel(workload->source, OptLevel::kOverify);
+  auto o3 = CompileLevel(workload->source, OptLevel::kO3);
+  EXPECT_GT(ov.metrics.Get(Counter::kIfConvertAddressSelectsRefused), 0u);
+  EXPECT_EQ(o3.metrics.Get(Counter::kIfConvertAddressSelectsRefused), 0u);
 }
 
 TEST(CompileErrorsTest, DriverSurfacesFrontendErrors) {

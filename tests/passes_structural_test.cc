@@ -292,6 +292,130 @@ TEST(IfConvertTest, SpeculatesLoadWithDominatingAccess) {
   ExpectValid(*m);
 }
 
+// atoi's sign diamond, `if (s[i] == '-') { sign = -1; i++; } else
+// i += (s[i] == '+');`, followed by %USE%: the use the join phi `%i` feeds.
+std::string AtoiSignDiamond(const std::string& use) {
+  std::string ir = R"(
+    func @f(%s: i8*, %start: i64) -> i32 {
+    entry:
+      %p0 = gep i8, %s, %start
+      %c0 = load %p0
+      %neg = icmp eq %c0, i8 45
+      br %neg, label %minus, label %other
+    minus:
+      %im = add %start, i64 1
+      br label %join
+    other:
+      %plus = icmp eq %c0, i8 43
+      %step = zext %plus to i64
+      %ip = add %start, %step
+      br label %join
+    join:
+      %i = phi i64 [ %im, %minus ], [ %ip, %other ]
+      %sign = phi i32 [ i32 -1, %minus ], [ i32 1, %other ]
+      %USE%
+    }
+  )";
+  ir.replace(ir.find("%USE%"), 5, use);
+  return ir;
+}
+
+// The phi indexes the digit load directly.
+const char* kIndexesGepDirectly = R"(
+      %p = gep i8, %s, %i
+      %c = load %p
+      %v = zext %c to i32
+      %r = mul %v, %sign
+      ret %r)";
+
+// The phi only reaches the address through the digit loop's induction phi.
+const char* kIndexesGepThroughLoopPhi = R"(
+      br label %loop
+    loop:
+      %k = phi i64 [ %i, %join ], [ %k1, %body ]
+      %acc = phi i32 [ i32 0, %join ], [ %acc1, %body ]
+      %p = gep i8, %s, %k
+      %c = load %p
+      %more = icmp ne %c, i8 0
+      br %more, label %body, label %done
+    body:
+      %d = zext %c to i32
+      %acc1 = add %acc, %d
+      %k1 = add %k, i64 1
+      br label %loop
+    done:
+      %r = mul %acc, %sign
+      ret %r)";
+
+// The phi feeds only arithmetic and the return.
+const char* kFeedsArithmeticOnly = R"(
+      %t = trunc %i to i32
+      %r = mul %t, %sign
+      ret %r)";
+
+IfConvertOptions VerifierCost() {
+  IfConvertOptions options;
+  options.verifier_cost = true;
+  return options;
+}
+
+TEST(IfConvertTest, VerifierCostRefusesSelectThatIndexesMemory) {
+  for (const char* use : {kIndexesGepDirectly, kIndexesGepThroughLoopPhi}) {
+    auto m = ParseModuleOrDie(AtoiSignDiamond(use));
+    Function* f = m->GetFunction("f");
+    EXPECT_FALSE(IfConvertPass(VerifierCost()).RunOnFunction(*f)) << use;
+    EXPECT_EQ(CountOpcode(*f, Opcode::kSelect), 0u) << use;
+  }
+}
+
+TEST(IfConvertTest, CpuCostModelStillConvertsSelectThatIndexesMemory) {
+  IfConvertOptions cpu;
+  cpu.branch_cost = 1 << 20;
+  for (const char* use : {kIndexesGepDirectly, kIndexesGepThroughLoopPhi}) {
+    auto m = ParseModuleOrDie(AtoiSignDiamond(use));
+    Function* f = m->GetFunction("f");
+    EXPECT_TRUE(IfConvertPass(cpu).RunOnFunction(*f)) << use;
+    ExpectValid(*m);
+    EXPECT_EQ(CountOpcode(*f, Opcode::kSelect), 2u) << use;
+  }
+}
+
+TEST(IfConvertTest, VerifierCostConvertsSelectThatFeedsArithmeticOnly) {
+  auto m = ParseModuleOrDie(AtoiSignDiamond(kFeedsArithmeticOnly));
+  Function* f = m->GetFunction("f");
+  EXPECT_TRUE(IfConvertPass(VerifierCost()).RunOnFunction(*f));
+  ExpectValid(*m);
+  SimplifyCfgPass().RunOnFunction(*f);
+  EXPECT_EQ(CountOpcode(*f, Opcode::kSelect), 2u);
+  EXPECT_EQ(CountAcyclicPaths(*f), 1u);
+}
+
+TEST(IfConvertTest, AddressRefusalCountsOncePerBranch) {
+  // The digit then feeds a convertible diamond. Converting it restarts the
+  // scan, which meets the refused sign branch a second time.
+  auto m = ParseModuleOrDie(AtoiSignDiamond(R"(
+      %p = gep i8, %s, %i
+      %c = load %p
+      %v = zext %c to i32
+      %nz = icmp ne %v, i32 0
+      br %nz, label %a, label %b
+    a:
+      %x = add %v, i32 1
+      br label %end
+    b:
+      %y = add %v, i32 2
+      br label %end
+    end:
+      %z = phi i32 [ %x, %a ], [ %y, %b ]
+      %r = mul %z, %sign
+      ret %r)"));
+  PassManager pm;
+  pm.Add(std::make_unique<IfConvertPass>(VerifierCost()));
+  EXPECT_TRUE(pm.Run(*m));
+  EXPECT_EQ(pm.metrics().Get(Counter::kIfConvertAddressSelectsRefused), 1u);
+  EXPECT_EQ(pm.metrics().Get(Counter::kIfConvertBranchesConverted), 1u);
+}
+
 const char* kUnswitchable = R"(
   func @f(%n: i32, %any: i32) -> i32 {
   entry:

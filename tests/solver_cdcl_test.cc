@@ -481,7 +481,11 @@ TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
 // full default width runs trial-division srem queries whose UNSAT cores
 // span several bytes. The run must exhaust under a wall ceiling — a
 // regression in learning, domain seeding, or restart gating shows up here
-// as a blown deadline long before the full lattice job notices.
+// as a blown deadline long before the full lattice job notices. Since
+// -OVERIFY keeps atoi's sign branch (no select-indexed digit loads), a
+// Release build exhausts in about 1 s and still learns about 1.0M clauses;
+// the core-search assertions keep a cheaper pipeline from turning this into
+// a test that never reaches the learning core.
 TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   const Workload* workload = FindWorkload("factor");
   ASSERT_NE(workload, nullptr);
@@ -497,6 +501,8 @@ TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   EXPECT_TRUE(report.ok) << report.diff;
   for (const auto& cell : report.cells) {
     EXPECT_TRUE(cell.signature.exhausted) << cell.cell.Name();
+    EXPECT_GT(cell.metrics.Get(Counter::kSolverCoreConflicts), 0u) << cell.cell.Name();
+    EXPECT_GT(cell.metrics.Get(Counter::kSolverCoreLearned), 0u) << cell.cell.Name();
   }
 }
 

@@ -43,7 +43,11 @@ TEST_P(WorkloadTest, LevelsAgreeOnSampleAndRandomInputs) {
     ASSERT_TRUE(compiled.back().ok);
   }
 
-  std::vector<std::string> inputs = {workload.sample_input, ""};
+  // Fixed signed inputs take every arm of atoi's sign diamond, a branch the
+  // levels' if-conversion cost models decide differently; random draws
+  // reach a leading sign only about 1 time in 9.
+  std::vector<std::string> inputs = {workload.sample_input, "", "-12", "+7", "-3:5", "12+-4",
+                                     " -9", "\t+0", "-", "+"};
   Rng rng(42);
   for (int trial = 0; trial < 12; ++trial) {
     std::string input;
