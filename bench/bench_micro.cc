@@ -51,8 +51,8 @@ void ReportCoreSearchStats(benchmark::State& state, const MetricsShard& m) {
   Report(state, "core_candidates", m, Counter::kSolverCoreCandidates);
   Report(state, "core_conflicts", m, Counter::kSolverCoreConflicts);
   Report(state, "core_learned", m, Counter::kSolverCoreLearned);
+  Report(state, "core_learned_hits", m, Counter::kSolverCoreLearnedHits);
   Report(state, "core_backjumps", m, Counter::kSolverCoreBackjumps);
-  Report(state, "core_restarts", m, Counter::kSolverCoreRestarts);
 }
 
 // Attaches a bare solver chain's fast-path counters to a benchmark's output

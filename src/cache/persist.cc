@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <unordered_set>
 
 #include "src/ir/module.h"
@@ -44,20 +43,6 @@ void WriteEntry(ByteWriter& w, const PersistedEntry& entry) {
     w.U64(key);
   }
   w.Blob(entry.model);
-  w.U64(entry.clauses.size());
-  for (const LearnedClause& clause : entry.clauses) {
-    w.U64(clause.lits.size());
-    for (const auto& [symbol, value] : clause.lits) {
-      w.U16(symbol);
-      w.U8(value);
-    }
-    // Activity is carried as its IEEE-754 bit pattern; it only orders
-    // clause eviction, so bit-exactness matters more than readability.
-    uint64_t activity_bits;
-    static_assert(sizeof(activity_bits) == sizeof(clause.activity), "double is 64-bit");
-    std::memcpy(&activity_bits, &clause.activity, sizeof(activity_bits));
-    w.U64(activity_bits);
-  }
 }
 
 bool ReadEntry(ByteReader& r, PersistedEntry& entry) {
@@ -76,24 +61,6 @@ bool ReadEntry(ByteReader& r, PersistedEntry& entry) {
     key = r.U64();
   }
   entry.model = r.Blob();
-  const uint64_t num_clauses = r.U64();
-  if (num_clauses > r.remaining() / 8) {
-    return false;
-  }
-  entry.clauses.resize(num_clauses);
-  for (LearnedClause& clause : entry.clauses) {
-    const uint64_t num_lits = r.U64();
-    if (num_lits > r.remaining() / 3) {
-      return false;
-    }
-    clause.lits.resize(num_lits);
-    for (auto& [symbol, value] : clause.lits) {
-      symbol = r.U16();
-      value = r.U8();
-    }
-    const uint64_t activity_bits = r.U64();
-    std::memcpy(&clause.activity, &activity_bits, sizeof(clause.activity));
-  }
   return r.ok();
 }
 
@@ -103,7 +70,7 @@ void SeedChain(const RunBlob& blob, SolverChain& chain) {
   for (const PersistedEntry& entry : blob.entries) {
     chain.SeedPersistedEntry(entry.keys, entry.set_hash, entry.fingerprint,
                              entry.result == 0 ? SatResult::kSat : SatResult::kUnsat,
-                             entry.model, entry.clauses);
+                             entry.model);
   }
 }
 
@@ -129,7 +96,6 @@ void HarvestChain(const SolverChain& chain, RunBlob& blob) {
     entry.fingerprint = live.fingerprint;
     entry.result = live.result == SatResult::kSat ? 0 : 1;
     entry.model = live.model;
-    entry.clauses = live.clauses;
     blob.entries.push_back(std::move(entry));
   });
 }

@@ -3,7 +3,7 @@
 // A CacheStore holds the harvest of previous verification runs — per
 // (module content hash, options fingerprint) "run blobs" carrying the run's
 // determinism signature and the counterexample cache's live entries (UNSAT
-// cores, SAT models, learned clauses) — and serializes them to a versioned,
+// cores and SAT models) — and serializes them to a versioned,
 // checksummed on-disk file. A later run (or a warm daemon serving many
 // runs) seeds its SolverChains from the matching blob, so solver queries
 // whose constraint sets were answered in a previous process are answered
@@ -37,7 +37,7 @@ struct SymexOptions;
 // Bump on ANY change to the serialized layout *or* to the definition of the
 // portable content hash (src/symex/expr_hash.cc) — stores written under a
 // different definition must be rejected wholesale, not reinterpreted.
-constexpr uint32_t kCacheStoreVersion = 1;
+constexpr uint32_t kCacheStoreVersion = 2;
 
 // "OVFYCACH" little-endian.
 constexpr uint64_t kCacheStoreMagic = 0x484341435946564Full;
@@ -51,7 +51,6 @@ struct PersistedEntry {
   uint64_t fingerprint = 0;  // portable content fingerprint
   uint8_t result = 0;
   std::vector<uint8_t> model;
-  std::vector<LearnedClause> clauses;
 };
 
 // The harvest of one (module, options) verification run.

@@ -5,9 +5,9 @@
 //   1. Run-level memoization — a finished verification's RunSignature is
 //      stored under (module content hash, options fingerprint); a repeat
 //      request is answered without executing anything.
-//   2. The persisted CacheStore — solver-level UNSAT cores, SAT models and
-//      learned clauses seeded into every run's SolverChains, loaded from /
-//      saved to the --store file across daemon restarts.
+//   2. The persisted CacheStore — solver-level UNSAT cores and SAT models
+//      seeded into every run's SolverChains, loaded from / saved to the
+//      --store file across daemon restarts.
 //   3. A warm shared expression interner — repeat runs of the same module
 //      re-intern into an already-populated DAG.
 //

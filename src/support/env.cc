@@ -75,40 +75,6 @@ EnvParse ParseEnvUint64(const char* name, uint64_t min_value, uint64_t max_value
   return parse;
 }
 
-EnvParse ParseEnvDouble(const char* name, double min_value, double max_value, double* out) {
-  EnvParse parse;
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return parse;
-  parse.present = true;
-
-  char range_buf[96];
-  std::snprintf(range_buf, sizeof(range_buf), "number in [%g, %g]", min_value, max_value);
-  const std::string range = range_buf;
-  if (*raw == '\0' || IsSpaceOnly(raw)) {
-    parse.error = Diagnostic(name, raw, "empty value", range);
-    return parse;
-  }
-  if (std::isspace(static_cast<unsigned char>(*raw))) {
-    parse.error = Diagnostic(name, raw, "leading whitespace", range);
-    return parse;
-  }
-
-  errno = 0;
-  char* end = nullptr;
-  double value = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') {
-    parse.error = Diagnostic(name, raw, "not a number", range);
-    return parse;
-  }
-  if (errno == ERANGE || !(value >= min_value && value <= max_value)) {
-    parse.error = Diagnostic(name, raw, "out of range", range);
-    return parse;
-  }
-  parse.ok = true;
-  *out = value;
-  return parse;
-}
-
 std::string ReportEnvError(const EnvParse& parse) {
   if (!parse.Rejected()) return std::string();
   std::fprintf(stderr, "overify: %s\n", parse.error.c_str());

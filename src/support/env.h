@@ -1,9 +1,9 @@
 // Strict environment-variable parsing for the OVERIFY_* knobs.
 //
-// The engine's tuning variables (OVERIFY_CDCL_*, OVERIFY_FAULT_*) used to
-// go through atoi-style parsing, which silently turns "abc" into 0 and
-// accepts trailing garbage — a mistyped CI sweep value then runs a
-// *different experiment* without anyone noticing. These helpers reject
+// The engine's tuning variables (OVERIFY_FAULT_*) used to go through
+// atoi-style parsing, which silently turns "abc" into 0 and accepts
+// trailing garbage — a mistyped CI sweep value then runs a *different
+// experiment* without anyone noticing. These helpers reject
 // anything that is not a complete, in-range literal and return a structured
 // diagnostic naming the variable, the offending value, and the accepted
 // range; callers keep their compiled-in default and surface the diagnostic
@@ -31,10 +31,6 @@ struct EnvParse {
 // untouched, so callers can pre-load it with the default.
 EnvParse ParseEnvUint64(const char* name, uint64_t min_value, uint64_t max_value,
                         uint64_t* out);
-
-// Parses `name` as a floating-point literal in [min_value, max_value]
-// (inclusive). Same contract as ParseEnvUint64.
-EnvParse ParseEnvDouble(const char* name, double min_value, double max_value, double* out);
 
 // Reports a rejected parse on stderr (one line, prefixed "overify:"), and
 // returns the same diagnostic so callers embedding it elsewhere (structured

@@ -70,7 +70,7 @@ namespace overify {
   X(kSolverCoreLearned, "solver.core_learned", false)         \
   X(kSolverCoreLearnedHits, "solver.core_learned_hits", false) \
   X(kSolverCoreBackjumps, "solver.core_backjumps", false)     \
-  X(kSolverCoreRestarts, "solver.core_restarts", false)       \
+  X(kSolverCoreRestarts, "solver.core_restarts", false) /* retired: always 0 */ \
   X(kSolverIndependenceDrops, "solver.independence_drops", false) \
   X(kSolverEvalMemoHits, "solver.eval_memo_hits", false)      \
   X(kSolverIntervalMemoHits, "solver.interval_memo_hits", false) \

@@ -125,11 +125,11 @@ struct SymexOptions {
   // preprocessing regression tests; verdicts and bug reports are identical
   // either way.
   bool solver_preprocess = true;
-  // Conflict clause learning, non-chronological backjumping and restarts in
-  // the backtracking core (docs/solver.md). Off is for A/B comparisons in
-  // the differential lattice; verdicts, models and bug reports are
-  // identical either way — learning only prunes candidates the search
-  // would have refuted one by one.
+  // In-query conflict clause learning in the backtracking core
+  // (docs/solver.md); backjumping and domains stay on either way. Off is
+  // for A/B comparisons in the differential lattice; verdicts, models and
+  // bug reports are identical either way — learning only prunes candidates
+  // the search would have refuted one by one.
   bool solver_learning = true;
   // Seed for the random-path strategy (worker index is mixed in per worker).
   uint64_t search_seed = 0x05e11a11;

@@ -6,7 +6,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "src/support/env.h"
 #include "src/support/trace.h"
 
 namespace overify {
@@ -142,23 +141,6 @@ struct Domain {
   }
 };
 
-// The Luby restart sequence 1,1,2,1,1,2,4,... (i is 0-indexed).
-uint64_t LubyUnit(uint64_t i) {
-  ++i;
-  uint64_t size = 1;
-  uint64_t seq = 0;
-  while (size < i + 1) {
-    ++seq;
-    size = 2 * size + 1;
-  }
-  while (size - 1 != i) {
-    size = (size - 1) >> 1;
-    --seq;
-    i %= size;
-  }
-  return uint64_t{1} << seq;
-}
-
 // OVERIFY_SOLVER_DEBUG, resolved once per process.
 bool SolverDebug() {
   static const bool kDebug = std::getenv("OVERIFY_SOLVER_DEBUG") != nullptr;
@@ -180,33 +162,6 @@ uint16_t BucketOf(uint64_t mask, uint64_t values) {
 }
 
 }  // namespace
-
-CdclConfig CdclConfigFromEnv() {
-  // Strict parsing (src/support/env.h): a mistyped sweep value used to be
-  // silently treated as 0 or partially parsed, which ran a *different*
-  // parameter point than the CI matrix claimed. Now anything that is not a
-  // complete in-range literal keeps the compiled-in default and reports a
-  // structured diagnostic.
-  CdclConfig config;
-  uint64_t v = 0;
-  EnvParse parse = ParseEnvUint64("OVERIFY_CDCL_RESTART_BASE", 1, uint64_t{1} << 32, &v);
-  if (parse.ok) {
-    config.restart_base = v;
-  }
-  ReportEnvError(parse);
-  double decay = 0;
-  parse = ParseEnvDouble("OVERIFY_CDCL_DECAY", 1e-6, 1.0, &decay);
-  if (parse.ok) {
-    config.activity_decay = decay;
-  }
-  ReportEnvError(parse);
-  parse = ParseEnvUint64("OVERIFY_CDCL_CLAUSES", 1, uint64_t{1} << 24, &v);
-  if (parse.ok) {
-    config.clause_capacity = static_cast<size_t>(v);
-  }
-  ReportEnvError(parse);
-  return config;
-}
 
 SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>& constraints,
                                std::vector<uint8_t>* model, uint64_t candidate_budget,
@@ -406,10 +361,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   // Learned nogoods in level space (store_), indexed by (deepest level,
   // deepest value) through bucket_tail_. The previous query's clauses are
   // unhooked from their buckets — every other bucket is already empty — and
-  // the buffers are kept. Single-literal seeds fold straight into the
-  // domains (before value ordering, so endpoints reflect them); wider seeds
-  // enter the store. Seeds come from PrefixCache entries over subsets of
-  // this constraint set, so every one of them is valid here.
+  // the buffers are kept.
   for (const ActiveClause& c : store_) {
     bucket_tail_[c.bucket] = kNoClause;
   }
@@ -429,23 +381,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     tail = i;
   };
-  if (learn && extras != nullptr && extras->seeds != nullptr) {
-    for (const LearnedClause* seed : *extras->seeds) {
-      if (seed->lits.size() != 1) {
-        continue;
-      }
-      unsigned sym = seed->lits[0].first;
-      if (sym > max_symbol || level_of[sym] < 0) {
-        continue;
-      }
-      domain[static_cast<size_t>(level_of[sym])].Clear(seed->lits[0].second);
-    }
-    for (const Domain& d : domain) {
-      if (d.Empty()) {
-        return SatResult::kUnsat;
-      }
-    }
-  }
 
   // ---- Value ordering ----
   //
@@ -487,60 +422,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     std::fprintf(stderr, "\n");
   }
 
-  if (learn && extras != nullptr && extras->seeds != nullptr) {
-    std::set<std::pair<uint64_t, uint64_t>> seen;  // (mask, values)
-    for (const LearnedClause* seed : *extras->seeds) {
-      const size_t n = seed->lits.size();
-      if (n < 2 || n > kMaxClauseLiterals) {
-        continue;
-      }
-      std::pair<uint32_t, uint8_t> lits[kMaxClauseLiterals];
-      uint64_t mask = 0;
-      bool usable = true;
-      for (size_t k = 0; k < n; ++k) {
-        const auto [sym, value] = seed->lits[k];
-        if (sym > max_symbol || level_of[sym] < 0) {
-          usable = false;  // mentions a symbol outside this query
-          break;
-        }
-        uint32_t level = static_cast<uint32_t>(level_of[sym]);
-        if (!domain[level].Test(value)) {
-          usable = false;  // can never fire: the value is domain-excluded
-          break;
-        }
-        lits[k] = {level, value};
-        mask |= uint64_t{1} << level;
-      }
-      // A symbol named twice (only a hand-made store holds such a clause)
-      // has no inline encoding; skip it.
-      if (!usable || static_cast<size_t>(__builtin_popcountll(mask)) != n) {
-        continue;
-      }
-      std::sort(lits, lits + n);
-      uint64_t values = 0;
-      for (size_t k = 0; k < n; ++k) {
-        values |= uint64_t{lits[k].second} << (8 * k);
-      }
-      if (!seen.emplace(mask, values).second) {
-        continue;  // duplicate across seed entries
-      }
-      store_.push_back(ActiveClause{mask, values, seed->activity, 0, BucketOf(mask, values)});
-      link(static_cast<uint32_t>(store_.size() - 1));
-    }
-  }
-
-  // Search-derived single-literal nogoods in symbol space, kept for export
-  // (they re-enter future queries as domain clears). Bounded.
-  std::vector<std::pair<uint16_t, uint8_t>> cleared;
-  uint64_t domain_clears_since_restart = 0;
-  auto clear_domain = [&](size_t level, uint8_t v) {
-    domain[level].Clear(v);
-    ++domain_clears_since_restart;
-    if (learn && order[level] <= 0xffff && cleared.size() < 32) {
-      cleared.emplace_back(static_cast<uint16_t>(order[level]), v);
-    }
-  };
-
   std::vector<size_t> candidate_index(order.size(), 0);
   // Levels (strictly below the key) implicated in failures at each level.
   std::vector<uint64_t> conflict_mask(order.size(), 0);
@@ -556,8 +437,8 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   //
   //  * a one-shot abstract sweep that pins each level to each remaining
   //    value (other levels at their domain hulls) and interval-refutes it
-  //    against the multi-symbol constraints — exclusions are unconditional,
-  //    land in the global domains, and survive restarts;
+  //    against the multi-symbol constraints — exclusions are unconditional
+  //    and land in the global domains;
   //  * forward checking: when a constraint's second-deepest support level is
   //    assigned, its one remaining free level is swept concretely, once per
   //    prefix instead of once per candidate. Survivors narrow a scoped
@@ -596,47 +477,27 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     undo[d].clear();
   };
 
-  // Restart + activity bookkeeping (learning only).
-  uint64_t conflicts_since_restart = 0;
-  uint32_t restarts_done = 0;
-  uint64_t restart_threshold = LubyUnit(0) * config_.restart_base;
-  uint64_t decay_countdown = 128;
-
   uint64_t debug_conflicts_by_depth[64] = {};
   auto record_conflict = [&](size_t d) {
     if (debug && d < 64) {
       ++debug_conflicts_by_depth[d];
     }
     ++conflicts_;
-    ++conflicts_since_restart;
     if (extras != nullptr && extras->metrics != nullptr) {
       extras->metrics->Record(Hist::kCoreConflictDepth, d);
     }
-    if (learn && --decay_countdown == 0) {
-      decay_countdown = 128;
-      for (ActiveClause& c : store_) {
-        c.activity *= config_.activity_decay;
-      }
-    }
   };
 
-  // The strict total order clause selection uses: activity descending, then
-  // insertion index ascending — the order a stable sort by activity gives.
-  auto more_active = [&](uint32_t a, uint32_t b) {
-    const double x = store_[a].activity;
-    const double y = store_[b].activity;
+  // The strict total order compaction keeps by: hits descending, then
+  // insertion index ascending — the order a stable sort by hits gives.
+  auto more_hits = [&](uint32_t a, uint32_t b) {
+    const uint64_t x = store_[a].hits;
+    const uint64_t y = store_[b].hits;
     return x > y || (x == y && a < b);
-  };
-  // Fills by_activity_ with the store's indices, ready for selection.
-  auto index_store = [&]() {
-    by_activity_.resize(store_.size());
-    for (uint32_t i = 0; i < by_activity_.size(); ++i) {
-      by_activity_[i] = i;
-    }
   };
 
   // Appends the nogood over `mask` at the current assignment, first
-  // compacting the store to its top-activity half when full. The kept set
+  // compacting the store to its most-hit half when full. The kept set
   // is selected in O(n) and keeps its insertion order, bucket lists
   // included, so the store's evolution is deterministic.
   auto add_clause = [&](uint64_t mask) {
@@ -647,16 +508,18 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     if (store_.size() >= config_.clause_capacity) {
       const size_t keep = std::max<size_t>(config_.clause_capacity / 2, 1);
-      index_store();
-      std::nth_element(by_activity_.begin(), by_activity_.begin() + keep, by_activity_.end(),
-                       more_active);
+      by_hits_.resize(store_.size());
+      for (uint32_t i = 0; i < by_hits_.size(); ++i) {
+        by_hits_[i] = i;
+      }
+      std::nth_element(by_hits_.begin(), by_hits_.begin() + keep, by_hits_.end(), more_hits);
       // Relinking rebuilds every bucket, so `next` is free to mark the kept.
       for (ActiveClause& c : store_) {
         bucket_tail_[c.bucket] = kNoClause;
         c.next = kNoClause;
       }
       for (size_t k = 0; k < keep; ++k) {
-        store_[by_activity_[k]].next = 0;
+        store_[by_hits_[k]].next = 0;
       }
       uint32_t kept = 0;
       for (const ActiveClause& c : store_) {
@@ -667,7 +530,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       }
       store_.resize(kept);
     }
-    store_.push_back(ActiveClause{mask, values, 1.0, 0, BucketOf(mask, values)});
+    store_.push_back(ActiveClause{mask, values, 0, 0, BucketOf(mask, values)});
     link(static_cast<uint32_t>(store_.size() - 1));
     ++learned_;
   };
@@ -683,57 +546,11 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     const uint64_t m = blame | (uint64_t{1} << depth_now);
     const int n = __builtin_popcountll(m);
     if (n == 1) {
-      clear_domain(depth_now, value);
+      domain[depth_now].Clear(value);
       return;
     }
     if (static_cast<size_t>(n) <= kMaxClauseLiterals) {
       add_clause(m);
-    }
-  };
-
-  // Converts the store's top-activity clauses (and the search-derived
-  // domain clears) back to symbol space for the caller's cache entry.
-  auto export_learned = [&]() {
-    if (!learn || extras == nullptr || extras->learned == nullptr) {
-      return;
-    }
-    std::vector<LearnedClause>& out = *extras->learned;
-    out.clear();
-    // kMaxExportClauses bounds the TOTAL export; domain clears prune
-    // hardest, so they claim slots first and the store fills the rest.
-    for (const auto& [sym, v] : cleared) {
-      if (out.size() >= kMaxExportClauses) {
-        break;
-      }
-      LearnedClause c;
-      c.lits.emplace_back(sym, v);
-      c.activity = 2.0;
-      out.push_back(std::move(c));
-    }
-    const size_t limit = std::min(store_.size(), kMaxExportClauses - out.size());
-    index_store();
-    std::partial_sort(by_activity_.begin(), by_activity_.begin() + limit, by_activity_.end(),
-                      more_active);
-    for (size_t i = 0; i < limit; ++i) {
-      const ActiveClause& c = store_[by_activity_[i]];
-      LearnedClause exported;
-      exported.lits.reserve(static_cast<size_t>(__builtin_popcountll(c.mask)));
-      bool ok = true;
-      uint64_t values = c.values;
-      for (uint64_t rest = c.mask; rest != 0; rest &= rest - 1, values >>= 8) {
-        const unsigned level = static_cast<unsigned>(__builtin_ctzll(rest));
-        if (order[level] > 0xffff) {
-          ok = false;
-          break;
-        }
-        exported.lits.emplace_back(static_cast<uint16_t>(order[level]),
-                                   static_cast<uint8_t>(values));
-      }
-      if (!ok) {
-        continue;
-      }
-      std::sort(exported.lits.begin(), exported.lits.end());
-      out.push_back(std::move(exported));
     }
   };
 
@@ -792,7 +609,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
         }
       }
       if (domain[l].Empty()) {
-        export_learned();
         return SatResult::kUnsat;
       }
       hull[sym] = ExprContext::UInterval{domain[l].Lo(), domain[l].Hi()};
@@ -806,7 +622,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       if (model != nullptr) {
         *model = assignment;
       }
-      export_learned();
       if (debug) {
         std::fprintf(stderr, "[solver] SAT after %llu candidates\n",
                      static_cast<unsigned long long>(candidates_tried_ - candidates_at_entry));
@@ -838,49 +653,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       undo.assign(order.size(), std::vector<ScopedUndo>{});
       fc_memo.assign(live.size(), std::unordered_map<uint64_t, Domain>{});
       continue;
-    }
-    // Luby-scheduled restart: unwind to the root, keep the clause store and
-    // domains. Bounded (max_restarts) so completeness never depends on the
-    // schedule; because the value order is untouched and every pruning
-    // device only skips non-models, the model eventually returned is the
-    // same with or without restarts.
-    //
-    // The decision order here is fixed (unlike VSIDS-driven CDCL), so a
-    // restart from depth N replays the exact walk that reached it,
-    // re-refuting every non-domain-pruned candidate — measured as a ~12-20x
-    // blowup on hostile UNSAT enumerations (factor). A restart is free
-    // precisely when the search is already near the root (the replayed
-    // prefix is empty) and useful precisely when single-literal nogoods
-    // shrank a domain since the last one (the blame masks it resets were
-    // computed against a wider space). So a due restart fires only at
-    // depth <= 1 with fresh domain clears; a due-but-unprofitable
-    // opportunity is declined by resetting the conflict counter
-    // (docs/solver.md#restarts).
-    if (learn && depth > 0 && restarts_done < config_.max_restarts &&
-        conflicts_since_restart >= restart_threshold &&
-        (domain_clears_since_restart == 0 || depth > 1)) {
-      conflicts_since_restart = 0;
-    }
-    if (learn && depth > 0 && restarts_done < config_.max_restarts &&
-        conflicts_since_restart >= restart_threshold) {
-      domain_clears_since_restart = 0;
-      // Deepest-first so a level narrowed at several depths lands back on
-      // its oldest (widest) snapshot.
-      for (size_t level = depth + 1; level-- > 0;) {
-        restore_scoped(level);
-      }
-      for (size_t level = 0; level < depth; ++level) {
-        candidate_index[level] = 0;
-        conflict_mask[level] = 0;
-        assigned[order[level]] = false;
-      }
-      candidate_index[depth] = 0;
-      conflict_mask[depth] = 0;
-      depth = 0;
-      conflicts_since_restart = 0;
-      ++restarts_;
-      ++restarts_done;
-      restart_threshold = LubyUnit(restarts_done) * config_.restart_base;
     }
     // About to pick the next candidate at this level: whatever forward
     // checking narrowed while the previous candidate stood no longer holds.
@@ -919,7 +691,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
         continue;
       }
       if (mask == 0) {
-        export_learned();
         if (debug) {
           std::fprintf(stderr, "[solver] UNSAT after %llu candidates, conflicts by depth:",
                        static_cast<unsigned long long>(candidates_tried_ - candidates_at_entry));
@@ -940,7 +711,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
         if (n == 1) {
           // The jump level's value alone admits no completion: a permanent
           // domain clear, stronger than any stored clause.
-          clear_domain(jump, assignment[order[jump]]);
+          domain[jump].Clear(assignment[order[jump]]);
         } else if (static_cast<size_t>(n) <= kMaxClauseLiterals) {
           add_clause(mask);
         }
@@ -1011,7 +782,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
         }
         if (match) {
           conflict_mask[depth] |= c.mask & below;
-          c.activity += 1.0;
+          ++c.hits;
           ++learned_hits_;
           record_conflict(depth);
           ok = false;
@@ -1451,8 +1222,7 @@ void PrefixCache::RemoveEntry(uint32_t index) {
 }
 
 void PrefixCache::Insert(std::vector<uint64_t> keys, uint64_t set_hash, uint64_t fingerprint,
-                         SatResult result, const std::vector<uint8_t>& model,
-                         std::vector<LearnedClause> clauses) {
+                         SatResult result, const std::vector<uint8_t>& model) {
   OVERIFY_ASSERT(result != SatResult::kUnknown, "only definite verdicts are cached");
   auto existing = exact_.find(set_hash);
   if (existing != exact_.end()) {
@@ -1491,7 +1261,6 @@ void PrefixCache::Insert(std::vector<uint64_t> keys, uint64_t set_hash, uint64_t
   entry.fingerprint = fingerprint;
   entry.result = result;
   entry.model = model;
-  entry.clauses = std::move(clauses);
   entry.live = true;
   const bool sat = result == SatResult::kSat;
   Node* node = &root_;
@@ -1520,9 +1289,8 @@ void PrefixCache::Insert(std::vector<uint64_t> keys, uint64_t set_hash, uint64_t
 
 void PrefixCache::InsertPersisted(std::vector<uint64_t> keys, uint64_t set_hash,
                                   uint64_t fingerprint, SatResult result,
-                                  const std::vector<uint8_t>& model,
-                                  std::vector<LearnedClause> clauses) {
-  Insert(std::move(keys), set_hash, fingerprint, result, model, std::move(clauses));
+                                  const std::vector<uint8_t>& model) {
+  Insert(std::move(keys), set_hash, fingerprint, result, model);
   auto it = exact_.find(set_hash);
   if (it == exact_.end()) {
     return;  // collided with a resident entry; both dropped
@@ -1548,7 +1316,6 @@ void SolverChain::SyncCoreCounters() const {
   m.Set(Counter::kSolverCoreLearned, core_.learned());
   m.Set(Counter::kSolverCoreLearnedHits, core_.learned_hits());
   m.Set(Counter::kSolverCoreBackjumps, core_.backjumps());
-  m.Set(Counter::kSolverCoreRestarts, core_.restarts());
 }
 
 void SolverChain::SyncMetrics() const {
@@ -1567,13 +1334,11 @@ void SolverChain::SyncMetrics() const {
 
 void SolverChain::SeedPersistedEntry(std::vector<uint64_t> keys, uint64_t set_hash,
                                      uint64_t fingerprint, SatResult result,
-                                     const std::vector<uint8_t>& model,
-                                     std::vector<LearnedClause> clauses) {
+                                     const std::vector<uint8_t>& model) {
   if (result == SatResult::kUnknown) {
     return;  // never cached live, never seeded from a store
   }
-  cache_.InsertPersisted(std::move(keys), set_hash, fingerprint, result, model,
-                         std::move(clauses));
+  cache_.InsertPersisted(std::move(keys), set_hash, fingerprint, result, model);
   metrics_->Inc(Counter::kPersistSeeded);
 }
 
@@ -1778,9 +1543,7 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
       break;
     }
     // Copy before Insert: `entry` points into the cache's entry storage,
-    // which Insert may reallocate. The superset's clauses are NOT carried
-    // over: they were derived from a superset of this query, so they are
-    // not necessarily valid nogoods for it.
+    // which Insert may reallocate.
     std::vector<uint8_t> superset_model = entry->model;
     if (entry->unvalidated) {
       std::vector<uint8_t> candidate = superset_model;
@@ -1831,12 +1594,8 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
         metrics_->Inc(Counter::kPersistHits);
       }
       lookup_done(CacheHitClass::kModelExtension);
-      // Carry the subset's clauses forward: valid for this superset, and
-      // keeping them on the deeper entry propagates learning down the
-      // path's prefix chain without a core search.
-      std::vector<LearnedClause> inherited = entry->clauses;
       cache_.Insert(std::move(keys), cache_key.key, cache_key.fingerprint, SatResult::kSat,
-                    candidate, std::move(inherited));
+                    candidate);
       if (model != nullptr) {
         *model = candidate;
       }
@@ -1862,11 +1621,7 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
     }
   }
 
-  // Core search. The cached SAT subsets collected above double as the
-  // learned-clause seed source: each of their clauses was derived while
-  // solving a subset of this query's constraint set, so all of them are
-  // valid nogoods here (docs/solver.md#reuse). CheckSatCanonical never
-  // seeds — its model must stay a pure function of the constraint set.
+  // Core search.
   lookup_done(CacheHitClass::kMiss);
   metrics_->Inc(Counter::kSolverCoreQueries);
   std::vector<uint8_t> core_model;
@@ -1876,25 +1631,6 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
   CoreSolver::SearchExtras extras;
   if (prefix != nullptr && !prefix->range.empty()) {
     extras.ranges = &prefix->range;
-  }
-  seed_scratch_.clear();
-  if (core_.config().learning) {
-    for (const PrefixCache::Entry* entry : subsets) {
-      if (entry->unvalidated) {
-        // Clauses from a not-yet-validated persisted entry could prune
-        // satisfying assignments if the store lied; they only seed once the
-        // entry's model has survived a live re-validation.
-        continue;
-      }
-      for (const LearnedClause& clause : entry->clauses) {
-        seed_scratch_.push_back(&clause);
-      }
-    }
-    if (!seed_scratch_.empty()) {
-      extras.seeds = &seed_scratch_;
-    }
-    extras.learned = &learned_scratch_;
-    learned_scratch_.clear();
   }
   extras.metrics = metrics_;
   SatResult result = core_.CheckSat(ctx_, canonical, &core_model, control_.query_candidates,
@@ -1913,9 +1649,7 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
     // (PrefixCache::Insert asserts the same invariant).
     return Unknown(core_cause);
   }
-  cache_.Insert(std::move(keys), cache_key.key, cache_key.fingerprint, result, core_model,
-                result == SatResult::kSat ? std::move(learned_scratch_)
-                                          : std::vector<LearnedClause>{});
+  cache_.Insert(std::move(keys), cache_key.key, cache_key.fingerprint, result, core_model);
   if (result == SatResult::kSat) {
     recent_models_.push_back(core_model);
     if (recent_models_.size() > 8) {
@@ -2047,10 +1781,9 @@ SatResult SolverChain::CheckSatCanonicalImpl(const std::vector<const Expr*>& con
   const uint64_t candidates_before = core_.candidates_tried();
   const bool timed = Timed();
   const uint64_t core_t0 = timed ? MetricsNowNs() : 0;
-  // No range facts, no clause seeds: the model must be a pure function of
-  // the constraint set, and seeds are per-worker query history. Within-query
-  // learning is fine — it only skips non-models, so the first model in the
-  // fixed value order is unchanged.
+  // No range facts: the model must be a pure function of the constraint
+  // set. Learning is fine — it only skips non-models, so the first model in
+  // the fixed value order is unchanged.
   CoreSolver::SearchExtras extras;
   extras.metrics = metrics_;
   SatResult result = core_.CheckSat(ctx_, canonical, model, control_.query_candidates,

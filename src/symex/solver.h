@@ -69,45 +69,24 @@ struct QueryControl {
   double query_seconds = 0;                          // wall budget per query; 0 = none
 };
 
-// A learned nogood: "no model of the constraint set assigns every
-// (symbol, value) pair below simultaneously". Literals are keyed by symbol
-// index (not decision level) and sorted ascending by symbol, so a clause
-// derived while solving set S remains valid for any superset of S under any
-// decision order — the property that makes cross-query reuse through the
-// PrefixCache sound (docs/solver.md).
-struct LearnedClause {
-  std::vector<std::pair<uint16_t, uint8_t>> lits;  // (symbol, value), sorted
-  double activity = 1.0;
-};
-
 // Longer nogoods are not worth storing. Fixed, so a stored clause's values
 // pack into one uint64_t inline in the clause record.
 constexpr size_t kMaxClauseLiterals = 8;
-// Top-activity clauses (domain clears included) kept per cache entry.
-constexpr size_t kMaxExportClauses = 16;
 
-// CDCL tuning knobs. The defaults are deliberately conservative; the solver
-// CI job sweeps restart_base / activity_decay / clause_capacity through the
-// environment (OVERIFY_CDCL_RESTART_BASE / OVERIFY_CDCL_DECAY /
-// OVERIFY_CDCL_CLAUSES) to prove that results are parameter-independent —
-// learned-clause pruning only ever skips non-models, so the first model in
-// the fixed value order is invariant (docs/solver.md#determinism).
+// CDCL settings. Learning only ever skips non-models, so the first model in
+// the fixed value order — and therefore every verdict and model — is the
+// same for every setting (docs/solver.md#determinism); the differential
+// lattice A/Bs `learning`, and tests shrink `clause_capacity` to drive
+// compaction.
 struct CdclConfig {
-  bool learning = true;        // clause store + restarts (domains stay on)
-  uint64_t restart_base = 64;  // conflicts per Luby unit
-  uint32_t max_restarts = 24;  // finite so completeness never depends on luck
-  size_t clause_capacity = 512;     // store bound; low-activity half evicted
-  double activity_decay = 0.95;     // applied to all activities every 128 conflicts
+  bool learning = true;          // clause store (domains stay on)
+  size_t clause_capacity = 512;  // store bound; the less-hit half is evicted
 };
-
-// `CdclConfig` with any OVERIFY_CDCL_* environment overrides applied.
-CdclConfig CdclConfigFromEnv();
 
 // Core backtracking solver with CDCL machinery: per-symbol domain pruning
 // from unary constraints and caller range facts, structure-driven value
-// ordering (domain endpoints first), conflict clause learning into a
-// bounded activity-decayed store, clause-driven non-chronological
-// backjumping, and Luby-scheduled restarts that keep the store
+// ordering (domain endpoints first), in-query conflict clause learning into
+// a bounded store, and clause-driven non-chronological backjumping
 // (docs/solver.md).
 class CoreSolver {
  public:
@@ -118,12 +97,6 @@ class CoreSolver {
     // the search domains. Soundness requires the facts be implied by
     // `constraints` — then only non-models are skipped.
     const std::vector<UInterval>* ranges = nullptr;
-    // Clauses learned by earlier queries over subsets of this constraint
-    // set (PrefixCache reuse). Subset derivation makes them valid here.
-    const std::vector<const LearnedClause*>* seeds = nullptr;
-    // When non-null and learning ran, receives the top-activity clauses of
-    // this search, converted back to symbol space.
-    std::vector<LearnedClause>* learned = nullptr;
     // When non-null, receives the conflict-depth histogram records.
     MetricsShard* metrics = nullptr;
   };
@@ -148,7 +121,6 @@ class CoreSolver {
   uint64_t learned() const { return learned_; }
   uint64_t learned_hits() const { return learned_hits_; }
   uint64_t backjumps() const { return backjumps_; }
-  uint64_t restarts() const { return restarts_; }
 
  private:
   // A stored nogood in decision-level space: "the assignment taking every
@@ -159,7 +131,7 @@ class CoreSolver {
   struct ActiveClause {
     uint64_t mask;     // 1 << level per literal
     uint64_t values;   // literal values, ascending by level, one byte each
-    double activity;
+    uint64_t hits;     // times it refuted a candidate; orders compaction
     uint32_t next;     // next clause of the same bucket (circular list)
     uint16_t bucket;   // deepest level * 256 + deepest literal's value
   };
@@ -174,7 +146,7 @@ class CoreSolver {
   // ActiveClause::next in insertion order, so the newest clause's next is
   // the oldest.
   std::vector<uint32_t> bucket_tail_;
-  std::vector<uint32_t> by_activity_;  // compaction / export scratch
+  std::vector<uint32_t> by_hits_;  // compaction scratch
   // The running query's live constraints, lowered for evaluation; every
   // concrete and interval evaluation of the search runs on it. A member
   // for the same reason as store_.
@@ -184,7 +156,6 @@ class CoreSolver {
   uint64_t learned_ = 0;
   uint64_t learned_hits_ = 0;
   uint64_t backjumps_ = 0;
-  uint64_t restarts_ = 0;
 };
 
 // KLEE-UBTree-style counterexample cache over canonical constraint sets.
@@ -214,11 +185,6 @@ class PrefixCache {
     uint64_t fingerprint = 0;
     SatResult result = SatResult::kUnknown;
     std::vector<uint8_t> model;  // satisfying assignment for kSat entries
-    // Top-activity nogoods learned while (or inherited from the entry this
-    // one was derived from when) solving this set. Seeds later core
-    // searches over supersets — any clause valid for a set is valid for
-    // every superset (docs/solver.md#reuse).
-    std::vector<LearnedClause> clauses;
     bool live = false;
     // Loaded from a persisted cross-run store (docs/daemon.md). Hits on
     // persisted entries are counted separately (persist.hits) — the warm
@@ -249,22 +215,19 @@ class PrefixCache {
                          std::vector<const Entry*>& out) const;
 
   // Inserts (or overwrites, on a matching 128-bit identity) an entry;
-  // evicts the oldest live entry beyond capacity. `clauses` (optional) are
-  // the learned nogoods to carry on the entry for cross-query seeding.
+  // evicts the oldest live entry beyond capacity.
   // A matching set_hash whose fingerprint (or key sequence) differs is a
   // 64-bit collision: both the resident entry and the new one are dropped,
   // so a collision degrades to a cache miss instead of ever serving one
   // set's verdict for the other (counted in collisions()).
   void Insert(std::vector<uint64_t> keys, uint64_t set_hash, uint64_t fingerprint,
-              SatResult result, const std::vector<uint8_t>& model,
-              std::vector<LearnedClause> clauses = {});
+              SatResult result, const std::vector<uint8_t>& model);
 
   // Insert for entries loaded from a persisted store: marks the entry
   // persisted, and — for SAT — unvalidated, deferring model trust to the
   // first live hit (see Entry::unvalidated).
   void InsertPersisted(std::vector<uint64_t> keys, uint64_t set_hash, uint64_t fingerprint,
-                       SatResult result, const std::vector<uint8_t>& model,
-                       std::vector<LearnedClause> clauses = {});
+                       SatResult result, const std::vector<uint8_t>& model);
 
   // Drops the entry carrying `set_hash` if present (persisted-model
   // validation failure: the store's model did not satisfy the live set).
@@ -321,9 +284,7 @@ class PrefixCache {
 // The full KLEE-style stack. One instance per symbolic-execution run.
 class SolverChain {
  public:
-  explicit SolverChain(ExprContext& ctx) : ctx_(ctx), preprocessor_(ctx) {
-    core_.set_config(CdclConfigFromEnv());
-  }
+  explicit SolverChain(ExprContext& ctx) : ctx_(ctx), preprocessor_(ctx) {}
 
   // Is `constraints` satisfiable? When `prefix` is non-null it carries the
   // caller's incremental preprocessing summary for these constraints (the
@@ -352,7 +313,7 @@ class SolverChain {
   // tests; queries then flow straight to canonicalization + caching).
   void set_preprocessing(bool on) { preprocess_enabled_ = on; }
 
-  // Toggles CDCL clause learning (store, restarts, cross-query seeding).
+  // Toggles in-query CDCL clause learning (the clause store).
   // Learning only ever prunes non-models, so verdicts and the models the
   // core returns are identical either way — the diff harness A/Bs this
   // in-lattice (DiffOptions::learning). Domain pruning and value ordering
@@ -363,8 +324,6 @@ class SolverChain {
     config.learning = on;
     core_.set_config(config);
   }
-  // Overrides the full CDCL parameter set (tests).
-  void set_cdcl_config(const CdclConfig& config) { core_.set_config(config); }
 
   // Installs the run's cooperative controls (deadline, cancel latch, fault
   // injector, per-query budgets). The engine calls this once per run; the
@@ -414,8 +373,7 @@ class SolverChain {
   // query at first use, never trusted from disk).
   void SeedPersistedEntry(std::vector<uint64_t> keys, uint64_t set_hash,
                           uint64_t fingerprint, SatResult result,
-                          const std::vector<uint8_t>& model,
-                          std::vector<LearnedClause> clauses);
+                          const std::vector<uint8_t>& model);
 
   // Read-only view of the counterexample cache (the persistence harvest
   // walks it with ForEachLive).
@@ -474,9 +432,6 @@ class SolverChain {
   std::vector<const Expr*> filtered_scratch_;
   std::vector<const Expr*> canonical_scratch_;
   std::vector<const Expr*> preprocessed_scratch_;
-  // Scratch for clause seeding / export around each core search.
-  std::vector<const LearnedClause*> seed_scratch_;
-  std::vector<LearnedClause> learned_scratch_;
   PathPrefix scratch_prefix_;  // for callers without a per-path handle
   // The constraint sequence scratch_prefix_ summarizes; reused while a
   // handle-less caller keeps querying the same path.

@@ -1,6 +1,5 @@
 // Strict parsing of the OVERIFY_* environment knobs (src/support/env.h and
-// its two consumers: OVERIFY_CDCL_* in src/symex/solver.cc and
-// OVERIFY_FAULT_* in src/support/fault.cc).
+// its consumer, OVERIFY_FAULT_* in src/support/fault.cc).
 //
 // The contract under test: unset or empty means the compiled-in default,
 // silently; anything else must be a complete in-range literal or the
@@ -15,7 +14,6 @@
 
 #include "src/support/env.h"
 #include "src/support/fault.h"
-#include "src/symex/solver.h"
 
 namespace overify {
 namespace {
@@ -97,60 +95,6 @@ TEST(ParseEnvUint64, RejectsOutOfRange) {
     EXPECT_TRUE(parse.Rejected()) << bad;
     EXPECT_EQ(out, 42u);
   }
-}
-
-TEST(ParseEnvDouble, ParsesAndRejects) {
-  uint64_t unused;
-  (void)unused;
-  {
-    ScopedEnv env("OVERIFY_TEST_KNOB", "0.875");
-    double out = 0.5;
-    EXPECT_TRUE(ParseEnvDouble("OVERIFY_TEST_KNOB", 0.0, 1.0, &out).ok);
-    EXPECT_EQ(out, 0.875);
-  }
-  for (const char* bad : {"abc", "0.5x", "nan", "inf", "", "1.5"}) {
-    ScopedEnv env("OVERIFY_TEST_KNOB", bad);
-    double out = 0.5;
-    EnvParse parse = ParseEnvDouble("OVERIFY_TEST_KNOB", 0.0, 1.0, &out);
-    EXPECT_TRUE(parse.Rejected()) << "value '" << bad << "' must be rejected";
-    EXPECT_EQ(out, 0.5) << bad;
-  }
-}
-
-// ---- OVERIFY_CDCL_*: the solver sweep knobs ----
-
-TEST(CdclEnv, DefaultsWhenUnset) {
-  ScopedEnv a("OVERIFY_CDCL_RESTART_BASE", nullptr);
-  ScopedEnv b("OVERIFY_CDCL_DECAY", nullptr);
-  ScopedEnv c("OVERIFY_CDCL_CLAUSES", nullptr);
-  const CdclConfig config = CdclConfigFromEnv();
-  const CdclConfig defaults;
-  EXPECT_EQ(config.restart_base, defaults.restart_base);
-  EXPECT_EQ(config.activity_decay, defaults.activity_decay);
-  EXPECT_EQ(config.clause_capacity, defaults.clause_capacity);
-}
-
-TEST(CdclEnv, AppliesValidOverrides) {
-  ScopedEnv a("OVERIFY_CDCL_RESTART_BASE", "128");
-  ScopedEnv b("OVERIFY_CDCL_DECAY", "0.875");
-  ScopedEnv c("OVERIFY_CDCL_CLAUSES", "1024");
-  const CdclConfig config = CdclConfigFromEnv();
-  EXPECT_EQ(config.restart_base, 128u);
-  EXPECT_EQ(config.activity_decay, 0.875);
-  EXPECT_EQ(config.clause_capacity, 1024u);
-}
-
-TEST(CdclEnv, GarbageKeepsCompiledDefaults) {
-  // The sweep-matrix failure mode: "64 " or "O.95" must not run a
-  // different parameter point than the matrix claims.
-  ScopedEnv a("OVERIFY_CDCL_RESTART_BASE", "64abc");
-  ScopedEnv b("OVERIFY_CDCL_DECAY", "O.95");
-  ScopedEnv c("OVERIFY_CDCL_CLAUSES", "-512");
-  const CdclConfig config = CdclConfigFromEnv();
-  const CdclConfig defaults;
-  EXPECT_EQ(config.restart_base, defaults.restart_base);
-  EXPECT_EQ(config.activity_decay, defaults.activity_decay);
-  EXPECT_EQ(config.clause_capacity, defaults.clause_capacity);
 }
 
 // ---- OVERIFY_FAULT_*: the robustness sweep knobs ----

@@ -25,6 +25,7 @@
 #include "src/cache/persist.h"
 #include "src/driver/compiler.h"
 #include "src/support/metrics.h"
+#include "src/support/serialize.h"
 #include "src/symex/expr.h"
 #include "src/symex/expr_hash.h"
 #include "src/symex/solver.h"
@@ -376,7 +377,6 @@ class CacheStoreTest : public ::testing::Test {
     sat.fingerprint = 33;
     sat.result = 0;
     sat.model = {5, 0};
-    sat.clauses.push_back({{{0, 5}, {1, 2}}, 1.5});
     blob.entries.push_back(sat);
     return store;
   }
@@ -398,9 +398,6 @@ TEST_F(CacheStoreTest, ByteRoundTripIsExact) {
   ASSERT_EQ(blob->entries.size(), 2u);
   EXPECT_EQ(blob->entries[0].keys, (std::vector<uint64_t>{5, 9}));
   EXPECT_EQ(blob->entries[1].model, (std::vector<uint8_t>{5, 0}));
-  ASSERT_EQ(blob->entries[1].clauses.size(), 1u);
-  EXPECT_EQ(blob->entries[1].clauses[0].lits.size(), 2u);
-  EXPECT_EQ(blob->entries[1].clauses[0].activity, 1.5);
 }
 
 TEST_F(CacheStoreTest, FileRoundTripAndMissingFile) {
@@ -462,6 +459,109 @@ TEST_F(CacheStoreTest, RunBlobLruEviction) {
   EXPECT_NE(store.FindRun(1, 0), nullptr);
   EXPECT_EQ(store.FindRun(2, 0), nullptr);
   EXPECT_NE(store.FindRun(3, 0), nullptr);
+}
+
+// ---- Stores written before version 2 ----
+
+// `blob` in the version-1 layout, which followed every entry's model with
+// its learned clauses: a u64 count, then per clause a u64 literal count,
+// (u16 symbol, u8 value) per literal and the activity's IEEE-754 bits.
+// Each entry here carries one two-literal clause. The envelope and its
+// checksum are the ones version 2 still uses.
+std::vector<uint8_t> SerializeVersion1(const RunBlob& blob) {
+  ByteWriter payload;
+  payload.U64(1);
+  payload.U64(blob.module_hash);
+  payload.U64(blob.options_fp);
+  payload.U64(blob.last_used);
+  payload.Str(blob.run_signature);
+  payload.U64(blob.entries.size());
+  for (const PersistedEntry& entry : blob.entries) {
+    payload.U64(entry.set_hash);
+    payload.U64(entry.fingerprint);
+    payload.U8(entry.result);
+    payload.U64(entry.keys.size());
+    for (uint64_t key : entry.keys) {
+      payload.U64(key);
+    }
+    payload.Blob(entry.model);
+    payload.U64(1);
+    payload.U64(2);
+    payload.U16(0);
+    payload.U8(0);
+    payload.U16(1);
+    payload.U8(0);
+    payload.U64(UINT64_C(0x3ff0000000000000));  // activity 1.0
+  }
+  const std::vector<uint8_t>& body = payload.bytes();
+  PortableHasher checksum;
+  size_t i = 0;
+  for (; i + 8 <= body.size(); i += 8) {
+    uint64_t word = 0;
+    for (size_t b = 8; b-- > 0;) {
+      word = (word << 8) | body[i + b];
+    }
+    checksum.Fold(word);
+  }
+  for (; i < body.size(); ++i) {
+    checksum.Fold(body[i]);
+  }
+  checksum.Fold(static_cast<uint64_t>(body.size()));
+
+  ByteWriter file;
+  file.U64(kCacheStoreMagic);
+  file.U32(1);
+  file.U64(body.size());
+  for (uint8_t b : body) {
+    file.U8(b);
+  }
+  file.U64(checksum.hash());
+  return file.Take();
+}
+
+// A version-1 store is refused whole with a "version" diagnostic, and a
+// run handed the refused (empty) store is the cold run: it seeds nothing
+// and returns the cold run's signature.
+TEST(StoreVersion, VersionOneStoreIsRejectedAndTheRunStaysCold) {
+  const Workload* wc = FindWorkload("wc");
+  ASSERT_NE(wc, nullptr);
+  Compiler compiler;
+  CompileResult compiled = compiler.Compile(wc->source, OptLevel::kOverify, wc->name);
+  ASSERT_TRUE(compiled.ok);
+  SymexOptions options;
+  auto run = [&](CacheStore* store, SymexResult* out) {
+    SymexOptions opts = options;
+    opts.cache_store = store;
+    *out = Analyze(compiled, "umain", wc->default_sym_bytes, SymexLimits{}, opts);
+    return difftest::SignatureOf(*out, *compiled.module, "umain", /*confirm_models=*/true);
+  };
+
+  // The cold run, harvested into a fresh store: a real blob for this run.
+  CacheStore harvest;
+  SymexResult cold_result;
+  const difftest::RunSignature cold = run(&harvest, &cold_result);
+  ASSERT_TRUE(cold.exhausted) << cold.ToString();
+  ASSERT_EQ(harvest.runs(), 1u);
+  ASSERT_GT(harvest.TotalEntries(), 0u);
+  // The run's key, as Analyze forms it: the compile's annotations join the
+  // options fingerprint.
+  SymexOptions keyed = options;
+  if (compiled.annotations != nullptr && compiled.annotations->size() > 0) {
+    keyed.annotations = compiled.annotations.get();
+  }
+  RunBlob* blob = harvest.FindRun(ModuleContentHash(*compiled.module), OptionsFingerprint(keyed));
+  ASSERT_NE(blob, nullptr);
+
+  CacheStore old;
+  EXPECT_FALSE(old.Deserialize(SerializeVersion1(*blob)));
+  EXPECT_NE(old.load_error().find("version"), std::string::npos) << old.load_error();
+  EXPECT_EQ(old.runs(), 0u);
+
+  SymexResult warm_result;
+  const difftest::RunSignature warm = run(&old, &warm_result);
+  EXPECT_EQ(warm, cold) << warm.ToString() << "\nvs cold\n" << cold.ToString();
+  EXPECT_EQ(warm_result.metrics.Get(Counter::kPersistSeeded), 0u);
+  EXPECT_EQ(warm_result.metrics.Get(Counter::kPersistHits), 0u);
 }
 
 // ---- Run-level keys ----

@@ -1,18 +1,15 @@
 // CDCL machinery in the core backtracking solver (src/symex/solver.cc,
-// docs/solver.md): clause learning, conflict-directed backjumping, Luby
-// restarts, caller-supplied domain facts, and cross-query clause reuse.
+// docs/solver.md): in-query clause learning, conflict-directed
+// backjumping, and caller-supplied domain facts.
 //
 // The load-bearing property throughout is docs/solver.md#determinism:
-// learning and every tuning knob may only ever skip NON-models, so the
-// verdict and the first model in the fixed (level, value) order are
-// invariant across learning on/off, restart schedules, decay rates, and
-// clause-store sizes. The randomized suites check that invariance directly
-// and against an exhaustive reference; CMakeLists labels this binary
-// "tier1;solver" so the solver CI job can sweep it alone under
-// OVERIFY_CDCL_* parameter overrides.
+// learning may only ever skip NON-models, so the verdict and the first
+// model in the fixed (level, value) order are invariant across learning
+// on/off and clause-store sizes. The randomized suites check that
+// invariance directly and against an exhaustive reference; CMakeLists
+// labels this binary "tier1;solver" so the solver CI job can run it alone.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "src/support/rng.h"
@@ -143,20 +140,12 @@ TEST_F(CdclTest, LearningToggleKeepsVerdictAndCanonicalModel) {
   }
 }
 
-// Restart schedule, activity decay, and clause-store size are performance
-// knobs only: every parameter point returns the default config's verdict
-// and model. This is the in-process version of the CI solver job's
-// OVERIFY_CDCL_* environment sweep.
-TEST_F(CdclTest, RestartAndDecayParametersAreResultInvariant) {
+// The clause-store size is a performance knob only: every capacity,
+// including ones small enough to compact every few adds, returns the
+// default config's verdict and model.
+TEST_F(CdclTest, ClauseCapacityIsResultInvariant) {
   Rng rng(0x1b9f00d5);
-  struct Point {
-    uint64_t restart_base;
-    double decay;
-    size_t capacity;
-  };
-  const Point points[] = {
-      {1, 0.5, 16}, {8, 0.999, 64}, {1ull << 30, 0.95, 512},
-  };
+  const size_t capacities[] = {4, 16, 64, 512};
   for (int round = 0; round < 40; ++round) {
     std::vector<const Expr*> constraints;
     const size_t n = 1 + rng.NextBelow(4);
@@ -167,19 +156,16 @@ TEST_F(CdclTest, RestartAndDecayParametersAreResultInvariant) {
     CoreSolver reference;
     std::vector<uint8_t> expected_model;
     SatResult expected = reference.CheckSat(ctx, constraints, &expected_model);
-    for (const Point& p : points) {
+    for (size_t capacity : capacities) {
       CdclConfig config;
-      config.restart_base = p.restart_base;
-      config.activity_decay = p.decay;
-      config.clause_capacity = p.capacity;
+      config.clause_capacity = capacity;
       CoreSolver solver;
       solver.set_config(config);
       std::vector<uint8_t> model;
       ASSERT_EQ(solver.CheckSat(ctx, constraints, &model), expected)
-          << "round " << round << " restart_base " << p.restart_base;
+          << "round " << round << " capacity " << capacity;
       if (expected == SatResult::kSat) {
-        EXPECT_EQ(model, expected_model)
-            << "round " << round << " restart_base " << p.restart_base;
+        EXPECT_EQ(model, expected_model) << "round " << round << " capacity " << capacity;
       }
     }
   }
@@ -202,30 +188,6 @@ TEST_F(CdclTest, BackjumpSkipsAnUnconstrainedMiddleLevel) {
   EXPECT_EQ(core.CheckSat(ctx, constraints, nullptr), SatResult::kUnsat);
   EXPECT_GT(core.conflicts(), 0u);
   EXPECT_GT(core.backjumps(), 0u);
-}
-
-// ---- Clause store bounds and export.
-
-TEST_F(CdclTest, ExportedClausesRespectTheConfiguredBounds) {
-  // s0 * s1 == 397 (prime, > 255) is UNSAT only after refuting every pair:
-  // a conflict per candidate, so the store sees heavy traffic.
-  std::vector<const Expr*> constraints = {
-      ctx.Compare(ICmpPredicate::kEq, ctx.Binary(ExprKind::kMul, W(0), W(1)), C(397, 32)),
-  };
-  CoreSolver core;
-  std::vector<LearnedClause> exported;
-  CoreSolver::SearchExtras extras;
-  extras.learned = &exported;
-  EXPECT_EQ(core.CheckSat(ctx, constraints, nullptr, 1 << 22, nullptr, nullptr, &extras),
-            SatResult::kUnsat);
-  EXPECT_GT(core.conflicts(), 0u);
-  EXPECT_GT(core.learned(), 0u);
-  EXPECT_LE(exported.size(), kMaxExportClauses);
-  for (const LearnedClause& clause : exported) {
-    EXPECT_LE(clause.lits.size(), kMaxClauseLiterals);
-    EXPECT_TRUE(std::is_sorted(clause.lits.begin(), clause.lits.end()))
-        << "clause literals must ascend by symbol for cross-query matching";
-  }
 }
 
 // ---- Golden search counters: the clause store's exact behaviour.
@@ -265,36 +227,26 @@ std::vector<const Expr*> GoldenQuery(ExprContext& ctx, Rng& rng) {
   return q;
 }
 
-// Which stored clause fires first decides its activity bump and the blame
-// mask it contributes, and activity decides what compaction keeps and what
-// is exported, so every counter below moves if the store ever consults
-// clauses in a different order. Capacities 4 and 8 compact every few adds.
-// One solver per configuration answers all six queries, so the store's
-// buffers are reused across queries too. The golden values were computed
-// with the clause store that scanned each level's clauses in full
-// (before the (level, value) index); the index must reproduce them.
+// Which stored clause fires first decides whose hit count grows and the
+// blame mask it contributes, and hit counts decide what compaction keeps,
+// so every counter below moves if the store ever consults clauses in a
+// different order or compacts them in a different one. Capacities 4 and 8
+// compact every few adds. One solver per configuration answers all six
+// queries, so the store's buffers are reused across queries too.
 TEST_F(CdclTest, GoldenSearchCountersAcrossClauseCapacities) {
   struct Golden {
     size_t capacity;
-    uint64_t candidates, conflicts, learned, learned_hits, backjumps, restarts;
+    uint64_t candidates, conflicts, learned, learned_hits, backjumps;
   };
   const Golden goldens[] = {
-      {512, 30929, 12200, 8198, 5456, 3, 0},
-      {4, 30792, 11743, 13114, 44, 12, 0},
-      {8, 30728, 11687, 13014, 80, 12, 0},
+      {512, 31451, 12588, 8535, 5561, 4},
+      {4, 30792, 11743, 13158, 0, 12},
+      {8, 30792, 11743, 13158, 0, 12},
   };
   // Verdicts and the one model: identical at every capacity.
   const SatResult verdicts[] = {SatResult::kUnsat, SatResult::kUnsat, SatResult::kUnsat,
                                 SatResult::kUnsat, SatResult::kSat, SatResult::kUnsat};
   const std::vector<uint8_t> sat_model = {0, 0, 0, 7, 10};
-  // Query 3's export at the default capacity, in order.
-  const std::vector<std::vector<std::pair<uint16_t, uint8_t>>> exported_golden = {
-      {{0, 0}},         {{0, 8}},         {{0, 1}},         {{0, 2}},
-      {{0, 3}},         {{0, 4}},         {{0, 7}},         {{0, 5}},
-      {{0, 6}},         {{1, 4}, {3, 4}}, {{1, 3}, {3, 4}}, {{1, 2}, {3, 4}},
-      {{1, 1}, {3, 4}}, {{1, 5}, {3, 4}}, {{1, 8}, {3, 4}}, {{1, 9}, {3, 4}},
-  };
-
   Rng rng(6);
   std::vector<std::vector<const Expr*>> queries;
   for (int i = 0; i < 6; ++i) {
@@ -307,21 +259,10 @@ TEST_F(CdclTest, GoldenSearchCountersAcrossClauseCapacities) {
     core.set_config(config);
     for (size_t i = 0; i < queries.size(); ++i) {
       std::vector<uint8_t> model;
-      std::vector<LearnedClause> exported;
-      CoreSolver::SearchExtras extras;
-      extras.learned = &exported;
-      ASSERT_EQ(core.CheckSat(ctx, queries[i], &model, 1 << 22, nullptr, nullptr, &extras),
-                verdicts[i])
+      ASSERT_EQ(core.CheckSat(ctx, queries[i], &model), verdicts[i])
           << "capacity " << g.capacity << " query " << i;
       if (verdicts[i] == SatResult::kSat) {
         EXPECT_EQ(model, sat_model) << "capacity " << g.capacity;
-      }
-      if (g.capacity == 512 && i == 3) {
-        std::vector<std::vector<std::pair<uint16_t, uint8_t>>> got;
-        for (const LearnedClause& clause : exported) {
-          got.push_back(clause.lits);
-        }
-        EXPECT_EQ(got, exported_golden);
       }
     }
     EXPECT_EQ(core.candidates_tried(), g.candidates) << "capacity " << g.capacity;
@@ -329,7 +270,6 @@ TEST_F(CdclTest, GoldenSearchCountersAcrossClauseCapacities) {
     EXPECT_EQ(core.learned(), g.learned) << "capacity " << g.capacity;
     EXPECT_EQ(core.learned_hits(), g.learned_hits) << "capacity " << g.capacity;
     EXPECT_EQ(core.backjumps(), g.backjumps) << "capacity " << g.capacity;
-    EXPECT_EQ(core.restarts(), g.restarts) << "capacity " << g.capacity;
   }
 }
 
@@ -378,54 +318,16 @@ TEST_F(CdclTest, UnaryConstraintSweepNarrowsDomainsBeforeSearch) {
   EXPECT_LT(core.candidates_tried(), 600u) << "unary sweep failed to narrow s0";
 }
 
-// ---- Clause consultation and seeding (docs/solver.md#reuse).
+// ---- Learning through the chain.
 
-// A seed clause matching the search's would-be first model forces the
-// solver to skip it and land on the next model in the fixed order, with the
-// skip counted as a learned-clause hit. (The seed here is deliberately
-// false as a nogood — seeds only ever PRUNE, so an unsound seed changes the
-// model but exercises exactly the consultation path.)
-TEST_F(CdclTest, SeededClauseSkipsItsAssignment) {
-  std::vector<const Expr*> constraints = {
-      ctx.Compare(ICmpPredicate::kEq, ctx.Binary(ExprKind::kAdd, W(0), W(1)), C(10, 32)),
-  };
-  CoreSolver plain;
-  std::vector<uint8_t> first;
-  ASSERT_EQ(plain.CheckSat(ctx, constraints, &first), SatResult::kSat);
-  first.resize(2, 0);
-
-  LearnedClause veto;
-  veto.lits = {{0, first[0]}, {1, first[1]}};
-  std::vector<const LearnedClause*> seeds = {&veto};
-  CoreSolver::SearchExtras extras;
-  extras.seeds = &seeds;
-
-  CoreSolver seeded;
-  std::vector<uint8_t> second;
-  ASSERT_EQ(seeded.CheckSat(ctx, constraints, &second, 1 << 22, nullptr, nullptr, &extras),
-            SatResult::kSat);
-  second.resize(2, 0);
-  EXPECT_NE(second, first);
-  EXPECT_TRUE(Satisfies(constraints, second));
-  EXPECT_GE(seeded.learned_hits(), 1u);
-}
-
-// Cross-query reuse through the chain: a follow-up query over a superset
-// of an earlier SAT query's constraints starts from the cached entry's
-// clauses. Verdicts are identical with learning on and off, and clause
-// pruning alone never does more core work. (Restarts are pinned off here:
-// they deliberately trade bounded replay for fresh blame masks, so the
-// candidate count is only comparable with the schedule out of the way —
-// docs/solver.md#restarts.)
-TEST_F(CdclTest, ChainClauseReuseKeepsVerdictsAndNeverAddsWork) {
+// A chain with learning on and one with it off return the same verdicts
+// and the same model, and only the learning chain stores clauses.
+TEST_F(CdclTest, ChainLearningToggleKeepsVerdicts) {
   const Expr* product =
       ctx.Compare(ICmpPredicate::kEq, ctx.Binary(ExprKind::kMul, W(0), W(1)), C(391, 32));
   const Expr* cap = ctx.Compare(ICmpPredicate::kULT, Sym(0), C(17));  // kills 17 * 23
 
   SolverChain learning(ctx), frozen(ctx);
-  CdclConfig no_restarts;
-  no_restarts.restart_base = 1ull << 30;
-  learning.set_cdcl_config(no_restarts);
   frozen.set_learning(false);
 
   std::vector<const Expr*> q1 = {product};
@@ -440,16 +342,14 @@ TEST_F(CdclTest, ChainClauseReuseKeepsVerdictsAndNeverAddsWork) {
   EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreConflicts), 0u);
   EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreLearned), 0u);
   EXPECT_EQ(frozen.metrics().Get(Counter::kSolverCoreLearned), 0u);
-  EXPECT_LE(learning.metrics().Get(Counter::kSolverCoreCandidates),
-            frozen.metrics().Get(Counter::kSolverCoreCandidates));
 }
 
 // ---- Engine-level determinism with learning enabled.
 
-// 1-vs-4-worker runs must be bit-identical with learning on: per-worker
-// clause stores and cross-query seeding are schedule-dependent, so this
-// holds only because pruning cannot change verdicts and bug-report models
-// come from CheckSatCanonical (no seeds, no ranges). The full lattice
+// 1-vs-4-worker runs must be bit-identical with learning on: which queries
+// reach a worker's core is schedule-dependent, so this holds only because
+// pruning cannot change verdicts and bug-report models come from
+// CheckSatCanonical (no ranges). The full lattice
 // sweeps this axis suite-wide; this is the focused solver-level slice.
 TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
   difftest::DiffOptions options;
@@ -480,10 +380,10 @@ TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
 // The solver-hostile workload that motivated the CDCL core: factor at its
 // full default width runs trial-division srem queries whose UNSAT cores
 // span several bytes. The run must exhaust under a wall ceiling — a
-// regression in learning, domain seeding, or restart gating shows up here
+// regression in learning, backjumping or domain seeding shows up here
 // as a blown deadline long before the full lattice job notices. Since
 // -OVERIFY keeps atoi's sign branch (no select-indexed digit loads), a
-// Release build exhausts in about 1 s and still learns about 1.0M clauses;
+// Release build exhausts in about 1 s and still learns about 1.1M clauses;
 // the core-search assertions keep a cheaper pipeline from turning this into
 // a test that never reaches the learning core.
 TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
