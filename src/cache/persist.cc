@@ -116,12 +116,10 @@ uint64_t OptionsFingerprint(const SymexOptions& options) {
   // excluded: the scheduler contract makes results worker-count-invariant,
   // so a 1-job warm run may reuse a 8-job cold harvest.
   PortableHasher hasher;
-  hasher.Fold(static_cast<uint8_t>(options.strategy));
   hasher.Fold(static_cast<uint8_t>(options.solver_preprocess ? 1 : 0));
   hasher.Fold(static_cast<uint8_t>(options.solver_learning ? 1 : 0));
   hasher.Fold(static_cast<uint8_t>(options.slice_checks ? 1 : 0));
   hasher.Fold(static_cast<uint8_t>(options.annotations != nullptr ? 1 : 0));
-  hasher.Fold(options.search_seed);
   hasher.Fold(static_cast<uint8_t>(options.faults.enabled() ? 1 : 0));
   if (options.faults.enabled()) {
     hasher.Fold(options.faults.seed);

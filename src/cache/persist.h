@@ -34,10 +34,11 @@ namespace overify {
 class Module;
 struct SymexOptions;
 
-// Bump on ANY change to the serialized layout *or* to the definition of the
-// portable content hash (src/symex/expr_hash.cc) — stores written under a
-// different definition must be rejected wholesale, not reinterpreted.
-constexpr uint32_t kCacheStoreVersion = 2;
+// Bump on ANY change to the serialized layout, to the definition of the
+// portable content hash (src/symex/expr_hash.cc) *or* to OptionsFingerprint
+// — stores written under a different definition must be rejected
+// wholesale, not reinterpreted.
+constexpr uint32_t kCacheStoreVersion = 3;
 
 // "OVFYCACH" little-endian.
 constexpr uint64_t kCacheStoreMagic = 0x484341435946564Full;

@@ -146,10 +146,9 @@ CompileResult Compiler::Compile(const std::string& program_source, OptLevel leve
 }
 
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,
-                    const SymexLimits& limits, unsigned jobs, SearchStrategy strategy) {
+                    const SymexLimits& limits, unsigned jobs) {
   SymexOptions options;
   options.jobs = jobs;
-  options.strategy = strategy;
   return Analyze(compiled, entry, input_bytes, limits, options);
 }
 

@@ -47,11 +47,10 @@ class Compiler {
 
 // Convenience: symbolic analysis of a compiled module, consuming the
 // annotations when present. `jobs` worker threads explore in parallel
-// (0 = one per hardware thread) ordered by `strategy`; results are
-// identical across worker counts on exhausted runs (docs/scheduler.md).
+// (0 = one per hardware thread); results are identical across worker
+// counts on exhausted runs (docs/scheduler.md).
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,
-                    const SymexLimits& limits, unsigned jobs = 1,
-                    SearchStrategy strategy = SearchStrategy::kDfs);
+                    const SymexLimits& limits, unsigned jobs = 1);
 
 // Full-options overload (solver A/B configurations such as
 // solver_preprocess and solver_learning, slicing, persistence, tracing).

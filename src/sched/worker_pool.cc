@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -14,83 +13,6 @@
 
 namespace overify {
 namespace sched {
-
-// One worker's queue: a strategy-ordered searcher behind a mutex. Every
-// worker of a multi-worker run builds into one shared interner, so states
-// flow between queues freely.
-//
-// Queues persist across Run()s on the same pool; BeginRun rebinds the
-// run's shared counters and resets the searcher, which is what clears the
-// coverage searcher's visit table between runs (stale coverage must not
-// skew — or leak into — the next exploration).
-class WorkerQueue : public ForkSink {
- public:
-  // The largest batch one steal may take. Bounds both the time a thief
-  // holds the victim's lock and how much colder-than-necessary work a
-  // single thief can hoard.
-  static constexpr size_t kMaxStealBatch = 32;
-
-  WorkerQueue(SearchStrategy strategy, uint64_t seed)
-      : searcher_(MakeSearcher(strategy, seed)) {}
-
-  void BeginRun(SharedCounters& shared) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shared_ = &shared;
-    searcher_->Reset();
-  }
-
-  // Frees any states a limit stop left queued and drops accumulated search
-  // feedback. Call Remaining() first: this zeroes it.
-  void EndRun() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    searcher_->Reset();
-  }
-
-  void PushFork(std::unique_ptr<ExecState> state) override {
-    shared_->live_states.fetch_add(1, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> lock(mutex_);
-    searcher_->Add(std::move(state));
-  }
-
-  // Enqueues a stolen state the thief keeps for itself. Unlike PushFork this
-  // does not touch live_states: the state was already counted when it was
-  // forked and stays live throughout the migration.
-  void AddStolen(std::unique_ptr<ExecState> state) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    searcher_->Add(std::move(state));
-  }
-
-  std::unique_ptr<ExecState> PopOwn() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return searcher_->Next();
-  }
-
-  // Takes up to half of this queue's pending states (capped) from the cold
-  // end, appended to `out` coldest first. One lock acquisition per batch.
-  void StealBatch(std::vector<std::unique_ptr<ExecState>>& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t size = searcher_->Size();
-    if (size == 0) {
-      return;
-    }
-    size_t take = std::min((size + 1) / 2, kMaxStealBatch);
-    searcher_->StealBatch(out, take);
-  }
-
-  // How many states are still queued (called after the workers joined).
-  uint64_t Remaining() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return searcher_->Size();
-  }
-
-  Searcher* searcher() { return searcher_.get(); }
-
- private:
-  std::mutex mutex_;
-  std::unique_ptr<Searcher> searcher_;
-  SharedCounters* shared_ = nullptr;
-};
-
 namespace {
 
 // Positions of every instruction in module order — the canonical sort key
@@ -255,8 +177,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
   if (queues_.empty()) {
     queues_.reserve(jobs);
     for (unsigned w = 0; w < jobs; ++w) {
-      queues_.push_back(std::make_unique<WorkerQueue>(
-          options_.strategy, HashMix64(options_.search_seed ^ (uint64_t{w} + 1))));
+      queues_.push_back(std::make_unique<WorkerQueue>());
     }
   }
   OVERIFY_ASSERT(queues_.size() == jobs, "worker count changed across Run()s");
@@ -398,7 +319,7 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
-      PathOutcome outcome = engine.RunState(*state, queue, queue.searcher());
+      PathOutcome outcome = engine.RunState(*state, queue);
       if (outcome == PathOutcome::kDied) {
         // Injected worker death mid-state: the state is untouched and still
         // counted live. Requeue it on this worker's queue — survivors steal
@@ -520,8 +441,8 @@ SymexResult WorkerPool::Run(Function* entry, unsigned num_input_bytes,
     result.bugs.push_back(std::move(report));
   }
 
-  // Free anything a limit stop left queued (and reset search feedback) so a
-  // reused pool starts clean; Remaining() above already tallied it.
+  // Free anything a limit stop left queued so a reused pool starts clean;
+  // Remaining() above already tallied it.
   for (const auto& queue : queues_) {
     queue->EndRun();
   }

@@ -94,9 +94,9 @@ class EngineCore::Impl {
     return state;
   }
 
-  PathOutcome RunState(ExecState& state, ForkSink& sink, Searcher* searcher) {
+  PathOutcome RunState(ExecState& state, ForkSink& sink) {
     const uint64_t t0 = MetricsNowNs();
-    PathOutcome outcome = RunStateImpl(state, sink, searcher);
+    PathOutcome outcome = RunStateImpl(state, sink);
     const uint64_t t1 = MetricsNowNs();
     metrics_.Record(Hist::kPathRunNs, t1 - t0);
     if (trace_ != nullptr) {
@@ -134,9 +134,8 @@ class EngineCore::Impl {
   FaultInjector& faults() { return injector_; }
 
  private:
-  PathOutcome RunStateImpl(ExecState& state, ForkSink& sink, Searcher* searcher) {
+  PathOutcome RunStateImpl(ExecState& state, ForkSink& sink) {
     sink_ = &sink;
-    searcher_ = searcher;
     for (;;) {
       if (++steps_since_check_ >= kLimitCheckInterval) {
         FlushInstructions();
@@ -252,13 +251,6 @@ class EngineCore::Impl {
   void CountInstructions(uint64_t n) {
     metrics_.Add(Counter::kInstructions, n);
     unflushed_instructions_ += n;
-  }
-
-  void EnterBlock(ExecState& state, BasicBlock* block) {
-    if (searcher_ != nullptr) {
-      searcher_->NotifyBlockEntered(block);
-    }
-    state.JumpTo(block);
   }
 
   // ---- Setup ----
@@ -1025,7 +1017,7 @@ class EngineCore::Impl {
       case Opcode::kBr: {
         const auto* br = Cast<BranchInst>(inst);
         if (!br->IsConditional()) {
-          EnterBlock(state, br->SingleDest());
+          state.JumpTo(br->SingleDest());
           return StepOutcome::kContinue;
         }
         const Expr* cond = ResolveInt(state, br->condition());
@@ -1034,7 +1026,7 @@ class EngineCore::Impl {
         if (decision != ForkDecision::kOk) {
           return ForkDeadOutcome(decision);
         }
-        EnterBlock(state, took_true ? br->true_dest() : br->false_dest());
+        state.JumpTo(took_true ? br->true_dest() : br->false_dest());
         return StepOutcome::kContinue;
       }
       case Opcode::kRet:
@@ -1127,9 +1119,6 @@ class EngineCore::Impl {
     for (unsigned i = 0; i < call->NumArgs(); ++i) {
       frame.locals[callee->Arg(i)->local_slot()] = Resolve(state, call->Arg(i));
     }
-    if (searcher_ != nullptr) {
-      searcher_->NotifyBlockEntered(frame.block);
-    }
     state.stack.push_back(std::move(frame));
     return StepOutcome::kContinue;
   }
@@ -1195,7 +1184,6 @@ class EngineCore::Impl {
   uint64_t unflushed_instructions_ = 0;
   uint64_t steps_since_check_ = 0;
   ForkSink* sink_ = nullptr;
-  Searcher* searcher_ = nullptr;
   std::unordered_map<const GlobalVariable*, uint64_t> global_objects_;
   // Phi resolution's (phi, value) pairs, reused across steps.
   std::vector<std::pair<Instruction*, RuntimeValue>> phi_scratch_;
@@ -1213,8 +1201,8 @@ std::unique_ptr<ExecState> EngineCore::MakeInitialState(Function* entry) {
   return impl_->MakeInitialState(entry);
 }
 
-PathOutcome EngineCore::RunState(ExecState& state, ForkSink& sink, Searcher* searcher) {
-  return impl_->RunState(state, sink, searcher);
+PathOutcome EngineCore::RunState(ExecState& state, ForkSink& sink) {
+  return impl_->RunState(state, sink);
 }
 
 MetricsShard& EngineCore::metrics_shard() { return impl_->metrics_shard(); }

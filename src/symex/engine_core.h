@@ -152,9 +152,8 @@ class EngineCore {
   std::unique_ptr<ExecState> MakeInitialState(Function* entry);
 
   // Runs `state` until it completes, dies, or the stop latch trips. Forked
-  // siblings go to `sink`; block entries are reported to `searcher` for
-  // coverage-guided ordering (may be null).
-  PathOutcome RunState(ExecState& state, ForkSink& sink, Searcher* searcher);
+  // siblings go to `sink`.
+  PathOutcome RunState(ExecState& state, ForkSink& sink);
 
   // This worker's slice of the metrics registry: exact per-worker counters
   // and latency histograms, written only by the worker thread that runs

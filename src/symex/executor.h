@@ -5,10 +5,10 @@
 // (division by zero, out-of-bounds access, failed checks) become bug reports
 // with concrete reproducing inputs from the solver's model.
 //
-// Exploration is scheduled by the src/sched/ subsystem: a pluggable
-// Searcher orders pending states and a work-stealing WorkerPool fans them
-// out over `jobs` workers, each with its own ExprContext and solver over
-// one shared expression interner (stolen states run as-is). Results are
+// Exploration is scheduled by the src/sched/ subsystem: a work-stealing
+// WorkerPool runs pending states depth-first (newest first) over `jobs`
+// workers, each with its own ExprContext and solver over one shared
+// expression interner (stolen states run as-is). Results are
 // aggregated in canonical order, so bug sets and verdicts are identical for
 // 1..N workers on exhausted runs — see docs/scheduler.md.
 #pragma once
@@ -20,7 +20,6 @@
 
 #include "src/ir/module.h"
 #include "src/passes/annotate.h"
-#include "src/sched/searcher.h"
 #include "src/support/fault.h"
 #include "src/support/metrics.h"
 #include "src/symex/solver.h"
@@ -116,8 +115,6 @@ struct SymexOptions {
   // Compiler-produced annotations; branch conditions they decide skip the
   // solver entirely (§3 "Program annotations").
   const ProgramAnnotations* annotations = nullptr;
-  // Search order for pending states (src/sched/searcher.h).
-  SearchStrategy strategy = SearchStrategy::kDfs;
   // Worker threads exploring in parallel; 0 = one per hardware thread.
   unsigned jobs = 1;
   // Constraint preprocessing + prefix-aware counterexample caching ahead of
@@ -131,8 +128,6 @@ struct SymexOptions {
   // bug reports are identical either way — learning only prunes candidates
   // the search would have refuted one by one.
   bool solver_learning = true;
-  // Seed for the random-path strategy (worker index is mixed in per worker).
-  uint64_t search_seed = 0x05e11a11;
   // Deterministic fault injection (src/support/fault.h). Disabled by
   // default (seed 0); tests and the robustness differential harness enable
   // it to exercise the graceful-degradation contract (docs/robustness.md).

@@ -1,8 +1,6 @@
 #include "src/symex/solver.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <unordered_map>
 
@@ -11,59 +9,6 @@
 namespace overify {
 
 namespace {
-
-const char* KindName(ExprKind k) {
-  switch (k) {
-    case ExprKind::kConstant: return "const";
-    case ExprKind::kSymbol: return "sym";
-    case ExprKind::kAdd: return "add";
-    case ExprKind::kSub: return "sub";
-    case ExprKind::kMul: return "mul";
-    case ExprKind::kUDiv: return "udiv";
-    case ExprKind::kSDiv: return "sdiv";
-    case ExprKind::kURem: return "urem";
-    case ExprKind::kSRem: return "srem";
-    case ExprKind::kAnd: return "and";
-    case ExprKind::kOr: return "or";
-    case ExprKind::kXor: return "xor";
-    case ExprKind::kShl: return "shl";
-    case ExprKind::kLShr: return "lshr";
-    case ExprKind::kAShr: return "ashr";
-    case ExprKind::kEq: return "eq";
-    case ExprKind::kUlt: return "ult";
-    case ExprKind::kUle: return "ule";
-    case ExprKind::kSlt: return "slt";
-    case ExprKind::kSle: return "sle";
-    case ExprKind::kSelect: return "select";
-    case ExprKind::kZExt: return "zext";
-    case ExprKind::kSExt: return "sext";
-    case ExprKind::kTrunc: return "trunc";
-    case ExprKind::kExtract: return "extract";
-    case ExprKind::kConcat: return "concat";
-  }
-  return "?";
-}
-
-void DumpExpr(const Expr* e, int depth) {
-  if (depth > 14) { std::fprintf(stderr, "..."); return; }
-  if (e->kind() == ExprKind::kConstant) {
-    std::fprintf(stderr, "%llu:w%u", (unsigned long long)e->constant_value(), e->width());
-    return;
-  }
-  if (e->kind() == ExprKind::kSymbol) {
-    std::fprintf(stderr, "s%u", e->symbol_index());
-    return;
-  }
-  std::fprintf(stderr, "(%s:w%u", KindName(e->kind()), e->width());
-  for (const Expr* child : {e->a(), e->b(), e->c()}) {
-    if (child != nullptr) {
-      std::fprintf(stderr, " ");
-      DumpExpr(child, depth + 1);
-    }
-  }
-  if (e->kind() == ExprKind::kExtract) std::fprintf(stderr, " @%u", e->extract_offset());
-  std::fprintf(stderr, ")");
-}
 
 // Value ordering for the core search: likely-satisfying bytes first (string
 // terminators, letters, separators), then everything else. This is the
@@ -140,12 +85,6 @@ struct Domain {
     }
   }
 };
-
-// OVERIFY_SOLVER_DEBUG, resolved once per process.
-bool SolverDebug() {
-  static const bool kDebug = std::getenv("OVERIFY_SOLVER_DEBUG") != nullptr;
-  return kDebug;
-}
 
 static_assert(kMaxClauseLiterals <= 8, "clause values pack into one uint64_t");
 
@@ -411,17 +350,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   };
   build_values();
 
-  const bool debug = SolverDebug();
   const uint64_t candidates_at_entry = candidates_tried_;
-  if (debug) {
-    std::fprintf(stderr, "[solver] query: %zu constraints (%zu unary), %zu levels, domains:",
-                 live.size(), unary.size(), order.size());
-    for (size_t l = 0; l < order.size(); ++l) {
-      std::fprintf(stderr, " s%u=%zu", order[l], domain[l].Count());
-    }
-    std::fprintf(stderr, "\n");
-  }
-
   std::vector<size_t> candidate_index(order.size(), 0);
   // Levels (strictly below the key) implicated in failures at each level.
   std::vector<uint64_t> conflict_mask(order.size(), 0);
@@ -477,11 +406,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     undo[d].clear();
   };
 
-  uint64_t debug_conflicts_by_depth[64] = {};
   auto record_conflict = [&](size_t d) {
-    if (debug && d < 64) {
-      ++debug_conflicts_by_depth[d];
-    }
     ++conflicts_;
     if (extras != nullptr && extras->metrics != nullptr) {
       extras->metrics->Record(Hist::kCoreConflictDepth, d);
@@ -622,10 +547,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       if (model != nullptr) {
         *model = assignment;
       }
-      if (debug) {
-        std::fprintf(stderr, "[solver] SAT after %llu candidates\n",
-                     static_cast<unsigned long long>(candidates_tried_ - candidates_at_entry));
-      }
       return SatResult::kSat;
     }
     // Derived-domains trigger (once per query, independent of the learning
@@ -691,15 +612,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
         continue;
       }
       if (mask == 0) {
-        if (debug) {
-          std::fprintf(stderr, "[solver] UNSAT after %llu candidates, conflicts by depth:",
-                       static_cast<unsigned long long>(candidates_tried_ - candidates_at_entry));
-          for (size_t d = 0; d < order.size() && d < 64; ++d) {
-            std::fprintf(stderr, " %llu",
-                         static_cast<unsigned long long>(debug_conflicts_by_depth[d]));
-          }
-          std::fprintf(stderr, "\n");
-        }
         return SatResult::kUnsat;
       }
       size_t jump = 63 - static_cast<size_t>(__builtin_clzll(mask));
@@ -732,15 +644,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       continue;
     }
     if (budget == 0) {
-      if (debug) {
-        std::fprintf(stderr, "[solver] budget exhausted: %zu constraints, %zu symbols\n",
-                     live.size(), order.size());
-        for (const Expr* c : live) {
-          std::fprintf(stderr, "  ");
-          DumpExpr(c, 0);
-          std::fprintf(stderr, "\n");
-        }
-      }
       return give_up(UnknownCause::kCandidateBudget);
     }
     --budget;

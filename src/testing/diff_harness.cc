@@ -26,7 +26,7 @@ std::string LatticeCell::Name() const {
   std::ostringstream out;
   out << OptLevelName(level) << "/j" << jobs << "/"
       << (solver_preprocess ? "prep" : "noprep") << "/"
-      << (solver_learning ? "learn" : "nolearn") << "/" << SearchStrategyName(strategy);
+      << (solver_learning ? "learn" : "nolearn");
   if (slice_checks) {
     out << "/slice";
   }
@@ -38,7 +38,6 @@ SymexOptions LatticeCell::ToOptions() const {
   options.jobs = jobs;
   options.solver_preprocess = solver_preprocess;
   options.solver_learning = solver_learning;
-  options.strategy = strategy;
   options.slice_checks = slice_checks;
   return options;
 }
@@ -114,17 +113,14 @@ std::vector<LatticeCell> FullLattice(const DiffOptions& options) {
     for (unsigned jobs : options.jobs) {
       for (bool preprocess : options.preprocess) {
         for (bool learning : options.learning) {
-          for (SearchStrategy strategy : options.strategies) {
-            for (bool slice : options.slicing) {
-              LatticeCell cell;
-              cell.level = level;
-              cell.jobs = jobs;
-              cell.solver_preprocess = preprocess;
-              cell.solver_learning = learning;
-              cell.strategy = strategy;
-              cell.slice_checks = slice;
-              cells.push_back(cell);
-            }
+          for (bool slice : options.slicing) {
+            LatticeCell cell;
+            cell.level = level;
+            cell.jobs = jobs;
+            cell.solver_preprocess = preprocess;
+            cell.solver_learning = learning;
+            cell.slice_checks = slice;
+            cells.push_back(cell);
           }
         }
       }
@@ -370,7 +366,6 @@ DiffReport RunRobustnessDifferential(const std::string& name, const std::string&
   for (unsigned jobs : options.jobs) {
     SymexOptions opts;
     opts.jobs = jobs;
-    opts.strategy = options.strategy;
     std::string label = "clean/j" + std::to_string(jobs);
     RunSignature signature = run_once(opts, options.limits, label, nullptr);
     if (!signature.exhausted) {
@@ -395,8 +390,7 @@ DiffReport RunRobustnessDifferential(const std::string& name, const std::string&
     for (unsigned jobs : options.jobs) {
       SymexOptions opts;
       opts.jobs = jobs;
-      opts.strategy = options.strategy;
-      opts.faults.seed = seed;
+        opts.faults.seed = seed;
       opts.faults.period = options.fault_period;
       // Keep at least one worker alive so multi-worker runs can still
       // exhaust; at one worker a death would just abandon the run.
@@ -430,7 +424,6 @@ DiffReport RunRobustnessDifferential(const std::string& name, const std::string&
     limits.max_paths = budget;
     SymexOptions opts;
     opts.jobs = 1;
-    opts.strategy = options.strategy;
     std::string label = "budget/max_paths=" + std::to_string(budget);
     RunSignature first = run_once(opts, limits, label + "/run1", nullptr);
     RunSignature second = run_once(opts, limits, label + "/run2", nullptr);

@@ -2,15 +2,15 @@
 //
 // The engine has independently-toggleable fast paths (constraint
 // preprocessing, prefix caching behind it, CDCL-style learning in the
-// backtracking core, searcher strategy, the multi-worker steal path) on
-// top of the optimization-level axis the paper studies. Each of them claims
+// backtracking core, the multi-worker steal path) on top of the
+// optimization-level axis the paper studies. Each of them claims
 // "identical results either way" — this harness is the single oracle that
 // enforces the claim at suite scale instead of scattered per-feature
 // equivalence tests. It runs a program through the full configuration
 // lattice
 //
 //   {-O0, -OVERIFY, -O3} x {1, 4 workers} x {preprocess on, off}
-//                        x {learning on, off} x {dfs, coverage-guided}
+//                        x {learning on, off}
 //
 // and asserts a canonical RunSignature per cell:
 //
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "src/driver/compiler.h"
-#include "src/sched/searcher.h"
 #include "src/symex/executor.h"
 #include "src/workloads/workloads.h"
 
@@ -50,7 +49,6 @@ struct LatticeCell {
   unsigned jobs = 1;
   bool solver_preprocess = true;
   bool solver_learning = true;
-  SearchStrategy strategy = SearchStrategy::kDfs;
   // Per-check slice verification (docs/slicing.md). Slice-mode path/fork
   // counts are per-slice sums, so slice cells form their own bit-identical
   // reference group within a level; the cross-level semantic comparison
@@ -58,8 +56,8 @@ struct LatticeCell {
   // cells.
   bool slice_checks = false;
 
-  // "O3/j4/prep/learn/dfs" — stable, greppable cell id; slice-mode
-  // cells append "/slice".
+  // "O3/j4/prep/learn" — stable, greppable cell id; slice-mode cells
+  // append "/slice".
   std::string Name() const;
   SymexOptions ToOptions() const;
 };
@@ -138,8 +136,6 @@ struct DiffOptions {
   std::vector<unsigned> jobs = {1, 4};
   std::vector<bool> preprocess = {true, false};  // solver_preprocess values
   std::vector<bool> learning = {true, false};    // solver_learning values
-  std::vector<SearchStrategy> strategies = {SearchStrategy::kDfs,
-                                            SearchStrategy::kCoverageGuided};
   // Slice-mode axis (docs/slicing.md). Default spans whole-program only so
   // the base lattice's cost is unchanged; slicing suites set {false, true}
   // to assert slice-vs-whole verdict equivalence on top of the scheduler
@@ -221,7 +217,6 @@ struct RobustnessOptions {
   std::string entry = "umain";
   SymexLimits limits;  // sized so the clean run exhausts
   OptLevel level = OptLevel::kOverify;
-  SearchStrategy strategy = SearchStrategy::kDfs;
 };
 
 DiffReport RunRobustnessDifferential(const std::string& name, const std::string& source,

@@ -34,8 +34,8 @@ using difftest::SemanticOf;
 TEST(LatticeTest, FullLatticeSpansEveryAxisCombination) {
   DiffOptions options;
   auto cells = FullLattice(options);
-  // 3 levels x 2 worker counts x 2 preprocess x 2 learning x 2 strategies.
-  EXPECT_EQ(cells.size(), 48u);
+  // 3 levels x 2 worker counts x 2 preprocess x 2 learning.
+  EXPECT_EQ(cells.size(), 24u);
   // Cell names are unique (they key diffs and logs).
   std::vector<std::string> names;
   for (const LatticeCell& cell : cells) {
@@ -43,7 +43,7 @@ TEST(LatticeTest, FullLatticeSpansEveryAxisCombination) {
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
-  EXPECT_EQ(cells.front().Name(), "-O0/j1/prep/learn/dfs");
+  EXPECT_EQ(cells.front().Name(), "-O0/j1/prep/learn");
 }
 
 TEST(LatticeTest, CellOptionsCarryEveryAxis) {
@@ -51,13 +51,11 @@ TEST(LatticeTest, CellOptionsCarryEveryAxis) {
   cell.jobs = 4;
   cell.solver_preprocess = false;
   cell.solver_learning = false;
-  cell.strategy = SearchStrategy::kCoverageGuided;
   cell.slice_checks = true;
   SymexOptions options = cell.ToOptions();
   EXPECT_EQ(options.jobs, 4u);
   EXPECT_FALSE(options.solver_preprocess);
   EXPECT_FALSE(options.solver_learning);
-  EXPECT_EQ(options.strategy, SearchStrategy::kCoverageGuided);
   EXPECT_TRUE(options.slice_checks);
   EXPECT_NE(cell.Name().find("/slice"), std::string::npos);
 }
@@ -66,7 +64,7 @@ TEST(LatticeTest, SlicingAxisDoublesTheLattice) {
   DiffOptions options;
   options.slicing = {false, true};
   auto cells = FullLattice(options);
-  EXPECT_EQ(cells.size(), 96u);
+  EXPECT_EQ(cells.size(), 48u);
   size_t sliced = 0;
   for (const LatticeCell& cell : cells) {
     if (cell.slice_checks) {
@@ -74,7 +72,7 @@ TEST(LatticeTest, SlicingAxisDoublesTheLattice) {
       EXPECT_NE(cell.Name().find("/slice"), std::string::npos);
     }
   }
-  EXPECT_EQ(sliced, 48u);
+  EXPECT_EQ(sliced, 24u);
 }
 
 TEST(SignatureTest, SemanticSignatureDedupsKindsAndKeepsConfirmation) {
@@ -117,7 +115,7 @@ TEST(DifferentialTest, CleanProgramPassesTheFullLattice) {
   )",
                                       4, options);
   EXPECT_TRUE(report.ok) << report.diff;
-  EXPECT_EQ(report.cells.size(), 48u);
+  EXPECT_EQ(report.cells.size(), 24u);
   for (const auto& cell : report.cells) {
     EXPECT_TRUE(cell.signature.exhausted) << cell.cell.Name();
     EXPECT_TRUE(cell.signature.bugs.empty()) << cell.cell.Name();
@@ -159,7 +157,6 @@ TEST(DifferentialTest, SliceModeAgreesOnABuggyProgram) {
   options.jobs = {1};
   options.preprocess = {true};
   options.learning = {true};
-  options.strategies = {SearchStrategy::kDfs};
   options.slicing = {false, true};
   options.limits.max_seconds = 60;
   DiffReport report = RunDifferential("div_bug_sliced", R"(
@@ -190,7 +187,6 @@ TEST(DifferentialTest, CappedCellsFailWhenExhaustionIsRequired) {
   options.levels = {OptLevel::kO0};
   options.jobs = {1};
   options.preprocess = {true};
-  options.strategies = {SearchStrategy::kBfs};
   options.limits.max_paths = 4;  // stops the 256-way fan-out immediately
   DiffReport report = RunDifferential("capped", R"(
     int umain(unsigned char *in, int n) {
@@ -230,7 +226,6 @@ TEST_P(WorkloadDifferentialTest, SliceModeAgreesWithWholeProgram) {
   options.jobs = {1, 4};
   options.preprocess = {true};
   options.learning = {true};
-  options.strategies = {SearchStrategy::kDfs};
   options.slicing = {false, true};
   options.limits.max_seconds = 120;
   DiffReport report = RunDifferential(*workload, /*sym_bytes=*/4, options);
@@ -307,8 +302,8 @@ INSTANTIATE_TEST_SUITE_P(Lattice, SlowSuiteDifferentialTest,
                          });
 
 // Slow-tier slicing sweep: the whole suite at default widths through the
-// slice-vs-whole axis crossed with both worker counts and both search
-// strategies (the scheduler axes most likely to perturb per-slice runs).
+// slice-vs-whole axis crossed with both worker counts (the scheduler axis
+// most likely to perturb per-slice runs).
 class SlowSlicingDifferentialTest : public ::testing::TestWithParam<Workload> {};
 
 TEST_P(SlowSlicingDifferentialTest, SliceModeAgreesAtDefaultWidth) {

@@ -21,30 +21,6 @@ std::unique_ptr<Module> CompileOrDie(const std::string& source) {
   return m;
 }
 
-TEST(SearchOrderTest, BfsAndDfsExploreTheSamePathSet) {
-  auto m = CompileOrDie(R"(
-    int umain(unsigned char *in, int n) {
-      int score = 0;
-      if (in[0] > 'm') { score += 1; }
-      if (in[1] > 'm') { score += 2; }
-      if (in[2] > 'm') { score += 4; }
-      return score;
-    }
-  )");
-  SymexLimits limits;
-  SymexOptions dfs;
-  dfs.strategy = SearchStrategy::kDfs;
-  SymexOptions bfs;
-  bfs.strategy = SearchStrategy::kBfs;
-  SymexResult dfs_result = SymbolicExecutor(*m, dfs).Run("umain", 3, limits);
-  SymexResult bfs_result = SymbolicExecutor(*m, bfs).Run("umain", 3, limits);
-  EXPECT_TRUE(dfs_result.exhausted);
-  EXPECT_TRUE(bfs_result.exhausted);
-  EXPECT_EQ(dfs_result.metrics.Get(Counter::kPathsCompleted), 8u);
-  EXPECT_EQ(bfs_result.metrics.Get(Counter::kPathsCompleted), 8u);
-  EXPECT_EQ(dfs_result.metrics.Get(Counter::kForks), bfs_result.metrics.Get(Counter::kForks));
-}
-
 TEST(ForkIsolationTest, SiblingPathsDoNotShareMemoryWrites) {
   // Each branch writes a different value into the same buffer slot; if forked
   // states leaked object state, the check would fire on some path.

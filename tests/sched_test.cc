@@ -1,14 +1,11 @@
-// The scheduler subsystem: pluggable searchers, work-stealing workers, and
-// the determinism contract — identical bug sets, verdicts, and path counts
-// for 1..N workers on exhausted runs (docs/scheduler.md), preserved under
-// batch stealing and the shared lock-striped interner.
+// The scheduler subsystem: the depth-first worker queue, work-stealing
+// workers, and the determinism contract — identical bug sets, verdicts, and
+// path counts for 1..N workers on exhausted runs (docs/scheduler.md),
+// preserved under batch stealing and the shared lock-striped interner.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "src/driver/compiler.h"
 #include "src/frontend/codegen.h"
-#include "src/sched/searcher.h"
 #include "src/sched/worker_pool.h"
 #include "src/symex/executor.h"
 #include "src/workloads/workloads.h"
@@ -23,36 +20,10 @@ std::unique_ptr<Module> CompileOrDie(const std::string& source) {
   return m;
 }
 
-SymexResult RunWith(Module& m, SearchStrategy strategy, unsigned jobs, unsigned bytes,
-                    const SymexLimits& limits) {
+SymexResult RunWith(Module& m, unsigned jobs, unsigned bytes, const SymexLimits& limits) {
   SymexOptions options;
-  options.strategy = strategy;
   options.jobs = jobs;
   return SymbolicExecutor(m, options).Run("umain", bytes, limits);
-}
-
-const std::vector<SearchStrategy>& AllStrategies() {
-  static const std::vector<SearchStrategy> kAll = {
-      SearchStrategy::kDfs, SearchStrategy::kBfs, SearchStrategy::kRandomPath,
-      SearchStrategy::kCoverageGuided};
-  return kAll;
-}
-
-// The worker-count determinism properties honor OVERIFY_SCHED_STRATEGY so
-// CI's multi-core job can re-prove the contract per searcher (its strategy
-// matrix sets dfs / coverage-guided); unset runs the DFS default.
-SearchStrategy DeterminismStrategy() {
-  const char* env = std::getenv("OVERIFY_SCHED_STRATEGY");
-  if (env == nullptr || *env == '\0') {
-    return SearchStrategy::kDfs;
-  }
-  for (SearchStrategy strategy : AllStrategies()) {
-    if (std::string(env) == SearchStrategyName(strategy)) {
-      return strategy;
-    }
-  }
-  ADD_FAILURE() << "unknown OVERIFY_SCHED_STRATEGY '" << env << "'";
-  return SearchStrategy::kDfs;
 }
 
 // Two results must agree on everything the determinism contract covers.
@@ -71,48 +42,6 @@ void ExpectEquivalent(const SymexResult& a, const SymexResult& b, const std::str
   }
 }
 
-// ---- Searcher equivalence: order changes, the explored path set does not.
-
-TEST(SearcherEquivalenceTest, EveryStrategyExploresTheSamePathSet) {
-  auto m = CompileOrDie(R"(
-    int umain(unsigned char *in, int n) {
-      int score = 0;
-      if (in[0] > 'm') { score += 1; }
-      if (in[1] > 'm') { score += 2; }
-      if (in[2] > 'm') { score += 4; }
-      if (in[0] == in[2]) { score += 8; }
-      return score;
-    }
-  )");
-  SymexLimits limits;
-  SymexResult baseline = RunWith(*m, SearchStrategy::kDfs, 1, 3, limits);
-  EXPECT_TRUE(baseline.exhausted);
-  // 3 independent branches fork 8 ways; the equality only forks on the 4
-  // combos where in[0] and in[2] sit on the same side of 'm'.
-  EXPECT_EQ(baseline.metrics.Get(Counter::kPathsCompleted), 12u);
-  for (SearchStrategy strategy : AllStrategies()) {
-    SymexResult result = RunWith(*m, strategy, 1, 3, limits);
-    ExpectEquivalent(baseline, result, SearchStrategyName(strategy));
-  }
-}
-
-TEST(SearcherEquivalenceTest, StrategiesAgreeOnBuggyPrograms) {
-  auto m = CompileOrDie(R"(
-    int umain(unsigned char *in, int n) {
-      int d = in[0] - 'a';
-      if (in[1] == 'q') { return in[2] / d; }   /* d == 0 when in[0] == 'a' */
-      return 0;
-    }
-  )");
-  SymexLimits limits;
-  SymexResult baseline = RunWith(*m, SearchStrategy::kDfs, 1, 3, limits);
-  EXPECT_TRUE(baseline.FoundBug(BugKind::kDivByZero));
-  for (SearchStrategy strategy : AllStrategies()) {
-    SymexResult result = RunWith(*m, strategy, 1, 3, limits);
-    ExpectEquivalent(baseline, result, SearchStrategyName(strategy));
-  }
-}
-
 // ---- Worker-count determinism.
 
 TEST(SchedulerDeterminismTest, WorkerCountsAgreeOnForkHeavyProgram) {
@@ -127,12 +56,11 @@ TEST(SchedulerDeterminismTest, WorkerCountsAgreeOnForkHeavyProgram) {
     }
   )");
   SymexLimits limits;
-  SearchStrategy strategy = DeterminismStrategy();
-  SymexResult one = RunWith(*m, strategy, 1, 6, limits);
+  SymexResult one = RunWith(*m, 1, 6, limits);
   EXPECT_TRUE(one.exhausted);
   EXPECT_GE(one.metrics.Get(Counter::kPathsCompleted), 64u);
   for (unsigned jobs : {2u, 4u}) {
-    SymexResult many = RunWith(*m, strategy, jobs, 6, limits);
+    SymexResult many = RunWith(*m, jobs, 6, limits);
     ExpectEquivalent(one, many, "jobs=" + std::to_string(jobs));
   }
 }
@@ -151,12 +79,11 @@ TEST(SchedulerDeterminismTest, WorkerCountsAgreeOnBugSets) {
     }
   )");
   SymexLimits limits;
-  SearchStrategy strategy = DeterminismStrategy();
-  SymexResult one = RunWith(*m, strategy, 1, 6, limits);
+  SymexResult one = RunWith(*m, 1, 6, limits);
   EXPECT_TRUE(one.exhausted);
   EXPECT_FALSE(one.bugs.empty());
   for (unsigned jobs : {2u, 4u, 8u}) {
-    SymexResult many = RunWith(*m, strategy, jobs, 6, limits);
+    SymexResult many = RunWith(*m, jobs, 6, limits);
     ExpectEquivalent(one, many, "jobs=" + std::to_string(jobs));
   }
 }
@@ -166,13 +93,12 @@ TEST(SchedulerDeterminismTest, WorkloadSuiteIdenticalAcrossWorkerCounts) {
   SymexLimits limits;
   limits.max_paths = 60000;
   limits.max_seconds = 30;
-  SearchStrategy strategy = DeterminismStrategy();
   for (const Workload& workload : CoreutilsSuite()) {
     Compiler compiler;
     auto compiled = compiler.Compile(workload.source, OptLevel::kOverify, workload.name);
     ASSERT_TRUE(compiled.ok) << workload.name;
-    SymexResult one = Analyze(compiled, "umain", 3, limits, /*jobs=*/1, strategy);
-    SymexResult four = Analyze(compiled, "umain", 3, limits, /*jobs=*/4, strategy);
+    SymexResult one = Analyze(compiled, "umain", 3, limits, /*jobs=*/1);
+    SymexResult four = Analyze(compiled, "umain", 3, limits, /*jobs=*/4);
     if (!one.exhausted) {
       continue;  // the contract covers exhausted runs only
     }
@@ -211,7 +137,7 @@ const char* WcSource() {
 // A deeper run on the wc workload at -O3, where stealing actually happens.
 // Builds without NDEBUG also assert every stolen state's expressions live
 // in the run's shared interner (src/sched/worker_pool.cc).
-TEST(SchedulerDeterminismTest, WcAtO3IdenticalAcrossWorkerCountsAndStrategies) {
+TEST(SchedulerDeterminismTest, WcAtO3IdenticalAcrossWorkerCounts) {
   Compiler compiler;
   auto compiled = compiler.Compile(WcSource(), OptLevel::kO3);
   ASSERT_TRUE(compiled.ok);
@@ -222,14 +148,10 @@ TEST(SchedulerDeterminismTest, WcAtO3IdenticalAcrossWorkerCountsAndStrategies) {
   EXPECT_GE(one.metrics.Get(Counter::kPathsCompleted), 1000u);
   SymexResult four = Analyze(compiled, "umain", 5, limits, /*jobs=*/4);
   ExpectEquivalent(one, four, "wc@O3 jobs=4");
-  SymexResult coverage = Analyze(compiled, "umain", 5, limits, /*jobs=*/4,
-                                 SearchStrategy::kCoverageGuided);
-  ExpectEquivalent(one, coverage, "wc@O3 jobs=4 coverage");
 }
 
-// ---- Pool reuse: a second Run on the same pool starts from clean search
-// state (regression: the coverage searcher's visit table used to survive
-// between runs, skewing the next run's order and growing without bound).
+// ---- Pool reuse: a second Run on the same pool starts from an empty queue
+// and repeats the first run exactly.
 
 TEST(PoolReuseTest, SecondRunOnTheSamePoolMatchesTheFirst) {
   auto m = CompileOrDie(R"(
@@ -243,7 +165,6 @@ TEST(PoolReuseTest, SecondRunOnTheSamePoolMatchesTheFirst) {
     }
   )");
   SymexOptions options;
-  options.strategy = SearchStrategy::kCoverageGuided;
   options.jobs = 2;
   SymexLimits limits;
   sched::WorkerPool pool(*m, options);
@@ -255,136 +176,53 @@ TEST(PoolReuseTest, SecondRunOnTheSamePoolMatchesTheFirst) {
   ExpectEquivalent(first, second, "pool reuse");
 }
 
-// ---- The bucketed coverage-guided searcher.
+// ---- The worker queue: depth-first hot end, oldest-first batch steal.
 
-std::unique_ptr<ExecState> StateAt(BasicBlock* block, uint64_t id) {
+std::unique_ptr<ExecState> StateWithId(uint64_t id) {
   auto state = std::make_unique<ExecState>();
   state->id = id;
-  StackFrame frame;
-  frame.block = block;
-  state->stack.push_back(std::move(frame));
   return state;
 }
 
-// Blocks of the compiled module, in layout order (the searcher only needs
-// distinct pointers).
-std::vector<BasicBlock*> BlocksOf(Module& m, const std::string& name) {
-  Function* fn = m.GetFunction(name);
-  EXPECT_NE(fn, nullptr);
-  std::vector<BasicBlock*> blocks;
-  for (BasicBlock& block : *fn) {
-    blocks.push_back(&block);
+TEST(StealBatchTest, ThievesTakeHalfTheColdEndOldestFirst) {
+  sched::SharedCounters shared;
+  sched::WorkerQueue queue;
+  queue.BeginRun(shared);
+  for (uint64_t id = 1; id <= 5; ++id) {
+    queue.PushFork(StateWithId(id));
   }
-  return blocks;
-}
-
-std::unique_ptr<Module> TwoBlockModule() {
-  return CompileOrDie(R"(
-    int umain(unsigned char *in, int n) {
-      if (in[0] > 'm') { return 1; }
-      return 0;
-    }
-  )");
-}
-
-TEST(CoverageBucketedSearcherTest, NextPrefersLeastVisitedAndLazilyRebuckets) {
-  auto m = TwoBlockModule();
-  std::vector<BasicBlock*> blocks = BlocksOf(*m, "umain");
-  ASSERT_GE(blocks.size(), 2u);
-  auto searcher = sched::MakeSearcher(SearchStrategy::kCoverageGuided, 0);
-
-  // stale: added while its block had 0 visits, then the block gains 3.
-  searcher->Add(StateAt(blocks[0], /*id=*/1));
-  for (int i = 0; i < 3; ++i) {
-    searcher->NotifyBlockEntered(blocks[0]);
-  }
-  searcher->Add(StateAt(blocks[1], /*id=*/2));  // genuinely unvisited
-  ASSERT_EQ(searcher->Size(), 2u);
-
-  // The unvisited block's state comes first even though it was added last;
-  // the stale state is rebucketed on the way.
-  auto first = searcher->Next();
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->id, 2u);
-  auto second = searcher->Next();
-  ASSERT_NE(second, nullptr);
-  EXPECT_EQ(second->id, 1u);
-  EXPECT_EQ(searcher->Next(), nullptr);
-  EXPECT_EQ(searcher->Size(), 0u);
-}
-
-TEST(CoverageBucketedSearcherTest, StealTakesTheColdEndMostVisitedOldestFirst) {
-  auto m = TwoBlockModule();
-  std::vector<BasicBlock*> blocks = BlocksOf(*m, "umain");
-  ASSERT_GE(blocks.size(), 2u);
-  auto searcher = sched::MakeSearcher(SearchStrategy::kCoverageGuided, 0);
-
-  for (int i = 0; i < 5; ++i) {
-    searcher->NotifyBlockEntered(blocks[1]);
-  }
-  searcher->Add(StateAt(blocks[1], /*id=*/1));  // hot block, oldest
-  searcher->Add(StateAt(blocks[1], /*id=*/2));  // hot block, newest
-  searcher->Add(StateAt(blocks[0], /*id=*/3));  // unvisited: the hot end
-
-  // Thieves drain the most-visited bucket oldest-first; the owner's hot
-  // end (the unvisited block's state) is taken last.
   std::vector<std::unique_ptr<ExecState>> batch;
-  searcher->StealBatch(batch, 3);
+  queue.StealBatch(batch);
+  // Half of five, rounded up, from the cold end: the oldest states, oldest
+  // first.
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(batch[0]->id, 1u);
   EXPECT_EQ(batch[1]->id, 2u);
   EXPECT_EQ(batch[2]->id, 3u);
-  EXPECT_EQ(searcher->Size(), 0u);
-}
-
-// Regression (ISSUE 4): visit counts used to accumulate for the searcher's
-// whole lifetime; Reset must clear them along with the pending states.
-TEST(CoverageBucketedSearcherTest, ResetClearsVisitCountsAndStates) {
-  auto m = TwoBlockModule();
-  std::vector<BasicBlock*> blocks = BlocksOf(*m, "umain");
-  ASSERT_GE(blocks.size(), 2u);
-  auto searcher = sched::MakeSearcher(SearchStrategy::kCoverageGuided, 0);
-
-  for (int i = 0; i < 5; ++i) {
-    searcher->NotifyBlockEntered(blocks[0]);
-  }
-  searcher->Add(StateAt(blocks[0], /*id=*/1));
-  searcher->Reset();
-  EXPECT_EQ(searcher->Size(), 0u);
-  EXPECT_EQ(searcher->Next(), nullptr);
-
-  // After the reset blocks[0] must rank as unvisited again: give blocks[1]
-  // one (fresh) visit and blocks[0] must win. With the stale pre-reset
-  // counts it would have ranked 5-vs-1 and lost.
-  searcher->NotifyBlockEntered(blocks[1]);
-  searcher->Add(StateAt(blocks[1], /*id=*/2));
-  searcher->Add(StateAt(blocks[0], /*id=*/3));
-  auto first = searcher->Next();
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->id, 3u);
-}
-
-// ---- Batch stealing through the Searcher interface.
-
-TEST(StealBatchTest, DefaultImplementationDrainsTheColdEndInOrder) {
-  auto m = TwoBlockModule();
-  std::vector<BasicBlock*> blocks = BlocksOf(*m, "umain");
-  ASSERT_GE(blocks.size(), 1u);
-  auto searcher = sched::MakeSearcher(SearchStrategy::kDfs, 0);
-  for (uint64_t id = 1; id <= 5; ++id) {
-    searcher->Add(StateAt(blocks[0], id));
-  }
-  std::vector<std::unique_ptr<ExecState>> batch;
-  searcher->StealBatch(batch, 2);
-  // DFS's cold end is the oldest state; coldest first.
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0]->id, 1u);
-  EXPECT_EQ(batch[1]->id, 2u);
-  EXPECT_EQ(searcher->Size(), 3u);
-  // The hot end is untouched: Next still pops the newest.
-  auto next = searcher->Next();
+  EXPECT_EQ(queue.Remaining(), 2u);
+  // The hot end is untouched: the owner still pops the newest.
+  auto next = queue.PopOwn();
   ASSERT_NE(next, nullptr);
   EXPECT_EQ(next->id, 5u);
+  queue.EndRun();
+  EXPECT_EQ(queue.Remaining(), 0u);
+  EXPECT_EQ(queue.PopOwn(), nullptr);
+}
+
+TEST(StealBatchTest, OneStealTakesAtMostTheBatchCap) {
+  sched::SharedCounters shared;
+  sched::WorkerQueue queue;
+  queue.BeginRun(shared);
+  const uint64_t n = 3 * sched::WorkerQueue::kMaxStealBatch;
+  for (uint64_t id = 1; id <= n; ++id) {
+    queue.PushFork(StateWithId(id));
+  }
+  std::vector<std::unique_ptr<ExecState>> batch;
+  queue.StealBatch(batch);
+  ASSERT_EQ(batch.size(), sched::WorkerQueue::kMaxStealBatch);
+  EXPECT_EQ(batch.front()->id, 1u);
+  EXPECT_EQ(batch.back()->id, sched::WorkerQueue::kMaxStealBatch);
+  EXPECT_EQ(queue.Remaining(), n - sched::WorkerQueue::kMaxStealBatch);
 }
 
 // ---- Per-cause terminated accounting.
@@ -434,13 +272,10 @@ TEST(TerminationAccountingTest, CausesSumOnLimitStop) {
   )");
   SymexLimits limits;
   limits.max_paths = 4;  // stop long before the 256 feasible paths finish
-  SymexOptions options;
-  options.strategy = SearchStrategy::kBfs;  // keeps plenty of states queued
-  SymexResult result = SymbolicExecutor(*m, options).Run("umain", 8, limits);
+  SymexResult result = SymbolicExecutor(*m).Run("umain", 8, limits);
   EXPECT_FALSE(result.exhausted);
-  EXPECT_GE(result.metrics.Get(Counter::kPathsLimit) +
-                result.metrics.Get(Counter::kPathsUnexplored),
-            1u);
+  // Depth-first order leaves the first path's forked siblings queued.
+  EXPECT_GE(result.metrics.Get(Counter::kPathsUnexplored), 1u);
   // Every terminated path has a non-solver cause.
   EXPECT_EQ(result.metrics.Get(Counter::kPathsUnknown), 0u);
 }
@@ -449,7 +284,7 @@ TEST(TerminationAccountingTest, CausesSumOnLimitStop) {
 //
 // The determinism contract extends to capped runs at one worker (multi-
 // worker partial runs are schedule-dependent by design — see
-// docs/robustness.md): same budget, same strategy, same everything ⇒
+// docs/robustness.md): same budget, same everything ⇒
 // bit-identical partial SymexResult, unknown/limit attribution included.
 void ExpectIdenticalPartial(const SymexResult& a, const SymexResult& b,
                             const std::string& label) {
@@ -473,21 +308,16 @@ TEST(BudgetDeterminismTest, PathBudgetedRunsAreBitIdentical) {
       return c;
     }
   )");
-  for (SearchStrategy strategy :
-       {SearchStrategy::kDfs, SearchStrategy::kCoverageGuided}) {
-    SymexLimits limits;
-    limits.max_paths = 10;
-    SymexResult first = RunWith(*m, strategy, 1, 6, limits);
-    std::string label = std::string("max_paths=10 ") + SearchStrategyName(strategy);
-    EXPECT_FALSE(first.exhausted) << label;
-    EXPECT_EQ(first.stop_cause, StopCause::kPaths) << label;
-    EXPECT_GT(first.metrics.Get(Counter::kPathsUnexplored) +
-                  first.metrics.Get(Counter::kPathsLimit),
-              0u)
-        << label;
-    SymexResult second = RunWith(*m, strategy, 1, 6, limits);
-    ExpectIdenticalPartial(first, second, label);
-  }
+  SymexLimits limits;
+  limits.max_paths = 10;
+  SymexResult first = RunWith(*m, 1, 6, limits);
+  EXPECT_FALSE(first.exhausted);
+  EXPECT_EQ(first.stop_cause, StopCause::kPaths);
+  EXPECT_GT(first.metrics.Get(Counter::kPathsUnexplored) +
+                first.metrics.Get(Counter::kPathsLimit),
+            0u);
+  SymexResult second = RunWith(*m, 1, 6, limits);
+  ExpectIdenticalPartial(first, second, "max_paths=10");
 }
 
 TEST(BudgetDeterminismTest, ForkBudgetedRunsAreBitIdentical) {
@@ -500,16 +330,12 @@ TEST(BudgetDeterminismTest, ForkBudgetedRunsAreBitIdentical) {
       return depth;
     }
   )");
-  for (SearchStrategy strategy :
-       {SearchStrategy::kDfs, SearchStrategy::kCoverageGuided}) {
-    SymexLimits limits;
-    limits.max_forks = 7;
-    SymexResult first = RunWith(*m, strategy, 1, 6, limits);
-    std::string label = std::string("max_forks=7 ") + SearchStrategyName(strategy);
-    EXPECT_FALSE(first.exhausted) << label;
-    SymexResult second = RunWith(*m, strategy, 1, 6, limits);
-    ExpectIdenticalPartial(first, second, label);
-  }
+  SymexLimits limits;
+  limits.max_forks = 7;
+  SymexResult first = RunWith(*m, 1, 6, limits);
+  EXPECT_FALSE(first.exhausted);
+  SymexResult second = RunWith(*m, 1, 6, limits);
+  ExpectIdenticalPartial(first, second, "max_forks=7");
 }
 
 }  // namespace

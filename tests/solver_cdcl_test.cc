@@ -357,7 +357,6 @@ TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
   options.jobs = {1, 4};
   options.preprocess = {true};
   options.learning = {true};
-  options.strategies = {SearchStrategy::kDfs};
   options.limits.max_seconds = 60;
   difftest::DiffReport report = difftest::RunDifferential("cdcl_workers", R"(
     int umain(unsigned char *in, int n) {
@@ -394,7 +393,6 @@ TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   options.jobs = {1};
   options.preprocess = {true};
   options.learning = {true};
-  options.strategies = {SearchStrategy::kDfs};
   options.limits.max_paths = 400000;
   options.limits.max_seconds = 300;  // wall ceiling; Release exhausts far under
   difftest::DiffReport report = difftest::RunDifferential(*workload, /*sym_bytes=*/0, options);
