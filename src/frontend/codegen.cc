@@ -1,9 +1,13 @@
 #include "src/frontend/codegen.h"
 
+#include <algorithm>
 #include <map>
+#include <mutex>
 #include <optional>
+#include <unordered_map>
 
 #include "src/frontend/ast.h"
+#include "src/frontend/lexer.h"
 #include "src/frontend/parser.h"
 #include "src/ir/irbuilder.h"
 #include "src/ir/cfg.h"
@@ -1233,19 +1237,239 @@ class Codegen {
   unsigned next_block_id_ = 0;
 };
 
+// ---- Libc linking ----
+//
+// A libc source is read like a static archive: a compile parses and emits
+// only the libc functions the program can reach, so its cost follows what
+// the program uses instead of the size of the library.
+
+// Appends the callee name of every call in `expr` / `stmt`.
+void CollectCalls(const CExpr& expr, std::vector<const std::string*>& out) {
+  if (expr.kind == CExprKind::kCall) {
+    out.push_back(&expr.text);
+  }
+  for (const auto& child : expr.children) {
+    CollectCalls(*child, out);
+  }
+}
+
+void CollectCalls(const CStmt& stmt, std::vector<const std::string*>& out) {
+  for (const CExpr* expr : {stmt.init.get(), stmt.expr.get(), stmt.cond.get(),
+                            stmt.for_step.get()}) {
+    if (expr != nullptr) {
+      CollectCalls(*expr, out);
+    }
+  }
+  for (const auto& item : stmt.init_list) {
+    CollectCalls(*item, out);
+  }
+  for (const CStmt* child : {stmt.for_init.get(), stmt.then_branch.get(),
+                             stmt.else_branch.get(), stmt.body.get()}) {
+    if (child != nullptr) {
+      CollectCalls(*child, out);
+    }
+  }
+  for (const auto& child : stmt.stmts) {
+    CollectCalls(*child, out);
+  }
+}
+
+// A libc text split into its top-level declarations. Built once per process
+// per text and then only read, by compiles on any thread.
+struct LibcArchive {
+  struct Member {
+    std::string name;
+    size_t first_token = 0;  // the declaration is tokens[first_token, end_token)
+    size_t end_token = 0;
+    // Global variables are always linked; functions only when reached.
+    bool is_global = false;
+    // The distinct names the function's body calls.
+    std::vector<std::string> callees;
+  };
+
+  std::vector<CToken> tokens;  // the whole text, ending with kEof
+  std::vector<Member> members;  // in libc order
+  std::unordered_map<std::string, std::vector<size_t>> functions_by_name;
+  std::vector<Diagnostic> errors;  // why the text does not parse, if it does not
+};
+
+std::unique_ptr<const LibcArchive> ReadArchive(const std::string& text) {
+  auto archive = std::make_unique<LibcArchive>();
+  DiagnosticEngine diags;
+  archive->tokens = CLexer(text, diags).Tokenize();
+  CTypeContext ctypes;
+  std::unique_ptr<CTranslationUnit> unit;
+  if (!diags.HasErrors()) {
+    unit = ParseMiniCTokens(archive->tokens, ctypes, diags);
+  }
+  if (unit == nullptr) {
+    archive->errors = diags.Diagnostics();
+    return archive;
+  }
+
+  // A declaration starts at the token at its location and runs up to the
+  // next declaration (or kEof). Tokens are in source order.
+  const std::vector<CToken>& tokens = archive->tokens;
+  auto token_at = [&tokens](SourceLoc loc) {
+    auto it = std::lower_bound(tokens.begin(), tokens.end(), loc,
+                               [](const CToken& token, SourceLoc at) {
+                                 return token.loc.line < at.line ||
+                                        (token.loc.line == at.line && token.loc.col < at.col);
+                               });
+    return static_cast<size_t>(it - tokens.begin());
+  };
+  std::vector<LibcArchive::Member>& members = archive->members;
+  for (const auto& global : unit->globals) {
+    LibcArchive::Member member;
+    member.name = global->name;
+    member.first_token = token_at(global->loc);
+    member.is_global = true;
+    members.push_back(std::move(member));
+  }
+  for (const auto& fn : unit->functions) {
+    LibcArchive::Member member;
+    member.name = fn->name;
+    member.first_token = token_at(fn->loc);
+    if (fn->body != nullptr) {
+      std::vector<const std::string*> calls;
+      CollectCalls(*fn->body, calls);
+      for (const std::string* callee : calls) {
+        member.callees.push_back(*callee);
+      }
+      std::sort(member.callees.begin(), member.callees.end());
+      member.callees.erase(std::unique(member.callees.begin(), member.callees.end()),
+                           member.callees.end());
+    }
+    members.push_back(std::move(member));
+  }
+  std::sort(members.begin(), members.end(),
+            [](const LibcArchive::Member& a, const LibcArchive::Member& b) {
+              return a.first_token < b.first_token;
+            });
+  for (size_t i = 0; i < members.size(); ++i) {
+    members[i].end_token =
+        i + 1 < members.size() ? members[i + 1].first_token : tokens.size() - 1;
+    if (!members[i].is_global) {
+      archive->functions_by_name[members[i].name].push_back(i);
+    }
+  }
+  return archive;
+}
+
+// The archive of `text`, read on first use and kept for the life of the
+// process.
+const LibcArchive& ArchiveOf(const std::string& text) {
+  static std::mutex mutex;
+  static std::unordered_map<std::string, std::unique_ptr<const LibcArchive>> archives;
+  std::lock_guard<std::mutex> lock(mutex);
+  std::unique_ptr<const LibcArchive>& archive = archives[text];
+  if (archive == nullptr) {
+    archive = ReadArchive(text);
+  }
+  return *archive;
+}
+
+// Marks every function member reachable from the names in `worklist`
+// through the members' calls, across all archives. A name may be defined in
+// any archive.
+void CloseOverCalls(const std::vector<const LibcArchive*>& archives,
+                    std::vector<const std::string*> worklist,
+                    std::vector<std::vector<bool>>& linked) {
+  while (!worklist.empty()) {
+    const std::string* name = worklist.back();
+    worklist.pop_back();
+    for (size_t a = 0; a < archives.size(); ++a) {
+      auto it = archives[a]->functions_by_name.find(*name);
+      if (it == archives[a]->functions_by_name.end()) {
+        continue;
+      }
+      for (size_t index : it->second) {
+        if (linked[a][index]) {
+          continue;
+        }
+        linked[a][index] = true;
+        for (const std::string& callee : archives[a]->members[index].callees) {
+          worklist.push_back(&callee);
+        }
+      }
+    }
+  }
+}
+
+// The tokens of the linked members of `archive`, in libc order, then kEof.
+std::vector<CToken> LinkedTokens(const LibcArchive& archive, const std::vector<bool>& linked) {
+  std::vector<CToken> tokens;
+  for (size_t i = 0; i < archive.members.size(); ++i) {
+    const LibcArchive::Member& member = archive.members[i];
+    if (linked[i]) {
+      tokens.insert(tokens.end(), archive.tokens.begin() + member.first_token,
+                    archive.tokens.begin() + member.end_token);
+    }
+  }
+  tokens.push_back(archive.tokens.back());
+  return tokens;
+}
+
 }  // namespace
 
 std::unique_ptr<Module> CompileMiniC(const std::vector<MiniCSource>& sources,
                                      const std::string& module_name, DiagnosticEngine& diags) {
-  auto module = std::make_unique<Module>(module_name);
-  CTypeContext ctypes;
-  Codegen codegen(*module, ctypes, diags);
+  std::vector<const LibcArchive*> archives;
   for (const MiniCSource& source : sources) {
-    auto unit = ParseMiniC(source.code, ctypes, diags);
-    if (unit == nullptr) {
+    if (!source.is_libc) {
+      continue;
+    }
+    const LibcArchive& archive = ArchiveOf(source.code);
+    if (!archive.errors.empty()) {
+      for (const Diagnostic& error : archive.errors) {
+        diags.Report(error.severity, error.loc, error.message);
+      }
       return nullptr;
     }
-    if (!codegen.CompileUnit(*unit, source.is_libc)) {
+    archives.push_back(&archive);
+  }
+
+  CTypeContext ctypes;
+  std::vector<std::unique_ptr<CTranslationUnit>> program;
+  std::vector<const std::string*> roots;
+  for (const MiniCSource& source : sources) {
+    if (source.is_libc) {
+      continue;
+    }
+    program.push_back(ParseMiniC(source.code, ctypes, diags));
+    if (program.back() == nullptr) {
+      return nullptr;
+    }
+    // A program function links every name it calls, and its own name, so
+    // a prototype or a clashing definition still meets the libc's.
+    for (const auto& fn : program.back()->functions) {
+      roots.push_back(&fn->name);
+      if (fn->body != nullptr) {
+        CollectCalls(*fn->body, roots);
+      }
+    }
+  }
+
+  // A compile without a program links the whole library.
+  std::vector<std::vector<bool>> linked;
+  for (const LibcArchive* archive : archives) {
+    std::vector<bool>& marks = linked.emplace_back();
+    for (const LibcArchive::Member& member : archive->members) {
+      marks.push_back(program.empty() || member.is_global);
+    }
+  }
+  CloseOverCalls(archives, std::move(roots), linked);
+
+  auto module = std::make_unique<Module>(module_name);
+  Codegen codegen(*module, ctypes, diags);
+  for (size_t a = 0; a < archives.size(); ++a) {
+    auto unit = ParseMiniCTokens(LinkedTokens(*archives[a], linked[a]), ctypes, diags);
+    if (unit == nullptr || !codegen.CompileUnit(*unit, /*is_libc=*/true)) {
+      return nullptr;
+    }
+  }
+  for (const auto& unit : program) {
+    if (!codegen.CompileUnit(*unit, /*is_libc=*/false)) {
       return nullptr;
     }
   }

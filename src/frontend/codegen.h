@@ -17,13 +17,19 @@ namespace overify {
 
 struct MiniCSource {
   std::string code;
-  // Functions from this source are marked Function::is_libc (the -OVERIFY
-  // pipeline always-inlines them).
+  // A libc source is linked like an archive: only the functions the program
+  // reaches are emitted (see CompileMiniC). They are marked
+  // Function::is_libc (the -OVERIFY pipeline always-inlines them).
   bool is_libc = false;
 };
 
-// Compiles the given sources (in order, sharing one symbol table) into a
-// fresh module. Returns null and fills `diags` on error.
+// Compiles the given sources, sharing one symbol table, into a fresh
+// module: first the linked functions of every libc source, in libc order,
+// then the other sources in order. A libc function is linked when a
+// program function names it (calls it, declares it or defines it) or when
+// a linked libc function calls it; a libc global always is. With no
+// program source, every libc function is linked. Returns null and fills
+// `diags` on error.
 std::unique_ptr<Module> CompileMiniC(const std::vector<MiniCSource>& sources,
                                      const std::string& module_name, DiagnosticEngine& diags);
 

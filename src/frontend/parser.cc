@@ -647,4 +647,11 @@ std::unique_ptr<CTranslationUnit> ParseMiniC(const std::string& source, CTypeCon
   return MiniCParser(std::move(tokens), types, diags).Run();
 }
 
+std::unique_ptr<CTranslationUnit> ParseMiniCTokens(std::vector<CToken> tokens,
+                                                   CTypeContext& types, DiagnosticEngine& diags) {
+  OVERIFY_ASSERT(!tokens.empty() && tokens.back().kind == TokKind::kEof,
+                 "token stream must end with kEof");
+  return MiniCParser(std::move(tokens), types, diags).Run();
+}
+
 }  // namespace overify

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/frontend/ast.h"
 #include "src/support/diagnostics.h"
@@ -13,5 +14,9 @@ namespace overify {
 // the returned AST. Returns null (with diagnostics) on error.
 std::unique_ptr<CTranslationUnit> ParseMiniC(const std::string& source, CTypeContext& types,
                                              DiagnosticEngine& diags);
+
+// Parses an already tokenized source; the last token must be kEof.
+std::unique_ptr<CTranslationUnit> ParseMiniCTokens(std::vector<CToken> tokens,
+                                                   CTypeContext& types, DiagnosticEngine& diags);
 
 }  // namespace overify

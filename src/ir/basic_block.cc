@@ -58,13 +58,13 @@ void BasicBlock::Erase(Instruction* inst) {
   Remove(inst);  // destructor drops operand uses when `owned` goes out of scope
 }
 
-std::vector<BasicBlock*> BasicBlock::Successors() const {
-  std::vector<BasicBlock*> result;
+SuccessorList BasicBlock::Successors() const {
+  SuccessorList result;
   const Instruction* term = Terminator();
   if (const auto* br = DynCast<BranchInst>(term)) {
-    result.push_back(br->true_dest());
+    result.blocks_[result.size_++] = br->true_dest();
     if (br->IsConditional() && br->false_dest() != br->true_dest()) {
-      result.push_back(br->false_dest());
+      result.blocks_[result.size_++] = br->false_dest();
     }
   }
   return result;

@@ -1,6 +1,7 @@
 // BasicBlock: a straight-line instruction sequence ending in one terminator.
 #pragma once
 
+#include <cstdint>
 #include <list>
 #include <memory>
 #include <string>
@@ -10,7 +11,23 @@
 
 namespace overify {
 
+class BasicBlock;
 class Function;
+
+// The successors of a block, held inline: a terminator has at most two.
+class SuccessorList {
+ public:
+  BasicBlock* const* begin() const { return blocks_; }
+  BasicBlock* const* end() const { return blocks_ + size_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  BasicBlock* operator[](size_t i) const { return blocks_[i]; }
+
+ private:
+  friend class BasicBlock;
+  BasicBlock* blocks_[2] = {nullptr, nullptr};
+  uint8_t size_ = 0;
+};
 
 class BasicBlock {
  public:
@@ -26,6 +43,10 @@ class BasicBlock {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
   Function* parent() const { return parent_; }
+  // Dense per-function index, assigned when the block joins a function and
+  // never reused there (Function::BlockIdBound() bounds every id). CFG
+  // analyses index their tables by it.
+  uint32_t id() const { return id_; }
 
   iterator begin() { return insts_.begin(); }
   iterator end() { return insts_.end(); }
@@ -55,8 +76,9 @@ class BasicBlock {
   // Unlinks and destroys `inst` (must be use-free).
   void Erase(Instruction* inst);
 
-  // Successor blocks per the terminator (empty for ret/unreachable).
-  std::vector<BasicBlock*> Successors() const;
+  // Successor blocks per the terminator (empty for ret/unreachable; one
+  // entry when both arms of a conditional branch name the same block).
+  SuccessorList Successors() const;
   // Predecessors, computed by scanning the parent function.
   std::vector<BasicBlock*> Predecessors() const;
 
@@ -72,6 +94,7 @@ class BasicBlock {
 
   std::string name_;
   Function* parent_ = nullptr;
+  uint32_t id_ = 0;
   InstList insts_;
   std::list<std::unique_ptr<BasicBlock>>::iterator self_;
 };

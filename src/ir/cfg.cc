@@ -1,7 +1,6 @@
 #include "src/ir/cfg.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/ir/context.h"
 #include "src/ir/module.h"
@@ -10,11 +9,12 @@ namespace overify {
 
 namespace {
 
-void PostOrderVisit(BasicBlock* block, std::set<BasicBlock*>& visited,
+void PostOrderVisit(BasicBlock* block, std::vector<bool>& visited,
                     std::vector<BasicBlock*>& order) {
-  if (!visited.insert(block).second) {
+  if (visited[block->id()]) {
     return;
   }
+  visited[block->id()] = true;
   for (BasicBlock* succ : block->Successors()) {
     PostOrderVisit(succ, visited, order);
   }
@@ -25,21 +25,43 @@ void PostOrderVisit(BasicBlock* block, std::set<BasicBlock*>& visited,
 
 std::vector<BasicBlock*> ReversePostOrder(Function& fn) {
   std::vector<BasicBlock*> order;
-  std::set<BasicBlock*> visited;
+  std::vector<bool> visited(fn.BlockIdBound(), false);
   PostOrderVisit(fn.entry(), visited, order);
   std::reverse(order.begin(), order.end());
   return order;
 }
 
-std::map<BasicBlock*, std::vector<BasicBlock*>> PredecessorMap(Function& fn) {
-  std::map<BasicBlock*, std::vector<BasicBlock*>> preds;
+PredecessorMap::PredecessorMap(Function& fn) : offsets_(fn.BlockIdBound() + 1, 0) {
+  // Count each block's predecessors into the slot after its own and sum
+  // the counts up: offsets_[id] is then where block `id`'s list starts.
   for (BasicBlock& block : fn) {
-    preds[&block];  // ensure every block has an entry
     for (BasicBlock* succ : block.Successors()) {
-      preds[succ].push_back(&block);
+      ++offsets_[succ->id() + 1];
     }
   }
-  return preds;
+  for (size_t i = 1; i < offsets_.size(); ++i) {
+    offsets_[i] += offsets_[i - 1];
+  }
+  // Fill every list in layout order, using offsets_[id] as its cursor; the
+  // cursors end where the next list starts, so shift them back by one slot.
+  preds_.resize(offsets_.back());
+  for (BasicBlock& block : fn) {
+    for (BasicBlock* succ : block.Successors()) {
+      preds_[offsets_[succ->id()]++] = &block;
+    }
+  }
+  for (size_t i = offsets_.size() - 1; i > 0; --i) {
+    offsets_[i] = offsets_[i - 1];
+  }
+  offsets_[0] = 0;
+}
+
+BlockSpan PredecessorMap::operator[](const BasicBlock* block) const {
+  const uint32_t id = block->id();
+  if (id + 1 >= offsets_.size()) {
+    return BlockSpan(nullptr, nullptr);
+  }
+  return BlockSpan(preds_.data() + offsets_[id], preds_.data() + offsets_[id + 1]);
 }
 
 void RedirectPhiIncoming(BasicBlock* block, BasicBlock* from, BasicBlock* to) {
@@ -49,14 +71,15 @@ void RedirectPhiIncoming(BasicBlock* block, BasicBlock* from, BasicBlock* to) {
 }
 
 size_t RemoveUnreachableBlocks(Function& fn) {
-  std::set<BasicBlock*> reachable;
+  std::vector<bool> reachable(fn.BlockIdBound(), false);
   std::vector<BasicBlock*> worklist = {fn.entry()};
   while (!worklist.empty()) {
     BasicBlock* block = worklist.back();
     worklist.pop_back();
-    if (!reachable.insert(block).second) {
+    if (reachable[block->id()]) {
       continue;
     }
+    reachable[block->id()] = true;
     for (BasicBlock* succ : block->Successors()) {
       worklist.push_back(succ);
     }
@@ -64,7 +87,7 @@ size_t RemoveUnreachableBlocks(Function& fn) {
 
   std::vector<BasicBlock*> dead;
   for (BasicBlock& block : fn) {
-    if (reachable.count(&block) == 0) {
+    if (!reachable[block.id()]) {
       dead.push_back(&block);
     }
   }
@@ -72,7 +95,7 @@ size_t RemoveUnreachableBlocks(Function& fn) {
   // Remove phi entries flowing from dead blocks into survivors.
   for (BasicBlock* block : dead) {
     for (BasicBlock* succ : block->Successors()) {
-      if (reachable.count(succ) == 0) {
+      if (!reachable[succ->id()]) {
         continue;
       }
       for (PhiInst* phi : succ->Phis()) {

@@ -7,16 +7,20 @@
 
 namespace overify {
 
-DominatorTree::DominatorTree(Function& fn) : fn_(fn) {
-  rpo_ = ReversePostOrder(fn);
+DominatorTree::DominatorTree(Function& fn)
+    : fn_(fn),
+      rpo_(ReversePostOrder(fn)),
+      rpo_index_(fn.BlockIdBound(), kUnreachable),
+      idom_(fn.BlockIdBound(), nullptr),
+      children_(fn.BlockIdBound()) {
   for (size_t i = 0; i < rpo_.size(); ++i) {
-    rpo_index_[rpo_[i]] = i;
+    rpo_index_[rpo_[i]->id()] = static_cast<uint32_t>(i);
   }
 
-  auto preds = PredecessorMap(fn);
+  PredecessorMap preds(fn);
 
   BasicBlock* entry = fn.entry();
-  idom_[entry] = entry;
+  idom_[entry->id()] = entry;
 
   bool changed = true;
   while (changed) {
@@ -27,13 +31,13 @@ DominatorTree::DominatorTree(Function& fn) : fn_(fn) {
       }
       BasicBlock* new_idom = nullptr;
       for (BasicBlock* pred : preds[block]) {
-        if (idom_.count(pred) == 0) {
+        if (idom_[pred->id()] == nullptr) {
           continue;  // not yet processed or unreachable
         }
         new_idom = new_idom == nullptr ? pred : Intersect(pred, new_idom);
       }
-      if (new_idom != nullptr && idom_[block] != new_idom) {
-        idom_[block] = new_idom;
+      if (new_idom != nullptr && idom_[block->id()] != new_idom) {
+        idom_[block->id()] = new_idom;
         changed = true;
       }
     }
@@ -41,29 +45,29 @@ DominatorTree::DominatorTree(Function& fn) : fn_(fn) {
 
   for (BasicBlock* block : rpo_) {
     if (block != entry) {
-      children_[idom_[block]].push_back(block);
+      children_[idom_[block->id()]->id()].push_back(block);
     }
   }
 }
 
 BasicBlock* DominatorTree::Intersect(BasicBlock* a, BasicBlock* b) const {
   while (a != b) {
-    while (rpo_index_.at(a) > rpo_index_.at(b)) {
-      a = idom_.at(a);
+    while (rpo_index_[a->id()] > rpo_index_[b->id()]) {
+      a = idom_[a->id()];
     }
-    while (rpo_index_.at(b) > rpo_index_.at(a)) {
-      b = idom_.at(b);
+    while (rpo_index_[b->id()] > rpo_index_[a->id()]) {
+      b = idom_[b->id()];
     }
   }
   return a;
 }
 
 BasicBlock* DominatorTree::ImmediateDominator(BasicBlock* block) const {
-  auto it = idom_.find(block);
-  if (it == idom_.end() || it->second == block) {
+  if (!IsReachable(block)) {
     return nullptr;
   }
-  return it->second;
+  BasicBlock* idom = idom_[block->id()];
+  return idom == block ? nullptr : idom;
 }
 
 bool DominatorTree::Dominates(BasicBlock* a, BasicBlock* b) const {
@@ -74,7 +78,7 @@ bool DominatorTree::Dominates(BasicBlock* a, BasicBlock* b) const {
     if (a == b) {
       return true;
     }
-    BasicBlock* up = idom_.at(b);
+    BasicBlock* up = idom_[b->id()];
     if (up == b) {
       return false;  // reached the entry
     }
@@ -111,8 +115,7 @@ bool DominatorTree::ValueDominatesUse(const Instruction* def, const Instruction*
 }
 
 const std::vector<BasicBlock*>& DominatorTree::Children(BasicBlock* block) const {
-  auto it = children_.find(block);
-  return it == children_.end() ? empty_ : it->second;
+  return block->id() < children_.size() ? children_[block->id()] : empty_;
 }
 
 PostDominatorTree::PostDominatorTree(Function& fn) : fn_(fn) {
@@ -280,33 +283,31 @@ PostDominatorTree::ControlDependencies() {
   return control_deps_;
 }
 
-const std::map<BasicBlock*, std::vector<BasicBlock*>>& DominatorTree::DominanceFrontiers() {
-  if (frontiers_computed_) {
-    return frontiers_;
-  }
-  frontiers_computed_ = true;
-  auto preds = PredecessorMap(fn_);
-  for (BasicBlock* block : rpo_) {
-    frontiers_[block];
-    const auto& block_preds = preds[block];
-    if (block_preds.size() < 2) {
-      continue;
-    }
-    for (BasicBlock* pred : block_preds) {
-      if (!IsReachable(pred)) {
+const std::vector<BasicBlock*>& DominatorTree::DominanceFrontier(BasicBlock* block) {
+  if (frontiers_.empty()) {
+    frontiers_.resize(idom_.size());
+    PredecessorMap preds(fn_);
+    for (BasicBlock* join : rpo_) {
+      const BlockSpan join_preds = preds[join];
+      if (join_preds.size() < 2) {
         continue;
       }
-      BasicBlock* runner = pred;
-      while (runner != ImmediateDominator(block) && runner != nullptr) {
-        auto& frontier = frontiers_[runner];
-        if (std::find(frontier.begin(), frontier.end(), block) == frontier.end()) {
-          frontier.push_back(block);
+      for (BasicBlock* pred : join_preds) {
+        if (!IsReachable(pred)) {
+          continue;
         }
-        runner = ImmediateDominator(runner);
+        BasicBlock* runner = pred;
+        while (runner != ImmediateDominator(join) && runner != nullptr) {
+          auto& frontier = frontiers_[runner->id()];
+          if (std::find(frontier.begin(), frontier.end(), join) == frontier.end()) {
+            frontier.push_back(join);
+          }
+          runner = ImmediateDominator(runner);
+        }
       }
     }
   }
-  return frontiers_;
+  return block->id() < frontiers_.size() ? frontiers_[block->id()] : empty_;
 }
 
 }  // namespace overify

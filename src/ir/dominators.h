@@ -1,6 +1,7 @@
 // Dominator tree (Cooper–Harvey–Kennedy) and dominance frontiers.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -27,25 +28,33 @@ class DominatorTree {
   bool ValueDominatesUse(const Instruction* def, const Instruction* user,
                          unsigned operand_index) const;
 
-  bool IsReachable(BasicBlock* block) const { return rpo_index_.count(block) != 0; }
+  // False for blocks unreachable from the entry and for blocks created after
+  // the tree was built.
+  bool IsReachable(BasicBlock* block) const {
+    return block->id() < rpo_index_.size() && rpo_index_[block->id()] != kUnreachable;
+  }
 
   const std::vector<BasicBlock*>& Children(BasicBlock* block) const;
 
-  // Dominance frontier of every reachable block (computed lazily, cached).
-  const std::map<BasicBlock*, std::vector<BasicBlock*>>& DominanceFrontiers();
+  // Dominance frontier of `block` (empty for unreachable blocks); every
+  // frontier is computed on the first call and cached.
+  const std::vector<BasicBlock*>& DominanceFrontier(BasicBlock* block);
 
   const std::vector<BasicBlock*>& ReversePostOrderBlocks() const { return rpo_; }
 
  private:
+  static constexpr uint32_t kUnreachable = UINT32_MAX;
+
   BasicBlock* Intersect(BasicBlock* a, BasicBlock* b) const;
 
+  // Every table below is indexed by block id and sized by the function's
+  // BlockIdBound() when the tree was built.
   Function& fn_;
   std::vector<BasicBlock*> rpo_;
-  std::map<BasicBlock*, size_t> rpo_index_;
-  std::map<BasicBlock*, BasicBlock*> idom_;
-  std::map<BasicBlock*, std::vector<BasicBlock*>> children_;
-  std::map<BasicBlock*, std::vector<BasicBlock*>> frontiers_;
-  bool frontiers_computed_ = false;
+  std::vector<uint32_t> rpo_index_;               // kUnreachable if not in rpo_
+  std::vector<BasicBlock*> idom_;                 // the entry maps to itself
+  std::vector<std::vector<BasicBlock*>> children_;
+  std::vector<std::vector<BasicBlock*>> frontiers_;  // empty until first asked
   std::vector<BasicBlock*> empty_;
 };
 

@@ -27,6 +27,7 @@ BasicBlock* Function::CreateBlock(std::string name) {
   BasicBlock* raw = block.get();
   blocks_.push_back(std::move(block));
   raw->parent_ = this;
+  raw->id_ = next_block_id_++;
   raw->self_ = std::prev(blocks_.end());
   return raw;
 }
@@ -37,6 +38,7 @@ BasicBlock* Function::InsertBlockAfter(BasicBlock* after, std::unique_ptr<BasicB
   auto pos = after == nullptr ? blocks_.end() : std::next(after->self_);
   auto it = blocks_.insert(pos, std::move(block));
   raw->parent_ = this;
+  raw->id_ = next_block_id_++;
   raw->self_ = it;
   return raw;
 }

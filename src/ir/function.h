@@ -77,11 +77,14 @@ class Function : public Value {
   BlockIterator end() { return BlockIterator(blocks_.end()); }
   size_t NumBlocks() const { return blocks_.size(); }
 
-  // Creates and appends a new block.
+  // Creates and appends a new block with a fresh id.
   BasicBlock* CreateBlock(std::string name);
   // Inserts an existing block after `after` (used by cloning passes to keep
-  // related blocks adjacent).
+  // related blocks adjacent), giving it a fresh id.
   BasicBlock* InsertBlockAfter(BasicBlock* after, std::unique_ptr<BasicBlock> block);
+  // One past the largest block id handed out so far. Ids of erased blocks
+  // are not reused, so a table sized by this bound covers every live block.
+  uint32_t BlockIdBound() const { return next_block_id_; }
   // Unlinks and destroys `block`. All its instructions must be use-free after
   // the block's own internal uses are dropped (callers run DropAllReferences
   // style cleanup first; see EraseBlock implementation).
@@ -111,6 +114,7 @@ class Function : public Value {
   Module* parent_;
   std::vector<std::unique_ptr<Argument>> args_;
   std::list<std::unique_ptr<BasicBlock>> blocks_;
+  uint32_t next_block_id_ = 0;
   InlineHint inline_hint_ = InlineHint::kDefault;
   bool is_libc_ = false;
 };

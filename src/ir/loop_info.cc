@@ -31,7 +31,7 @@ BasicBlock* Loop::Preheader() const {
     return nullptr;
   }
   // The preheader must branch only to the header.
-  std::vector<BasicBlock*> succs = candidate->Successors();
+  SuccessorList succs = candidate->Successors();
   if (succs.size() != 1 || succs[0] != header_) {
     return nullptr;
   }
@@ -93,9 +93,9 @@ LoopInfo::LoopInfo(Function& fn, DominatorTree& dom) {
   // scanning RPO backwards: inner loops get created before outer ones merge
   // them in.
   const std::vector<BasicBlock*>& rpo = dom.ReversePostOrderBlocks();
-  std::map<BasicBlock*, unsigned> rpo_index;
+  std::vector<unsigned> rpo_index(fn.BlockIdBound(), 0);
   for (unsigned i = 0; i < rpo.size(); ++i) {
-    rpo_index[rpo[i]] = i;
+    rpo_index[rpo[i]->id()] = i;
   }
 
   for (auto it = rpo.rbegin(); it != rpo.rend(); ++it) {
@@ -134,7 +134,7 @@ LoopInfo::LoopInfo(Function& fn, DominatorTree& dom) {
     loop->blocks_.assign(loop->block_set_.begin(), loop->block_set_.end());
     std::sort(loop->blocks_.begin(), loop->blocks_.end(),
               [&rpo_index](BasicBlock* a, BasicBlock* b) {
-                return rpo_index[a] < rpo_index[b];
+                return rpo_index[a->id()] < rpo_index[b->id()];
               });
     loops_.push_back(std::move(loop));
   }

@@ -1,6 +1,5 @@
 #include "src/passes/if_convert.h"
 
-#include <map>
 #include <optional>
 #include <set>
 #include <vector>
@@ -132,8 +131,7 @@ struct Shape {
 
 // Recognizes diamonds (head -> A, B -> join) and triangles
 // (head -> A -> join, head -> join).
-std::optional<Shape> MatchShape(BasicBlock* head,
-                                std::map<BasicBlock*, std::vector<BasicBlock*>>& preds) {
+std::optional<Shape> MatchShape(BasicBlock* head, const PredecessorMap& preds) {
   auto* br = DynCast<BranchInst>(head->Terminator());
   if (br == nullptr || !br->IsConditional()) {
     return std::nullopt;

@@ -49,7 +49,6 @@ class Promoter {
   // store blocks (pruned: only where the variable is live-in, approximated
   // by "has any load").
   void PlacePhis() {
-    auto& frontiers = dom_.DominanceFrontiers();
     for (AllocaInst* alloca : allocas_) {
       std::set<BasicBlock*> store_blocks;
       bool has_load = false;
@@ -68,11 +67,7 @@ class Promoter {
       while (!worklist.empty()) {
         BasicBlock* block = worklist.back();
         worklist.pop_back();
-        auto it = frontiers.find(block);
-        if (it == frontiers.end()) {
-          continue;
-        }
-        for (BasicBlock* frontier : it->second) {
+        for (BasicBlock* frontier : dom_.DominanceFrontier(block)) {
           if (!has_phi.insert(frontier).second) {
             continue;
           }

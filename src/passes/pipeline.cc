@@ -121,8 +121,10 @@ void BuildPipeline(PassManager& pm, const PipelineOptions& options,
     return;  // a non-optimizing build: exactly what the frontend emitted
   }
 
-  // Strip unused library code first so later passes (and their statistics)
-  // see only what the program actually links.
+  // Strip what the entry does not reach first, so later passes (and their
+  // statistics) see only what the program runs. The frontend already links
+  // only the libc functions some program function calls; what is left here
+  // is program functions the entry never calls and the libc only they use.
   pm.Add(std::make_unique<GlobalDcePass>());
 
   if (o.sroa) {

@@ -13,8 +13,9 @@
 //    range tricks) and adds precondition checks (`__check`) so that misuse
 //    is caught "closer to the root cause" (§3).
 //
-// Both flavors are linked as MiniC source ahead of the program; functions
-// are marked Function::is_libc so -OVERIFY always inlines them.
+// Both flavors are linked as MiniC source ahead of the program, one function
+// at a time as the program reaches it (docs/compiler.md); functions are
+// marked Function::is_libc so -OVERIFY always inlines them.
 #pragma once
 
 #include <string>

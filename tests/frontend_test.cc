@@ -1,10 +1,13 @@
 // Tests for the MiniC lexer, parser and code generator.
 #include <gtest/gtest.h>
 
+#include "src/driver/compiler.h"
 #include "src/frontend/codegen.h"
 #include "src/frontend/lexer.h"
 #include "src/ir/printer.h"
 #include "src/ir/verifier.h"
+#include "src/passes/global_dce.h"
+#include "src/vlibc/vlibc.h"
 
 namespace overify {
 namespace {
@@ -286,6 +289,113 @@ TEST(CodegenTest, MultipleSourcesShareSymbols) {
   EXPECT_TRUE(VerifyModule(*m).empty());
   EXPECT_TRUE(m->GetFunction("helper")->is_libc());
   EXPECT_FALSE(m->GetFunction("user")->is_libc());
+}
+
+// ---- Libc linking: a libc source works like an archive ----
+
+// lib_side reads a global: libc globals are always linked.
+const char* kLinkLibc = R"(
+  int lib_leaf(int x) { return x + 1; }
+  int lib_mid(int x) { return lib_leaf(x) * 2; }
+  int lib_unused(int x) { return x - 1; }
+  int lib_scale = 3;
+  int lib_side(int x) { return x * lib_scale; }
+)";
+
+std::unique_ptr<Module> CompileLinked(const std::string& program, DiagnosticEngine& diags) {
+  std::vector<MiniCSource> sources = {{kLinkLibc, true}, {program, false}};
+  return CompileMiniC(sources, "linked", diags);
+}
+
+std::vector<std::string> FunctionNames(Module& module) {
+  std::vector<std::string> names;
+  for (const auto& fn : module.functions()) {
+    names.push_back(fn->name());
+  }
+  return names;
+}
+
+TEST(LibcLinkTest, MemberReachedOnlyThroughAnotherMemberIsEmitted) {
+  DiagnosticEngine diags;
+  auto m = CompileLinked("int umain(int x) { return lib_mid(x); }", diags);
+  ASSERT_NE(m, nullptr) << diags.ToString();
+  EXPECT_TRUE(VerifyModule(*m).empty());
+  ASSERT_NE(m->GetFunction("lib_leaf"), nullptr);
+  EXPECT_FALSE(m->GetFunction("lib_leaf")->IsDeclaration());
+  EXPECT_TRUE(m->GetFunction("lib_leaf")->is_libc());
+}
+
+TEST(LibcLinkTest, MemberReachedFromAnUncalledProgramFunctionIsEmitted) {
+  DiagnosticEngine diags;
+  auto m = CompileLinked(R"(
+    int never_called(int x) { return lib_side(x); }
+    int umain(int x) { return x; }
+  )",
+                         diags);
+  ASSERT_NE(m, nullptr) << diags.ToString();
+  ASSERT_NE(m->GetFunction("lib_side"), nullptr);
+  // Dropping what the entry does not reach is GlobalDCE's job, not the
+  // linker's: it removes the program function and the member only it reached.
+  GlobalDcePass dce;
+  EXPECT_TRUE(dce.Run(*m));
+  EXPECT_EQ(FunctionNames(*m), std::vector<std::string>{"umain"});
+}
+
+TEST(LibcLinkTest, UnreachedMemberIsAbsentAtO0) {
+  CompileResult compiled = Compiler().Compile(R"(
+    int umain(unsigned char *in, int n) { return isalnum(in[0]); }
+  )",
+                                              OptLevel::kO0);
+  ASSERT_TRUE(compiled.ok) << compiled.errors;
+  Module& m = *compiled.module;
+  EXPECT_EQ(FunctionNames(m), (std::vector<std::string>{"isdigit", "isalpha", "isalnum", "umain"}));
+  EXPECT_EQ(m.GetFunction("atoi"), nullptr);
+}
+
+TEST(LibcLinkTest, LibcOnlyCompileKeepsEveryFunction) {
+  DiagnosticEngine diags;
+  auto m = CompileMiniC({MiniCSource{kLinkLibc, true}}, "libc", diags);
+  ASSERT_NE(m, nullptr) << diags.ToString();
+  EXPECT_EQ(FunctionNames(*m),
+            (std::vector<std::string>{"lib_leaf", "lib_mid", "lib_unused", "lib_side"}));
+
+  auto verify_libc = CompileMiniC({MiniCSource{VerifyLibcSource(), true}}, "libc", diags);
+  ASSERT_NE(verify_libc, nullptr) << diags.ToString();
+  EXPECT_NE(verify_libc->GetFunction("atoi"), nullptr);
+  EXPECT_NE(verify_libc->GetFunction("isspace"), nullptr);
+}
+
+TEST(LibcLinkTest, EmittedMembersKeepLibcOrderAheadOfTheProgram) {
+  DiagnosticEngine diags;
+  auto m = CompileLinked(R"(
+    int helper(int x) { return lib_side(x); }
+    int umain(int x) { return lib_mid(x) + helper(x); }
+  )",
+                         diags);
+  ASSERT_NE(m, nullptr) << diags.ToString();
+  EXPECT_EQ(FunctionNames(*m), (std::vector<std::string>{"lib_leaf", "lib_mid", "lib_side",
+                                                         "helper", "umain"}));
+}
+
+TEST(LibcLinkTest, CallToANameNoSourceDefinesStillFails) {
+  DiagnosticEngine diags;
+  EXPECT_EQ(CompileLinked("int umain(int x) { return nowhere(x); }", diags), nullptr);
+  EXPECT_NE(diags.ToString().find("call to undeclared function 'nowhere'"), std::string::npos)
+      << diags.ToString();
+}
+
+TEST(LibcLinkTest, ProgramDeclarationMeetsTheMemberItNames) {
+  // The program's own function names link too, so a clash with an uncalled
+  // member is still diagnosed.
+  DiagnosticEngine diags;
+  EXPECT_EQ(CompileLinked(R"(
+    char lib_unused(int x);
+    int umain(int x) { return x; }
+  )",
+                          diags),
+            nullptr);
+  EXPECT_NE(diags.ToString().find("conflicting declaration of 'lib_unused'"), std::string::npos)
+      << diags.ToString();
 }
 
 TEST(CodegenTest, PrototypeThenDefinition) {

@@ -85,6 +85,61 @@ TEST(CfgTest, SplitEdgeRedirectsPhi) {
   EXPECT_EQ(phi->IncomingIndexFor(left), -1);
 }
 
+TEST(BlockIdTest, ErasedIdsAreNotReused) {
+  auto m = ParseModuleOrDie(kDiamond);
+  Function* f = m->GetFunction("d");
+  const uint32_t bound = f->BlockIdBound();
+  EXPECT_EQ(bound, 4u);
+  BasicBlock* spare = f->CreateBlock("spare");
+  EXPECT_EQ(spare->id(), bound);
+  f->EraseBlock(spare);
+  BasicBlock* next = f->CreateBlock("next");
+  EXPECT_EQ(next->id(), bound + 1);
+  EXPECT_EQ(f->BlockIdBound(), bound + 2);
+}
+
+TEST(BlockIdTest, InsertBlockAfterAssignsAFreshId) {
+  auto m = ParseModuleOrDie(kDiamond);
+  Function* f = m->GetFunction("d");
+  const uint32_t bound = f->BlockIdBound();
+  BasicBlock* inserted = f->InsertBlockAfter(f->entry(), std::make_unique<BasicBlock>("mid"));
+  EXPECT_EQ(inserted->id(), bound);
+  EXPECT_EQ(f->BlockIdBound(), bound + 1);
+  EXPECT_EQ(f->BlockList()[1], inserted);
+}
+
+TEST(BlockIdTest, BlockCreatedAfterTheDominatorTreeIsUnreachable) {
+  auto m = ParseModuleOrDie(kDiamond);
+  Function* f = m->GetFunction("d");
+  DominatorTree dom(*f);
+  PredecessorMap preds(*f);
+  BasicBlock* late = f->CreateBlock("late");
+  EXPECT_FALSE(dom.IsReachable(late));
+  EXPECT_FALSE(dom.Dominates(f->entry(), late));
+  EXPECT_FALSE(dom.Dominates(late, late));
+  EXPECT_EQ(dom.ImmediateDominator(late), nullptr);
+  EXPECT_TRUE(dom.Children(late).empty());
+  EXPECT_TRUE(dom.DominanceFrontier(late).empty());
+  EXPECT_TRUE(preds[late].empty());
+}
+
+TEST(BlockIdTest, BranchToOneBlockTwiceHasOneSuccessor) {
+  auto m = ParseModuleOrDie(R"(
+    func @f(%c: i1) -> i32 {
+    entry:
+      br %c, label %next, label %next
+    next:
+      ret i32 7
+    }
+  )");
+  Function* f = m->GetFunction("f");
+  BasicBlock* next = FindBlock(f, "next");
+  SuccessorList succs = f->entry()->Successors();
+  ASSERT_EQ(succs.size(), 1u);
+  EXPECT_EQ(succs[0], next);
+  EXPECT_EQ(PredecessorMap(*f)[next].size(), 1u);
+}
+
 TEST(DominatorTest, DiamondDominance) {
   auto m = ParseModuleOrDie(kDiamond);
   Function* f = m->GetFunction("d");
@@ -104,12 +159,11 @@ TEST(DominatorTest, DominanceFrontierOfDiamond) {
   auto m = ParseModuleOrDie(kDiamond);
   Function* f = m->GetFunction("d");
   DominatorTree dom(*f);
-  auto& frontiers = dom.DominanceFrontiers();
   BasicBlock* left = FindBlock(f, "left");
   BasicBlock* join = FindBlock(f, "join");
-  ASSERT_EQ(frontiers.at(left).size(), 1u);
-  EXPECT_EQ(frontiers.at(left)[0], join);
-  EXPECT_TRUE(frontiers.at(join).empty());
+  ASSERT_EQ(dom.DominanceFrontier(left).size(), 1u);
+  EXPECT_EQ(dom.DominanceFrontier(left)[0], join);
+  EXPECT_TRUE(dom.DominanceFrontier(join).empty());
 }
 
 const char* kLoop = R"(

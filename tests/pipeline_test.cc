@@ -1,6 +1,7 @@
 // Tests for pipeline construction, the pass manager, and global DCE.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -223,6 +224,40 @@ TEST(PassManagerTest, PassOutcomesDoNotDependOnHeapHistory) {
       EXPECT_EQ(first.module_hash, second.module_hash)
           << workload.name << " at " << OptLevelName(level);
     }
+  }
+}
+
+TEST(PassManagerTest, ConcurrentFirstCompilesShareOneLibcArchive) {
+  // Each libc text is split into its member table once per process, on the
+  // first compile that links it. Four threads start their first compiles
+  // together, two per libc flavor, so when this test runs first in its
+  // process (the tsan job runs it ahead of the test below) both tables are
+  // built under contention. Every compile must match a later serial one.
+  const Workload* workload = FindWorkload("wc");
+  ASSERT_NE(workload, nullptr);
+  const OptLevel levels[] = {OptLevel::kO3, OptLevel::kOverify, OptLevel::kO3,
+                             OptLevel::kOverify};
+  constexpr int kThreads = 4;
+  CompiledCounters outcomes[kThreads];
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) {
+        std::this_thread::yield();
+      }
+      outcomes[i] = CompileCounters(*workload, levels[i]);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int i = 0; i < kThreads; ++i) {
+    const CompiledCounters expected = CompileCounters(*workload, levels[i]);
+    EXPECT_EQ(outcomes[i].counters, expected.counters) << OptLevelName(levels[i]);
+    EXPECT_EQ(outcomes[i].module_hash, expected.module_hash) << OptLevelName(levels[i]);
+    EXPECT_NE(outcomes[i].module_hash, 0u) << OptLevelName(levels[i]);
   }
 }
 
