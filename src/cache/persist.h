@@ -35,10 +35,12 @@ class Module;
 struct SymexOptions;
 
 // Bump on ANY change to the serialized layout, to the definition of the
-// portable content hash (src/symex/expr_hash.cc) *or* to OptionsFingerprint
-// — stores written under a different definition must be rejected
-// wholesale, not reinterpreted.
-constexpr uint32_t kCacheStoreVersion = 3;
+// portable content hash (src/symex/expr_hash.cc), to OptionsFingerprint
+// *or* to what the solver or engine returns for a fixed (module, options)
+// key (models, path counts, bug inputs) — stores written under a different
+// definition must be rejected wholesale, not reinterpreted, and a stored
+// RunSignature must be the one a cold run would produce.
+constexpr uint32_t kCacheStoreVersion = 4;
 
 // "OVFYCACH" little-endian.
 constexpr uint64_t kCacheStoreMagic = 0x484341435946564Full;

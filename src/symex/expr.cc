@@ -102,6 +102,8 @@ bool ExprInterner::Matches(const Expr& e, const Key& key) {
 }
 
 ExprInterner::ExprInterner(bool concurrent) : concurrent_(concurrent) {
+  static std::atomic<uint64_t> next_serial{1};
+  serial_ = next_serial.fetch_add(1, std::memory_order_relaxed);
   size_t num_shards = concurrent ? kConcurrentShards : 1;
   shards_ = std::make_unique<Shard[]>(num_shards);
   shard_mask_ = num_shards - 1;
@@ -406,6 +408,39 @@ const Expr* ExprContext::Compare(ICmpPredicate pred, const Expr* a, const Expr* 
       return Compare(ICmpPredicate::kSLT, b, a);
     case ICmpPredicate::kSGE:
       return Compare(ICmpPredicate::kSLE, b, a);
+  }
+
+  // Narrowing: compare at the width the operands came from, so the core
+  // search and the preprocessor see byte facts, not 32-bit ones. Exact
+  // because an extension is injective and order-preserving: both zero
+  // extensions are non-negative (ZExt always widens strictly), so signed
+  // order is unsigned narrow order; sign extension keeps the signed value.
+  const bool extensions = a->kind() == b->kind() &&
+                          (a->kind() == ExprKind::kZExt || a->kind() == ExprKind::kSExt);
+  if (extensions && a->a()->width() == b->a()->width()) {
+    if (a->kind() == ExprKind::kZExt) {
+      switch (pred) {
+        case ICmpPredicate::kSLT:
+          return Compare(ICmpPredicate::kULT, a->a(), b->a());
+        case ICmpPredicate::kSLE:
+          return Compare(ICmpPredicate::kULE, a->a(), b->a());
+        default:
+          return Compare(pred, a->a(), b->a());
+      }
+    }
+    if (a->kind() == ExprKind::kSExt &&
+        (pred == ICmpPredicate::kEq || pred == ICmpPredicate::kSLT ||
+         pred == ICmpPredicate::kSLE)) {
+      return Compare(pred, a->a(), b->a());
+    }
+  }
+  // x - y == 0  <=>  x == y (modular subtraction is zero only on equality).
+  if (pred == ICmpPredicate::kEq) {
+    const Expr* diff = a->IsConstant() ? b : a;
+    const Expr* zero = a->IsConstant() ? a : b;
+    if (zero->IsConstant() && zero->constant_value() == 0 && diff->kind() == ExprKind::kSub) {
+      return Compare(ICmpPredicate::kEq, diff->a(), diff->b());
+    }
   }
 
   ExprKind kind;

@@ -307,6 +307,10 @@ class ExprInterner {
 
   bool concurrent() const { return concurrent_; }
 
+  // Process-unique, never 0: tells caches keyed by Expr pointers (which are
+  // unique only within one interner) which interner their keys belong to.
+  uint64_t serial() const { return serial_; }
+
   static uint64_t HashKey(const Key& key);
 
  private:
@@ -341,6 +345,7 @@ class ExprInterner {
   size_t shard_mask_ = 0;  // shard count - 1
   std::atomic<uint64_t> next_id_{0};
   bool concurrent_;
+  uint64_t serial_;
 };
 
 // One worker's view of an interner: the canonicalizing builders plus the

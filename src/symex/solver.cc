@@ -38,7 +38,7 @@ const std::vector<uint8_t>& CandidateOrder() {
 // 256-bit per-symbol domain: bit v set means byte value v is still
 // admissible at that decision level.
 struct Domain {
-  uint64_t w[4];
+  std::array<uint64_t, 4> w;  // as CoreSolver::unary_memo_ stores it
 
   static Domain Full() { return Domain{{~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}}}; }
   static Domain None() { return Domain{{0, 0, 0, 0}}; }
@@ -78,13 +78,65 @@ struct Domain {
   }
   // Intersects with the unsigned interval [lo, hi].
   void ClampTo(uint64_t lo, uint64_t hi) {
-    for (unsigned v = 0; v < 256; ++v) {
-      if (v < lo || v > hi) {
-        Clear(static_cast<uint8_t>(v));
+    for (uint64_t i = 0; i < 4; ++i) {
+      const uint64_t base = i * 64;
+      uint64_t keep = ~uint64_t{0};
+      if (lo > base) {
+        keep &= lo >= base + 64 ? 0 : ~uint64_t{0} << (lo - base);
       }
+      if (hi < base + 63) {
+        keep &= hi < base ? 0 : ~uint64_t{0} >> (63 - (hi - base));
+      }
+      w[i] &= keep;
     }
   }
 };
+
+// A byte-order fact `order[lower] u< order[upper]` (strict) or `u<=`
+// between two decision levels.
+struct ByteOrder {
+  size_t lower;
+  size_t upper;
+  unsigned strict;
+};
+
+// Bounds propagation over byte-order facts to a fixpoint: the upper byte
+// is at least the lower one's minimum (plus one if strict), the lower byte
+// at most the upper one's maximum (minus one). Only non-models are cut.
+// Returns false when some domain empties (the query is UNSAT).
+bool PropagateByteOrders(const std::vector<ByteOrder>& orders, std::vector<Domain>& domain) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const ByteOrder& o : orders) {
+      Domain& lower = domain[o.lower];
+      Domain& upper = domain[o.upper];
+      if (lower.Empty() || upper.Empty()) {
+        return false;
+      }
+      const unsigned min_upper = lower.Lo() + o.strict;
+      if (upper.Lo() < min_upper) {
+        upper.ClampTo(min_upper, 255);
+        changed = true;
+        if (upper.Empty()) {
+          return false;
+        }
+      }
+      if (upper.Hi() < o.strict) {
+        return false;
+      }
+      const unsigned max_lower = upper.Hi() - o.strict;
+      if (lower.Hi() > max_lower) {
+        lower.ClampTo(0, max_lower);
+        changed = true;
+        if (lower.Empty()) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
 
 static_assert(kMaxClauseLiterals <= 8, "clause values pack into one uint64_t");
 
@@ -266,28 +318,48 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       }
     }
   }
-  if (!unary.empty()) {
+  // A unary constraint's admissible values are a pure function of its
+  // hash-consed Expr: swept once over all 256 values, then memoized across
+  // queries (unary_memo_). The sweep is bounded, so it is never charged to
+  // the candidate budget — a warm memo cannot change a verdict.
+  if (unary_memo_interner_ != ctx.interner().serial()) {
+    unary_memo_.clear();
+    unary_memo_interner_ = ctx.interner().serial();
+  }
+  auto unary_level = [&](size_t ci) {
+    unsigned sym = 0;
+    live[ci]->Support().ForEach([&](unsigned s) { sym = s; });
+    return static_cast<size_t>(level_of[sym]);
+  };
+  std::vector<size_t> unswept;
+  for (size_t ci : unary) {
+    auto it = unary_memo_.find(live[ci]);
+    if (it == unary_memo_.end()) {
+      unswept.push_back(ci);
+      continue;
+    }
+    domain[unary_level(ci)].IntersectWith(Domain{it->second});
+  }
+  if (!unswept.empty()) {
+    std::vector<Domain> admitted(unswept.size(), Domain::None());
     for (unsigned v = 0; v < 256; ++v) {
       std::fill(assignment.begin(), assignment.end(), static_cast<uint8_t>(v));
       program_.NewEvaluation();
-      for (size_t ci : unary) {
-        unsigned sym = 0;
-        live[ci]->Support().ForEach([&](unsigned s) { sym = s; });
-        Domain& d = domain[static_cast<size_t>(level_of[sym])];
-        if (!d.Test(static_cast<uint8_t>(v))) {
-          continue;  // already excluded: skip the evaluation
-        }
-        if (budget == 0) {
-          return give_up(UnknownCause::kCandidateBudget);
-        }
-        --budget;
+      for (size_t k = 0; k < unswept.size(); ++k) {
         ++candidates_tried_;
-        if (program_.Evaluate(ci, assignment.data()) == 0) {
-          d.Clear(static_cast<uint8_t>(v));
+        if (program_.Evaluate(unswept[k], assignment.data()) != 0) {
+          admitted[k].Set(static_cast<uint8_t>(v));
         }
       }
     }
     std::fill(assignment.begin(), assignment.end(), 0);
+    if (unary_memo_.size() + unswept.size() > kUnaryMemoCapacity) {
+      unary_memo_.clear();
+    }
+    for (size_t k = 0; k < unswept.size(); ++k) {
+      unary_memo_.emplace(live[unswept[k]], admitted[k].w);
+      domain[unary_level(unswept[k])].IntersectWith(admitted[k]);
+    }
   }
   for (const Domain& d : domain) {
     if (d.Empty()) {
@@ -325,30 +397,58 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   //
   // Domain endpoints first (range checks make the extremes the likeliest
   // witnesses and the fastest refuters), then the global preference order
-  // filtered through the domain. A pure function of the constraint set plus
-  // its implied range facts — never of query history — so the model the
-  // search returns is too (docs/solver.md#determinism).
+  // filtered through the domain. Built once, from the seeded domains (range
+  // facts and unary constraints): everything that narrows a domain later
+  // only filters these lists, never reorders them. The order is therefore a
+  // pure function of the constraint set plus its implied range facts —
+  // never of query history or of which pruning fired — and so is the model
+  // the search returns (docs/solver.md#determinism).
   std::vector<std::vector<uint8_t>> values(order.size());
-  auto build_values = [&]() {
-    for (size_t l = 0; l < order.size(); ++l) {
-      const Domain& d = domain[l];
-      std::vector<uint8_t>& vals = values[l];
-      vals.clear();
-      vals.reserve(d.Count());
-      const uint8_t lo = d.Lo();
-      const uint8_t hi = d.Hi();
-      vals.push_back(lo);
-      if (hi != lo) {
-        vals.push_back(hi);
-      }
-      for (uint8_t v : CandidateOrder()) {
-        if (v != lo && v != hi && d.Test(v)) {
-          vals.push_back(v);
-        }
+  for (size_t l = 0; l < order.size(); ++l) {
+    const Domain& d = domain[l];
+    std::vector<uint8_t>& vals = values[l];
+    vals.reserve(d.Count());
+    const uint8_t lo = d.Lo();
+    const uint8_t hi = d.Hi();
+    vals.push_back(lo);
+    if (hi != lo) {
+      vals.push_back(hi);
+    }
+    for (uint8_t v : CandidateOrder()) {
+      if (v != lo && v != hi && d.Test(v)) {
+        vals.push_back(v);
       }
     }
+  }
+  // Drops the values the domains no longer admit, keeping the order.
+  auto filter_values = [&]() {
+    for (size_t l = 0; l < order.size(); ++l) {
+      const Domain& d = domain[l];
+      values[l].erase(std::remove_if(values[l].begin(), values[l].end(),
+                                     [&](uint8_t v) { return !d.Test(v); }),
+                      values[l].end());
+    }
   };
-  build_values();
+
+  // ---- Byte-order bounds ----
+  //
+  // `x u< y` and `x u<= y` between two bytes (narrowed compares make every
+  // byte-order fact of a sort or a comparison look like this) bound each
+  // side by the other's domain. Propagating them to a fixpoint before the
+  // search spares it the dead low ends of every chained level. The lists
+  // above stay as built: the search loop skips what the domains exclude.
+  std::vector<ByteOrder> byte_orders;
+  for (const Expr* c : live) {
+    if ((c->kind() == ExprKind::kUlt || c->kind() == ExprKind::kUle) &&
+        c->a()->kind() == ExprKind::kSymbol && c->b()->kind() == ExprKind::kSymbol) {
+      byte_orders.push_back(ByteOrder{static_cast<size_t>(level_of[c->a()->symbol_index()]),
+                                      static_cast<size_t>(level_of[c->b()->symbol_index()]),
+                                      c->kind() == ExprKind::kUlt ? 1u : 0u});
+    }
+  }
+  if (!byte_orders.empty() && !PropagateByteOrders(byte_orders, domain)) {
+    return SatResult::kUnsat;
+  }
 
   const uint64_t candidates_at_entry = candidates_tried_;
   std::vector<size_t> candidate_index(order.size(), 0);
@@ -551,8 +651,9 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     // Derived-domains trigger (once per query, independent of the learning
     // switch): unwind to the root so the sweep sees no assigned levels,
-    // derive, rebuild the value lists over the narrowed domains, and turn on
-    // forward checking for the rest of the query. Replaying the unwound
+    // derive, filter the value lists through the narrowed domains (never
+    // reorder them: that would change which model comes first), and turn
+    // on forward checking for the rest of the query. Replaying the unwound
     // prefix costs at most the kDeriveTrigger candidates already spent.
     if (!derived && candidates_tried_ - candidates_at_entry >= kDeriveTrigger) {
       derived = true;
@@ -568,7 +669,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       if (swept != SatResult::kSat) {
         return swept;
       }
-      build_values();
+      filter_values();
       scoped.assign(order.size(), Domain::Full());
       fc_blame.assign(order.size(), 0);
       undo.assign(order.size(), std::vector<ScopedUndo>{});

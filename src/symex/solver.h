@@ -17,6 +17,7 @@
 // extension) instead of a fresh core search.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -151,6 +152,15 @@ class CoreSolver {
   // concrete and interval evaluation of the search runs on it. A member
   // for the same reason as store_.
   EvalProgram program_;
+  // Unary-domain memo: a single-symbol constraint's admissible byte values
+  // (bit v of the 256-bit set) keyed by its hash-consed Expr. Expr pointers
+  // are unique only within one interner, so the memo belongs to the
+  // interner whose serial it records and is dropped when a query comes
+  // from another one. Bounded: cleared when full. It only saves work, never
+  // changes a result (docs/solver.md, "Facts the query already states").
+  static constexpr size_t kUnaryMemoCapacity = 4096;
+  std::unordered_map<const Expr*, std::array<uint64_t, 4>> unary_memo_;
+  uint64_t unary_memo_interner_ = 0;
   uint64_t candidates_tried_ = 0;
   uint64_t conflicts_ = 0;
   uint64_t learned_ = 0;

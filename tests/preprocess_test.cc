@@ -68,6 +68,23 @@ TEST(NotCanonicalizationTest, ComparisonDualsRoundTrip) {
   EXPECT_EQ(ctx.Not(ctx.Not(sle)), sle);
 }
 
+// comm_lite's two shapes, built the way the engine builds them: the word
+// compare `a - b == 0` on one path and `sext a != sext b` on the next. The
+// narrowing compares make them `a == b` and its pointer complement, so the
+// engine's path-membership scan settles the second branch without a query
+// (the core would refute the pair by enumerating all 65,536 byte pairs).
+TEST(NotCanonicalizationTest, CommLiteShapesAreComplements) {
+  ExprContext ctx;
+  const Expr* a = ctx.Symbol(0);
+  const Expr* b = ctx.Symbol(1);
+  const Expr* equal = ctx.Compare(
+      ICmpPredicate::kEq, ctx.Binary(ExprKind::kSub, ctx.ZExt(a, 32), ctx.ZExt(b, 32)),
+      ctx.Constant(0, 32));
+  const Expr* differ = ctx.Compare(ICmpPredicate::kNe, ctx.SExt(a, 32), ctx.SExt(b, 32));
+  EXPECT_EQ(equal, ctx.Compare(ICmpPredicate::kEq, a, b));
+  EXPECT_EQ(differ, ctx.Not(equal));
+}
+
 // ---- Randomized equivalence: preprocessed chain vs. raw core solver.
 
 // Random constraints over a handful of byte symbols, biased toward the

@@ -244,6 +244,91 @@ TEST(ExprTest, EvaluateSignedOps) {
   EXPECT_EQ(ctx.Evaluate(neg, bytes), 0u);
 }
 
+// ---- Narrowing compares: exact on every byte pair.
+
+// Every compare of two same-width extensions, and `x - y ==/!= 0`, is built
+// at the narrow width (no 32-bit operand survives), and the narrow compare
+// agrees with C++ on the unnarrowed 32-bit form for all 65,536 byte pairs.
+TEST(NarrowingCompareTest, RewritesAreExactOnAllBytePairs) {
+  ExprContext ctx;
+  const Expr* x = ctx.Symbol(0);
+  const Expr* y = ctx.Symbol(1);
+  const Expr* zx = ctx.ZExt(x, 32);
+  const Expr* zy = ctx.ZExt(y, 32);
+  const Expr* sx = ctx.SExt(x, 32);
+  const Expr* sy = ctx.SExt(y, 32);
+  const Expr* diff = ctx.Binary(ExprKind::kSub, zx, zy);
+  const Expr* zero = ctx.Constant(0, 32);
+  struct Rewrite {
+    const char* name;
+    const Expr* built;
+    bool (*wide)(uint32_t zx, uint32_t zy, int32_t sx, int32_t sy);
+  };
+  const Rewrite rewrites[] = {
+      {"eq zext", ctx.Compare(ICmpPredicate::kEq, zx, zy),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) { return a == b; }},
+      {"ne zext", ctx.Compare(ICmpPredicate::kNe, zx, zy),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) { return a != b; }},
+      {"ult zext", ctx.Compare(ICmpPredicate::kULT, zx, zy),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) { return a < b; }},
+      {"ule zext", ctx.Compare(ICmpPredicate::kULE, zx, zy),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) { return a <= b; }},
+      {"slt zext", ctx.Compare(ICmpPredicate::kSLT, zx, zy),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) {
+         return static_cast<int32_t>(a) < static_cast<int32_t>(b);
+       }},
+      {"sle zext", ctx.Compare(ICmpPredicate::kSLE, zx, zy),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) {
+         return static_cast<int32_t>(a) <= static_cast<int32_t>(b);
+       }},
+      {"sgt zext", ctx.Compare(ICmpPredicate::kSGT, zx, zy),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) {
+         return static_cast<int32_t>(a) > static_cast<int32_t>(b);
+       }},
+      {"sge zext", ctx.Compare(ICmpPredicate::kSGE, zx, zy),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) {
+         return static_cast<int32_t>(a) >= static_cast<int32_t>(b);
+       }},
+      {"eq sext", ctx.Compare(ICmpPredicate::kEq, sx, sy),
+       [](uint32_t, uint32_t, int32_t a, int32_t b) { return a == b; }},
+      {"ne sext", ctx.Compare(ICmpPredicate::kNe, sx, sy),
+       [](uint32_t, uint32_t, int32_t a, int32_t b) { return a != b; }},
+      {"slt sext", ctx.Compare(ICmpPredicate::kSLT, sx, sy),
+       [](uint32_t, uint32_t, int32_t a, int32_t b) { return a < b; }},
+      {"sle sext", ctx.Compare(ICmpPredicate::kSLE, sx, sy),
+       [](uint32_t, uint32_t, int32_t a, int32_t b) { return a <= b; }},
+      {"sgt sext", ctx.Compare(ICmpPredicate::kSGT, sx, sy),
+       [](uint32_t, uint32_t, int32_t a, int32_t b) { return a > b; }},
+      {"sge sext", ctx.Compare(ICmpPredicate::kSGE, sx, sy),
+       [](uint32_t, uint32_t, int32_t a, int32_t b) { return a >= b; }},
+      {"eq sub zero", ctx.Compare(ICmpPredicate::kEq, diff, zero),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) { return a - b == 0; }},
+      {"ne sub zero", ctx.Compare(ICmpPredicate::kNe, diff, zero),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) { return a - b != 0; }},
+      {"eq zero sub", ctx.Compare(ICmpPredicate::kEq, zero, diff),
+       [](uint32_t a, uint32_t b, int32_t, int32_t) { return a - b == 0; }},
+  };
+  for (const Rewrite& rewrite : rewrites) {
+    // Narrowed: the compare (under a Not, for the negated predicates) reads
+    // the bytes themselves.
+    const Expr* cmp = rewrite.built->kind() == ExprKind::kXor ? rewrite.built->a()
+                                                              : rewrite.built;
+    EXPECT_EQ(cmp->a()->width(), 8u) << rewrite.name;
+    EXPECT_EQ(cmp->b()->width(), 8u) << rewrite.name;
+    std::vector<uint8_t> bytes(2);
+    for (unsigned a = 0; a < 256; ++a) {
+      for (unsigned b = 0; b < 256; ++b) {
+        bytes[0] = static_cast<uint8_t>(a);
+        bytes[1] = static_cast<uint8_t>(b);
+        const bool expected = rewrite.wide(a, b, static_cast<int8_t>(a), static_cast<int8_t>(b));
+        ctx.NewEvaluation();
+        ASSERT_EQ(ctx.Evaluate(rewrite.built, bytes), expected ? 1u : 0u)
+            << rewrite.name << " at (" << a << ", " << b << ")";
+      }
+    }
+  }
+}
+
 // ---- The sharded, lock-striped interner shared across contexts.
 
 TEST(SharedInternerTest, RacingContextsConvergeOnOneCanonicalNode) {
