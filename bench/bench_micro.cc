@@ -33,13 +33,10 @@ void Report(benchmark::State& state, const char* key, const MetricsShard& m, Cou
   state.counters[key] = static_cast<double>(m.Get(c));
 }
 
-// The preprocessing/prefix-cache effectiveness counters recorded in the
-// BENCH_symex.json snapshot (run_benches.sh picks these up by name).
+// The preprocessing effectiveness counters recorded in the BENCH_symex.json
+// snapshot (run_benches.sh picks these up by name).
 void ReportPreprocessStats(benchmark::State& state, const MetricsShard& m) {
   Report(state, "presolve_shortcuts", m, Counter::kPresolveShortcuts);
-  Report(state, "prefix_subset_hits", m, Counter::kPrefixSubsetHits);
-  Report(state, "prefix_superset_hits", m, Counter::kPrefixSupersetHits);
-  Report(state, "prefix_model_hits", m, Counter::kPrefixModelHits);
   Report(state, "preprocess_bindings", m, Counter::kPreprocessBindings);
   Report(state, "preprocess_tautologies", m, Counter::kPreprocessTautologies);
 }
@@ -78,18 +75,16 @@ void ReportExploreStats(benchmark::State& state, const MetricsShard& m) {
 // Macro-run latency/effectiveness summary from the run's metrics registry
 // (docs/observability.md): solver-query percentiles from the merged
 // latency histogram, plus the combined cache hit rate (counterexample
-// cache + prefix-trie subset/superset/model hits + model reuse over all
-// queries). Informational in BENCH_symex.json — timings vary run to run,
-// so `--check` never gates on them.
+// cache + model reuse over all queries). Informational in
+// BENCH_symex.json — timings vary run to run, so `--check` never gates on
+// them.
 void ReportLatencyStats(benchmark::State& state, const SymexResult& result) {
   const LatencyHistogram& h = result.metrics.hist(Hist::kSolverQueryNs);
   state.counters["solver_p50_ns"] = static_cast<double>(h.P50());
   state.counters["solver_p95_ns"] = static_cast<double>(h.P95());
   const MetricsShard& m = result.metrics;
-  double hits = static_cast<double>(
-      m.Get(Counter::kSolverCacheHits) + m.Get(Counter::kPrefixSubsetHits) +
-      m.Get(Counter::kPrefixSupersetHits) + m.Get(Counter::kPrefixModelHits) +
-      m.Get(Counter::kSolverReuseHits));
+  double hits =
+      static_cast<double>(m.Get(Counter::kSolverCacheHits) + m.Get(Counter::kSolverReuseHits));
   double queries = static_cast<double>(m.Get(Counter::kSolverQueries));
   state.counters["cache_hit_rate"] = queries > 0 ? hits / queries : 0.0;
 }

@@ -79,7 +79,6 @@ for b in micro.get("benchmarks", []):
                 "core_learned", "core_learned_hits", "core_backjumps", "eval_memo_hits",
                 "interval_memo_hits", "independence_drops", "cache_hits",
                 "reuse_hits", "cex_evictions", "presolve_shortcuts",
-                "prefix_subset_hits", "prefix_superset_hits", "prefix_model_hits",
                 "preprocess_bindings", "preprocess_tautologies",
                 "workers", "steals", "steal_batches",
                 "slice_checks_found", "slices_built", "slice_fallbacks",

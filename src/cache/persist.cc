@@ -38,10 +38,6 @@ void WriteEntry(ByteWriter& w, const PersistedEntry& entry) {
   w.U64(entry.set_hash);
   w.U64(entry.fingerprint);
   w.U8(entry.result);
-  w.U64(entry.keys.size());
-  for (uint64_t key : entry.keys) {
-    w.U64(key);
-  }
   w.Blob(entry.model);
 }
 
@@ -52,14 +48,6 @@ bool ReadEntry(ByteReader& r, PersistedEntry& entry) {
   if (entry.result > 1) {
     return false;  // only kSat/kUnsat are ever persisted
   }
-  const uint64_t num_keys = r.U64();
-  if (num_keys > r.remaining() / 8) {
-    return false;  // length field exceeds the bytes that could back it
-  }
-  entry.keys.resize(num_keys);
-  for (uint64_t& key : entry.keys) {
-    key = r.U64();
-  }
   entry.model = r.Blob();
   return r.ok();
 }
@@ -68,7 +56,7 @@ bool ReadEntry(ByteReader& r, PersistedEntry& entry) {
 
 void SeedChain(const RunBlob& blob, SolverChain& chain) {
   for (const PersistedEntry& entry : blob.entries) {
-    chain.SeedPersistedEntry(entry.keys, entry.set_hash, entry.fingerprint,
+    chain.SeedPersistedEntry(entry.set_hash, entry.fingerprint,
                              entry.result == 0 ? SatResult::kSat : SatResult::kUnsat,
                              entry.model);
   }
@@ -91,7 +79,6 @@ void HarvestChain(const SolverChain& chain, RunBlob& blob) {
       return;
     }
     PersistedEntry entry;
-    entry.keys = live.keys;
     entry.set_hash = live.set_hash;
     entry.fingerprint = live.fingerprint;
     entry.result = live.result == SatResult::kSat ? 0 : 1;

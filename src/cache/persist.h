@@ -40,7 +40,7 @@ struct SymexOptions;
 // key (models, path counts, bug inputs) — stores written under a different
 // definition must be rejected wholesale, not reinterpreted, and a stored
 // RunSignature must be the one a cold run would produce.
-constexpr uint32_t kCacheStoreVersion = 4;
+constexpr uint32_t kCacheStoreVersion = 5;
 
 // "OVFYCACH" little-endian.
 constexpr uint64_t kCacheStoreMagic = 0x484341435946564Full;
@@ -49,7 +49,6 @@ constexpr uint64_t kCacheStoreMagic = 0x484341435946564Full;
 // PrefixCache::Entry; `result` is 0 = kSat, 1 = kUnsat (kUnknown is never
 // cached, live or persisted).
 struct PersistedEntry {
-  std::vector<uint64_t> keys;  // ascending per-constraint structural hashes
   uint64_t set_hash = 0;
   uint64_t fingerprint = 0;  // portable content fingerprint
   uint8_t result = 0;

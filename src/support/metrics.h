@@ -48,6 +48,10 @@ namespace overify {
 // paths.unknown_* causes, docs/robustness.md). engine.annotation_hits
 // counts branch decisions settled by annotations; steal.states and
 // steal.batches count migrated states and steals that yielded work.
+//
+// Retired counters are always 0: nothing counts them any more, and they
+// stay only because e2ebench/e2e_bench.cc names them. They are deleted with
+// the next benchmark change.
 #define OVERIFY_METRIC_COUNTERS(X)                            \
   X(kPathsCompleted, "paths.completed", true)                 \
   X(kPathsInfeasible, "paths.infeasible", true)               \
@@ -70,7 +74,7 @@ namespace overify {
   X(kSolverCoreLearned, "solver.core_learned", false)         \
   X(kSolverCoreLearnedHits, "solver.core_learned_hits", false) \
   X(kSolverCoreBackjumps, "solver.core_backjumps", false)     \
-  X(kSolverCoreRestarts, "solver.core_restarts", false) /* retired: always 0 */ \
+  X(kSolverCoreRestarts, "solver.core_restarts", false) /* retired */ \
   X(kSolverIndependenceDrops, "solver.independence_drops", false) \
   X(kSolverEvalMemoHits, "solver.eval_memo_hits", false)      \
   X(kSolverIntervalMemoHits, "solver.interval_memo_hits", false) \
@@ -84,9 +88,9 @@ namespace overify {
   X(kPreprocessTautologies, "preprocess.tautologies", false)  \
   X(kPreprocessContradictions, "preprocess.contradictions", false) \
   X(kPresolveShortcuts, "preprocess.presolve_shortcuts", false) \
-  X(kPrefixSubsetHits, "prefix.subset_hits", false)           \
-  X(kPrefixSupersetHits, "prefix.superset_hits", false)       \
-  X(kPrefixModelHits, "prefix.model_hits", false)             \
+  X(kPrefixSubsetHits, "prefix.subset_hits", false) /* retired */ \
+  X(kPrefixSupersetHits, "prefix.superset_hits", false) /* retired */ \
+  X(kPrefixModelHits, "prefix.model_hits", false) /* retired */ \
   X(kPrefixCollisions, "prefix.collisions", false)            \
   X(kPersistSeeded, "persist.seeded", false)                  \
   X(kPersistHits, "persist.hits", false)                      \

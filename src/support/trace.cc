@@ -28,8 +28,7 @@ const KindInfo kKinds[] = {
 const char* const kVerdictNames[] = {"sat", "unsat", "unknown"};
 const char* const kCauseNames[] = {"none",     "budget",    "query_timeout",
                                    "deadline", "cancelled", "injected"};
-const char* const kHitNames[] = {"exact", "subset", "superset", "model_extension",
-                                 "reuse", "miss"};
+const char* const kHitNames[] = {"exact", "reuse", "miss"};
 const char* const kForkNames[] = {"true", "false", "fork", "infeasible", "unknown"};
 const char* const kPathNames[] = {"completed", "infeasible", "bug",
                                   "limit",     "unknown",    "died"};

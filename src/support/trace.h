@@ -36,12 +36,9 @@ enum class TraceKind : uint16_t {
   kFaultFired,   // instant; arg_a = FaultSite
 };
 
-// How a prefix-cache lookup resolved (the span's "hit" arg).
+// How a counterexample-cache lookup resolved (the span's "hit" arg).
 enum class CacheHitClass : uint8_t {
   kExact,
-  kSubset,
-  kSuperset,
-  kModelExtension,
   kReuse,
   kMiss,
 };

@@ -1058,257 +1058,49 @@ SetHash HashConstraintSet(const std::vector<const Expr*>& canonical,
 
 const PrefixCache::Entry* PrefixCache::FindExact(uint64_t set_hash,
                                                  uint64_t fingerprint) const {
-  auto it = exact_.find(set_hash);
-  if (it == exact_.end()) {
+  auto it = entries_.find(set_hash);
+  if (it == entries_.end() || it->second.fingerprint != fingerprint) {
     return nullptr;
   }
-  const Entry& entry = entries_[it->second];
-  if (!entry.live || entry.fingerprint != fingerprint) {
-    return nullptr;
-  }
-  return &entry;
+  return &it->second;
 }
 
-const PrefixCache::Entry* PrefixCache::FindUnsatSubsetFrom(const Node& node,
-                                                           const std::vector<uint64_t>& keys,
-                                                           size_t i, size_t& budget) const {
-  if (budget == 0) {
-    return nullptr;
-  }
-  --budget;
-  if (node.entry >= 0 && entries_[node.entry].result == SatResult::kUnsat) {
-    return &entries_[node.entry];  // the path here used only keys of the query
-  }
-  for (const auto& [key, child] : node.children) {
-    if (child->subtree_unsat == 0) {
-      continue;
-    }
-    auto it = std::lower_bound(keys.begin() + i, keys.end(), key);
-    if (it == keys.end()) {
-      break;  // children are ascending: nothing further can match
-    }
-    if (*it != key) {
-      continue;
-    }
-    if (const Entry* found = FindUnsatSubsetFrom(
-            *child, keys, static_cast<size_t>(it - keys.begin()) + 1, budget)) {
-      return found;
-    }
-  }
-  return nullptr;
-}
-
-const PrefixCache::Entry* PrefixCache::FindUnsatSubset(
-    const std::vector<uint64_t>& keys) const {
-  size_t budget = kSearchBudget;
-  return FindUnsatSubsetFrom(root_, keys, 0, budget);
-}
-
-const PrefixCache::Entry* PrefixCache::FindAnySat(const Node& node, size_t& budget) const {
-  if (budget == 0) {
-    return nullptr;
-  }
-  --budget;
-  if (node.entry >= 0 && entries_[node.entry].result == SatResult::kSat) {
-    return &entries_[node.entry];
-  }
-  for (const auto& [key, child] : node.children) {
-    (void)key;
-    if (child->subtree_sat == 0) {
-      continue;
-    }
-    if (const Entry* found = FindAnySat(*child, budget)) {
-      return found;
-    }
-  }
-  return nullptr;
-}
-
-const PrefixCache::Entry* PrefixCache::FindSatSupersetFrom(const Node& node,
-                                                           const std::vector<uint64_t>& keys,
-                                                           size_t i, size_t& budget) const {
-  if (budget == 0 || node.subtree_sat == 0) {
-    return nullptr;
-  }
-  --budget;
-  if (i == keys.size()) {
-    // Every query key matched along the way down: any SAT entry below is a
-    // superset.
-    return FindAnySat(node, budget);
-  }
-  for (const auto& [key, child] : node.children) {
-    if (key > keys[i]) {
-      break;  // a superset must contain keys[i]; larger keys skipped it
-    }
-    const Entry* found = key == keys[i]
-                             ? FindSatSupersetFrom(*child, keys, i + 1, budget)
-                             : FindSatSupersetFrom(*child, keys, i, budget);
-    if (found != nullptr) {
-      return found;
-    }
-  }
-  return nullptr;
-}
-
-const PrefixCache::Entry* PrefixCache::FindSatSuperset(
-    const std::vector<uint64_t>& keys) const {
-  size_t budget = kSearchBudget;
-  return FindSatSupersetFrom(root_, keys, 0, budget);
-}
-
-void PrefixCache::CollectSatSubsetsFrom(const Node& node, const std::vector<uint64_t>& keys,
-                                        size_t i, size_t limit, size_t& budget,
-                                        std::vector<const Entry*>& out) const {
-  if (budget == 0 || out.size() >= limit) {
-    return;
-  }
-  --budget;
-  if (node.entry >= 0 && entries_[node.entry].result == SatResult::kSat &&
-      !entries_[node.entry].keys.empty()) {
-    out.push_back(&entries_[node.entry]);
-    if (out.size() >= limit) {
-      return;
-    }
-  }
-  for (const auto& [key, child] : node.children) {
-    if (child->subtree_sat == 0) {
-      continue;
-    }
-    auto it = std::lower_bound(keys.begin() + i, keys.end(), key);
-    if (it == keys.end()) {
-      break;
-    }
-    if (*it != key) {
-      continue;
-    }
-    CollectSatSubsetsFrom(*child, keys, static_cast<size_t>(it - keys.begin()) + 1, limit,
-                          budget, out);
-    if (out.size() >= limit) {
-      return;
-    }
-  }
-}
-
-void PrefixCache::CollectSatSubsets(const std::vector<uint64_t>& keys, size_t limit,
-                                    std::vector<const Entry*>& out) const {
-  size_t budget = kSearchBudget;
-  CollectSatSubsetsFrom(root_, keys, 0, limit, budget, out);
-}
-
-void PrefixCache::RemoveFrom(Node& node, const std::vector<uint64_t>& keys, size_t i,
-                             bool sat) {
-  if (sat) {
-    --node.subtree_sat;
-  } else {
-    --node.subtree_unsat;
-  }
-  if (i == keys.size()) {
-    node.entry = -1;
-    return;
-  }
-  auto it = node.children.find(keys[i]);
-  OVERIFY_ASSERT(it != node.children.end(), "prefix-cache trie out of sync");
-  Node& child = *it->second;
-  RemoveFrom(child, keys, i + 1, sat);
-  if (child.subtree_sat + child.subtree_unsat == 0) {
-    node.children.erase(it);  // prune so memory tracks live entries
-  }
-}
-
-void PrefixCache::RemoveEntry(uint32_t index) {
-  Entry& entry = entries_[index];
-  OVERIFY_ASSERT(entry.live, "removing a dead prefix-cache entry");
-  RemoveFrom(root_, entry.keys, 0, entry.result == SatResult::kSat);
-  exact_.erase(entry.set_hash);
-  entry = Entry{};
-  free_slots_.push_back(index);
-  --live_;
-}
-
-void PrefixCache::Insert(std::vector<uint64_t> keys, uint64_t set_hash, uint64_t fingerprint,
-                         SatResult result, const std::vector<uint8_t>& model) {
+void PrefixCache::Insert(uint64_t set_hash, uint64_t fingerprint, SatResult result,
+                         const std::vector<uint8_t>& model) {
   OVERIFY_ASSERT(result != SatResult::kUnknown, "only definite verdicts are cached");
-  auto existing = exact_.find(set_hash);
-  if (existing != exact_.end()) {
-    // Same 128-bit identity (a re-query after a derived hit): replace
-    // wholesale. A matching set_hash with a different fingerprint or key
-    // sequence is a 64-bit collision between two distinct sets — drop the
-    // resident entry AND skip this insert, so both sets degrade to cache
-    // misses instead of one ever being served the other's verdict.
-    const Entry& resident = entries_[existing->second];
-    const bool same_set = resident.fingerprint == fingerprint && resident.keys == keys;
-    RemoveEntry(existing->second);
-    if (!same_set) {
+  auto existing = entries_.find(set_hash);
+  if (existing != entries_.end()) {
+    // Same 128-bit identity (a re-query after a spurious miss): replace in
+    // place. A matching set_hash with a different fingerprint is a 64-bit
+    // collision between two distinct sets — drop the resident entry AND
+    // skip this insert, so both sets degrade to cache misses instead of one
+    // ever being served the other's verdict.
+    if (existing->second.fingerprint != fingerprint) {
+      entries_.erase(existing);
       ++collisions_;
       return;
     }
+    existing->second = Entry{set_hash, fingerprint, result, model};
+    return;
   }
-  while (live_ >= capacity_ && !fifo_.empty()) {
-    uint32_t oldest = fifo_.front();
+  while (entries_.size() >= capacity_ && !fifo_.empty()) {
+    const uint64_t oldest = fifo_.front();
     fifo_.pop_front();
-    if (entries_[oldest].live) {
-      RemoveEntry(oldest);
-      ++evictions_;
-    }
+    evictions_ += entries_.erase(oldest);
   }
-  uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    index = static_cast<uint32_t>(entries_.size());
-    entries_.emplace_back();
-  }
-  Entry& entry = entries_[index];
-  entry.keys = std::move(keys);
-  entry.set_hash = set_hash;
-  entry.fingerprint = fingerprint;
-  entry.result = result;
-  entry.model = model;
-  entry.live = true;
-  const bool sat = result == SatResult::kSat;
-  Node* node = &root_;
-  if (sat) {
-    ++node->subtree_sat;
-  } else {
-    ++node->subtree_unsat;
-  }
-  for (uint64_t key : entry.keys) {
-    auto& child = node->children[key];
-    if (child == nullptr) {
-      child = std::make_unique<Node>();
-    }
-    node = child.get();
-    if (sat) {
-      ++node->subtree_sat;
-    } else {
-      ++node->subtree_unsat;
-    }
-  }
-  node->entry = static_cast<int32_t>(index);
-  exact_[entry.set_hash] = index;
-  fifo_.push_back(index);
-  ++live_;
+  entries_.emplace(set_hash, Entry{set_hash, fingerprint, result, model});
+  fifo_.push_back(set_hash);
 }
 
-void PrefixCache::InsertPersisted(std::vector<uint64_t> keys, uint64_t set_hash,
-                                  uint64_t fingerprint, SatResult result,
+void PrefixCache::InsertPersisted(uint64_t set_hash, uint64_t fingerprint, SatResult result,
                                   const std::vector<uint8_t>& model) {
-  Insert(std::move(keys), set_hash, fingerprint, result, model);
-  auto it = exact_.find(set_hash);
-  if (it == exact_.end()) {
+  Insert(set_hash, fingerprint, result, model);
+  auto it = entries_.find(set_hash);
+  if (it == entries_.end()) {
     return;  // collided with a resident entry; both dropped
   }
-  Entry& entry = entries_[it->second];
-  entry.persisted = true;
-  entry.unvalidated = result == SatResult::kSat;
-}
-
-void PrefixCache::RemoveBySetHash(uint64_t set_hash) {
-  auto it = exact_.find(set_hash);
-  if (it != exact_.end() && entries_[it->second].live) {
-    RemoveEntry(it->second);
-  }
+  it->second.persisted = true;
+  it->second.unvalidated = result == SatResult::kSat;
 }
 
 // ---- SolverChain ----
@@ -1336,13 +1128,12 @@ void SolverChain::SyncMetrics() const {
   m.Set(Counter::kPreprocessContradictions, pp.contradictions);
 }
 
-void SolverChain::SeedPersistedEntry(std::vector<uint64_t> keys, uint64_t set_hash,
-                                     uint64_t fingerprint, SatResult result,
-                                     const std::vector<uint8_t>& model) {
+void SolverChain::SeedPersistedEntry(uint64_t set_hash, uint64_t fingerprint,
+                                     SatResult result, const std::vector<uint8_t>& model) {
   if (result == SatResult::kUnknown) {
     return;  // never cached live, never seeded from a store
   }
-  cache_.InsertPersisted(std::move(keys), set_hash, fingerprint, result, model);
+  cache_.InsertPersisted(set_hash, fingerprint, result, model);
   metrics_->Inc(Counter::kPersistSeeded);
 }
 
@@ -1431,10 +1222,10 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
                     static_cast<uint64_t>(FaultSite::kPrefixCacheLookup));
   }
 
-  // The cache-lookup span covers every reuse tier (exact, subset, superset,
-  // model extension, recent-model reuse) and closes with the hit class that
-  // answered — kMiss when the query fell through to the core search. It is
-  // a sub-span of the solver-query span and is timed only when tracing:
+  // The cache-lookup span covers both reuse tiers (exact lookup, recent-model
+  // reuse) and closes with the hit class that answered — kMiss when the
+  // query fell through to the core search. It is a sub-span of the
+  // solver-query span and is timed only when tracing:
   // lookups are tens of nanoseconds, so paying two clock reads per query in
   // metrics-only mode would cost more than it measures (the hit *counters*
   // are always exact; docs/observability.md spells out the gate).
@@ -1509,117 +1300,24 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
     }
   }
 
-  // Sorted constraint-set fingerprint for subset/superset reasoning. The
-  // canonical order is already ascending by structural hash.
-  std::vector<uint64_t> keys;
-  keys.reserve(canonical.size());
-  for (const Expr* c : canonical) {
-    keys.push_back(c->hash());
-  }
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-  // A cached UNSAT subset (typically this path's shorter prefix plus the
-  // refuted branch) refutes every superset. Persisted UNSAT entries are
-  // trusted: there is no model to re-check, and the 128-bit identity plus
-  // the store checksum vouch for the verdict.
-  if (!skip_cache) {
-    if (const PrefixCache::Entry* sub = cache_.FindUnsatSubset(keys)) {
-      metrics_->Inc(Counter::kPrefixSubsetHits);
-      if (sub->persisted) {
-        metrics_->Inc(Counter::kPersistHits);
-      }
-      lookup_done(CacheHitClass::kSubset);
-      cache_.Insert(std::move(keys), cache_key.key, cache_key.fingerprint, SatResult::kUnsat,
-                    {});
-      return SatResult::kUnsat;
-    }
-  }
-
-  // A cached SAT superset's model satisfies every constraint of this query.
-  // An unvalidated persisted superset is re-checked against the live query
-  // first; a model that fails is removed (its entry can never answer
-  // correctly) and the lookup retries, so a poisoned store degrades to a
-  // miss, never to a wrong verdict. Passing validates the model *for this
-  // query only* — the entry's own (larger) set stays unvalidated.
-  while (!skip_cache) {
-    const PrefixCache::Entry* entry = cache_.FindSatSuperset(keys);
-    if (entry == nullptr) {
-      break;
-    }
-    // Copy before Insert: `entry` points into the cache's entry storage,
-    // which Insert may reallocate.
-    std::vector<uint8_t> superset_model = entry->model;
-    if (entry->unvalidated) {
-      std::vector<uint8_t> candidate = superset_model;
-      if (candidate.size() < needed) {
-        candidate.resize(needed, 0);
-      }
-      if (!satisfies(candidate)) {
-        metrics_->Inc(Counter::kPersistRejects);
-        cache_.RemoveBySetHash(entry->set_hash);
-        continue;
-      }
-      metrics_->Inc(Counter::kPersistValidations);
-    }
-    metrics_->Inc(Counter::kPrefixSupersetHits);
-    if (entry->persisted) {
-      metrics_->Inc(Counter::kPersistHits);
-    }
-    lookup_done(CacheHitClass::kSuperset);
-    cache_.Insert(std::move(keys), cache_key.key, cache_key.fingerprint, SatResult::kSat,
-                  superset_model);
-    if (model != nullptr) {
-      *model = std::move(superset_model);
-    }
-    return SatResult::kSat;
-  }
-
-  // Prefix-model extension: a cached subset (the depth-k prefix of this
-  // depth-k+1 query) often has a model that already satisfies the one new
-  // constraint. Validation is a cheap memoized evaluation — and for an
-  // unvalidated persisted subset it doubles as full validation, since the
-  // query's constraints are a superset of the entry's.
-  std::vector<const PrefixCache::Entry*> subsets;
-  if (!skip_cache) {
-    cache_.CollectSatSubsets(keys, /*limit=*/4, subsets);
-  }
-  for (const PrefixCache::Entry* entry : subsets) {
-    std::vector<uint8_t> candidate = entry->model;
-    if (candidate.size() < needed) {
-      candidate.resize(needed, 0);
-    }
-    if (satisfies(candidate)) {
-      if (entry->unvalidated) {
-        entry->unvalidated = false;
-        metrics_->Inc(Counter::kPersistValidations);
-      }
-      metrics_->Inc(Counter::kPrefixModelHits);
-      if (entry->persisted) {
-        metrics_->Inc(Counter::kPersistHits);
-      }
-      lookup_done(CacheHitClass::kModelExtension);
-      cache_.Insert(std::move(keys), cache_key.key, cache_key.fingerprint, SatResult::kSat,
-                    candidate);
-      if (model != nullptr) {
-        *model = candidate;
-      }
-      return SatResult::kSat;
-    }
-  }
-
-  // Model reuse: a recent satisfying assignment may already satisfy this set.
+  // Model reuse: a recent core model, zero-padded to the query's width, may
+  // already satisfy this set. A path's depth-k+1 query usually adds one
+  // constraint to its depth-k set, so the model that answered depth k
+  // often answers it too.
+  std::vector<uint8_t> padded;
   for (auto it = recent_models_.rbegin(); it != recent_models_.rend(); ++it) {
-    const std::vector<uint8_t>& candidate = *it;
-    if (candidate.size() < needed) {
-      continue;
+    const std::vector<uint8_t>* candidate = &*it;
+    if (candidate->size() < needed) {
+      padded.assign(needed, 0);
+      std::copy(it->begin(), it->end(), padded.begin());
+      candidate = &padded;
     }
-    if (satisfies(candidate)) {
+    if (satisfies(*candidate)) {
       metrics_->Inc(Counter::kSolverReuseHits);
       lookup_done(CacheHitClass::kReuse);
-      cache_.Insert(std::move(keys), cache_key.key, cache_key.fingerprint, SatResult::kSat,
-                    candidate);
+      cache_.Insert(cache_key.key, cache_key.fingerprint, SatResult::kSat, *candidate);
       if (model != nullptr) {
-        *model = candidate;
+        *model = *candidate;
       }
       return SatResult::kSat;
     }
@@ -1653,10 +1351,10 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
     // (PrefixCache::Insert asserts the same invariant).
     return Unknown(core_cause);
   }
-  cache_.Insert(std::move(keys), cache_key.key, cache_key.fingerprint, result, core_model);
+  cache_.Insert(cache_key.key, cache_key.fingerprint, result, core_model);
   if (result == SatResult::kSat) {
     recent_models_.push_back(core_model);
-    if (recent_models_.size() > 8) {
+    if (recent_models_.size() > kRecentModels) {
       recent_models_.erase(recent_models_.begin());
     }
     if (model != nullptr) {

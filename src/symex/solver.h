@@ -2,19 +2,18 @@
 //
 // The solver stack mirrors KLEE's: queries pass through constraint
 // preprocessing (byte-equality substitution + range tightening,
-// src/symex/preprocess.h), independent-constraint splitting, and a
-// subset/superset-aware counterexample cache before reaching the core
+// src/symex/preprocess.h), independent-constraint splitting, an exact
+// counterexample cache and recent-model reuse before reaching the core
 // search procedure. The core solver performs backtracking search over the
 // 8-bit symbolic input bytes with constraint-completion pruning — complete
 // for the byte-level workloads this toolkit targets (the paper's evaluation
 // uses 2-10 symbolic input bytes).
 //
 // Hot-path engineering (see docs/engine.md): independence splitting is a
-// bitwise-AND fixpoint over SupportSet bitmasks, and the counterexample
-// cache is a KLEE-UBTree-style trie over sorted constraint-set
-// fingerprints: a path's query at depth k+1 is answered from its depth-k
-// prefix entry (UNSAT subset, SAT superset, or a validated model
-// extension) instead of a fresh core search.
+// bitwise-AND fixpoint over SupportSet bitmasks; the cache answers a
+// re-asked set from one 128-bit hash lookup, and recent-model reuse tries
+// the last eight core models, zero-padded to the query's width — which
+// answers most depth-k+1 queries with the model their depth-k prefix got.
 #pragma once
 
 #include <array>
@@ -22,8 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -168,34 +165,21 @@ class CoreSolver {
   uint64_t backjumps_ = 0;
 };
 
-// KLEE-UBTree-style counterexample cache over canonical constraint sets.
+// Counterexample cache over canonical constraint sets: one verdict (and,
+// for SAT, one model) per set, looked up exactly.
 //
-// Every entry stores the set as its ascending per-constraint structural
-// hashes ("sorted constraint-set fingerprint") plus a verdict and, for SAT,
-// a model. Besides exact lookups (64-bit set hash + independent
-// confirmation fingerprint, as before), the trie answers the two
-// prefix-reuse questions:
-//   - is some cached UNSAT set a *subset* of the query (then the query is
-//     UNSAT), and
-//   - is some cached SAT set a *superset* of the query (then its model
-//     satisfies the query).
-// Subset/superset reasoning equates constraints by their 64-bit structural
-// hash — the same collision-impossible assumption as the exact cache
-// (docs/engine.md). Capacity is bounded with FIFO eviction; trie nodes are
-// pruned on removal so memory tracks the live entry count.
+// An entry is keyed by the set's 64-bit order-sensitive hash and confirmed
+// by its portable content fingerprint (src/symex/expr_hash.h). Together they
+// form a 128-bit identity that is stable across processes and machines —
+// the property cross-run persistence rests on. Capacity is bounded with
+// FIFO eviction.
 class PrefixCache {
  public:
   struct Entry {
-    std::vector<uint64_t> keys;  // ascending per-constraint structural hashes
-    uint64_t set_hash = 0;       // exact-lookup key (order-sensitive fold)
-    // Independent confirmation hash: the portable content fingerprint of
-    // the canonical set (src/symex/expr_hash.h). Together with set_hash it
-    // forms a 128-bit identity that is stable across processes and
-    // machines — the property cross-run persistence rests on.
-    uint64_t fingerprint = 0;
+    uint64_t set_hash = 0;     // exact-lookup key (order-sensitive fold)
+    uint64_t fingerprint = 0;  // independent confirmation hash
     SatResult result = SatResult::kUnknown;
     std::vector<uint8_t> model;  // satisfying assignment for kSat entries
-    bool live = false;
     // Loaded from a persisted cross-run store (docs/daemon.md). Hits on
     // persisted entries are counted separately (persist.hits) — the warm
     // bench gate measures exactly these.
@@ -205,88 +189,52 @@ class PrefixCache {
     // query's constraints under the model at first use, clears the flag on
     // success, and drops the entry on mismatch so a corrupted or stale
     // store degrades to a cache miss, never a wrong verdict. Mutable: the
-    // flag flips on logically-const lookup paths.
+    // flag flips on a logically-const lookup.
     mutable bool unvalidated = false;
   };
 
   explicit PrefixCache(size_t capacity = 4096) : capacity_(capacity) {}
 
   const Entry* FindExact(uint64_t set_hash, uint64_t fingerprint) const;
-  // Some cached UNSAT set that is a subset of `keys` (then the query is
-  // UNSAT too). Returns the entry on hit so callers can attribute
-  // persisted-store hits; null on miss.
-  const Entry* FindUnsatSubset(const std::vector<uint64_t>& keys) const;
-  // Some cached SAT set that is a superset of `keys` (its model satisfies
-  // every constraint of the query). Returns null on miss.
-  const Entry* FindSatSuperset(const std::vector<uint64_t>& keys) const;
-  // Collects up to `limit` SAT entries whose sets are subsets of `keys`
-  // (prefix candidates whose models may extend to the full query).
-  void CollectSatSubsets(const std::vector<uint64_t>& keys, size_t limit,
-                         std::vector<const Entry*>& out) const;
 
   // Inserts (or overwrites, on a matching 128-bit identity) an entry;
-  // evicts the oldest live entry beyond capacity.
-  // A matching set_hash whose fingerprint (or key sequence) differs is a
-  // 64-bit collision: both the resident entry and the new one are dropped,
-  // so a collision degrades to a cache miss instead of ever serving one
-  // set's verdict for the other (counted in collisions()).
-  void Insert(std::vector<uint64_t> keys, uint64_t set_hash, uint64_t fingerprint,
-              SatResult result, const std::vector<uint8_t>& model);
+  // evicts the oldest entry beyond capacity.
+  // A matching set_hash whose fingerprint differs is a 64-bit collision:
+  // both the resident entry and the new one are dropped, so a collision
+  // degrades to a cache miss instead of ever serving one set's verdict for
+  // the other (counted in collisions()).
+  void Insert(uint64_t set_hash, uint64_t fingerprint, SatResult result,
+              const std::vector<uint8_t>& model);
 
   // Insert for entries loaded from a persisted store: marks the entry
   // persisted, and — for SAT — unvalidated, deferring model trust to the
   // first live hit (see Entry::unvalidated).
-  void InsertPersisted(std::vector<uint64_t> keys, uint64_t set_hash, uint64_t fingerprint,
-                       SatResult result, const std::vector<uint8_t>& model);
+  void InsertPersisted(uint64_t set_hash, uint64_t fingerprint, SatResult result,
+                       const std::vector<uint8_t>& model);
 
   // Drops the entry carrying `set_hash` if present (persisted-model
   // validation failure: the store's model did not satisfy the live set).
-  void RemoveBySetHash(uint64_t set_hash);
+  void RemoveBySetHash(uint64_t set_hash) { entries_.erase(set_hash); }
 
-  // Visits every live entry (the persistence harvest).
+  // Visits every entry (the persistence harvest).
   template <typename Fn>
   void ForEachLive(Fn&& fn) const {
-    for (const Entry& entry : entries_) {
-      if (entry.live) {
-        fn(entry);
-      }
+    for (const auto& [set_hash, entry] : entries_) {
+      fn(entry);
     }
   }
 
-  size_t size() const { return live_; }
+  size_t size() const { return entries_.size(); }
   uint64_t evictions() const { return evictions_; }
   uint64_t collisions() const { return collisions_; }
 
  private:
-  struct Node {
-    std::map<uint64_t, std::unique_ptr<Node>> children;
-    int32_t entry = -1;        // index into entries_ of the set ending here
-    uint32_t subtree_sat = 0;  // live SAT / UNSAT entries at or below
-    uint32_t subtree_unsat = 0;
-  };
-
-  // All searches carry a node-visit budget so a pathological trie shape
-  // degrades to a cache miss, never a slow query.
-  static constexpr size_t kSearchBudget = 2048;
-
-  const Entry* FindUnsatSubsetFrom(const Node& node, const std::vector<uint64_t>& keys,
-                                   size_t i, size_t& budget) const;
-  const Entry* FindSatSupersetFrom(const Node& node, const std::vector<uint64_t>& keys,
-                                   size_t i, size_t& budget) const;
-  const Entry* FindAnySat(const Node& node, size_t& budget) const;
-  void CollectSatSubsetsFrom(const Node& node, const std::vector<uint64_t>& keys, size_t i,
-                             size_t limit, size_t& budget,
-                             std::vector<const Entry*>& out) const;
-  void RemoveEntry(uint32_t index);
-  void RemoveFrom(Node& node, const std::vector<uint64_t>& keys, size_t i, bool sat);
-
-  Node root_;
-  std::vector<Entry> entries_;
-  std::vector<uint32_t> free_slots_;
-  std::deque<uint32_t> fifo_;  // insertion order; may hold stale indices
-  std::unordered_map<uint64_t, uint32_t> exact_;  // set_hash -> entry index
+  std::unordered_map<uint64_t, Entry> entries_;  // by set_hash
+  // Insertion order. A removed set's hash stays until it reaches the front,
+  // so a set removed and inserted again may be evicted early: a miss, never
+  // a wrong answer.
+  std::deque<uint64_t> fifo_;
   size_t capacity_;
-  size_t live_ = 0;
   uint64_t evictions_ = 0;
   uint64_t collisions_ = 0;  // set_hash collisions degraded to misses
 };
@@ -377,12 +325,11 @@ class SolverChain {
   // ---- Cross-run persistence (docs/daemon.md) ----
 
   // Seeds the counterexample cache with one entry from a persisted store.
-  // The entry's keys/hashes are portable content hashes, so an entry
+  // The entry's hashes are portable content hashes, so an entry
   // harvested by one process addresses the same constraint sets in this
   // one. SAT models are marked unvalidated (re-checked against the live
   // query at first use, never trusted from disk).
-  void SeedPersistedEntry(std::vector<uint64_t> keys, uint64_t set_hash,
-                          uint64_t fingerprint, SatResult result,
+  void SeedPersistedEntry(uint64_t set_hash, uint64_t fingerprint, SatResult result,
                           const std::vector<uint8_t>& model);
 
   // Read-only view of the counterexample cache (the persistence harvest
@@ -428,14 +375,16 @@ class SolverChain {
   MetricsShard* metrics_ = &own_metrics_;
   TraceBuffer* trace_ = nullptr;
 
-  // Counterexample cache: exact, subset, and superset reuse over canonical
-  // constraint sets (see PrefixCache above). Bounded FIFO as before.
+  // Counterexample cache: exact lookup of canonical constraint sets (see
+  // PrefixCache above).
   static constexpr size_t kMaxCexEntries = 4096;
   PrefixCache cache_{kMaxCexEntries};
   // Memoized portable per-constraint content hashes (src/symex/expr_hash.h)
   // feeding the cache's confirmation fingerprints.
   PortableHashCache portable_hashes_;
-  // Recent satisfying assignments, newest last (bounded).
+  // The last kRecentModels core models, newest last. A query the exact
+  // lookup misses tries each, zero-padded to its width, before the core.
+  static constexpr size_t kRecentModels = 8;
   std::vector<std::vector<uint8_t>> recent_models_;
   // Scratch buffers reused across queries (the chain sits on the engine's
   // per-branch path; steady-state queries should not allocate).

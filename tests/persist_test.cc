@@ -214,13 +214,13 @@ TEST(PortableHash, CrossProcessBitIdentical) {
 
 TEST(PrefixCacheCollision, ForcedSetHashCollisionDegradesToMiss) {
   PrefixCache cache;
-  cache.Insert({11, 22}, /*set_hash=*/42, /*fingerprint=*/100, SatResult::kUnsat, {});
+  cache.Insert(/*set_hash=*/42, /*fingerprint=*/100, SatResult::kUnsat, {});
   ASSERT_NE(cache.FindExact(42, 100), nullptr);
 
   // Same 64-bit set_hash, different fingerprint: a (forced) collision.
   // Serving either entry for the other's set would be a wrong verdict, so
   // both must be dropped — the collision degrades to a miss.
-  cache.Insert({33}, /*set_hash=*/42, /*fingerprint=*/200, SatResult::kUnsat, {});
+  cache.Insert(/*set_hash=*/42, /*fingerprint=*/200, SatResult::kUnsat, {});
   EXPECT_EQ(cache.FindExact(42, 100), nullptr);
   EXPECT_EQ(cache.FindExact(42, 200), nullptr);
   EXPECT_EQ(cache.collisions(), 1u);
@@ -229,9 +229,9 @@ TEST(PrefixCacheCollision, ForcedSetHashCollisionDegradesToMiss) {
   // Persisted entries collide the same way (a store written under a
   // different hash definition version can never reach this — the version
   // gate rejects it wholesale — but two genuinely colliding sets can).
-  cache.InsertPersisted({44}, /*set_hash=*/43, /*fingerprint=*/300, SatResult::kUnsat, {});
+  cache.InsertPersisted(/*set_hash=*/43, /*fingerprint=*/300, SatResult::kUnsat, {});
   ASSERT_NE(cache.FindExact(43, 300), nullptr);
-  cache.InsertPersisted({55}, /*set_hash=*/43, /*fingerprint=*/301, SatResult::kUnsat, {});
+  cache.InsertPersisted(/*set_hash=*/43, /*fingerprint=*/301, SatResult::kUnsat, {});
   EXPECT_EQ(cache.FindExact(43, 300), nullptr);
   EXPECT_EQ(cache.FindExact(43, 301), nullptr);
   EXPECT_EQ(cache.collisions(), 2u);
@@ -366,13 +366,11 @@ class CacheStoreTest : public ::testing::Test {
     RunBlob& blob = store.PutRun(/*module_hash=*/111, /*options_fp=*/222);
     blob.run_signature = "exhausted paths=7 sig=abc";
     PersistedEntry entry;
-    entry.keys = {5, 9};
     entry.set_hash = 14;
     entry.fingerprint = 77;
     entry.result = 1;
     blob.entries.push_back(entry);
     PersistedEntry sat;
-    sat.keys = {3};
     sat.set_hash = 3;
     sat.fingerprint = 33;
     sat.result = 0;
@@ -396,7 +394,7 @@ TEST_F(CacheStoreTest, ByteRoundTripIsExact) {
   ASSERT_NE(blob, nullptr);
   EXPECT_EQ(blob->run_signature, "exhausted paths=7 sig=abc");
   ASSERT_EQ(blob->entries.size(), 2u);
-  EXPECT_EQ(blob->entries[0].keys, (std::vector<uint64_t>{5, 9}));
+  EXPECT_EQ(blob->entries[0].fingerprint, 77u);
   EXPECT_EQ(blob->entries[1].model, (std::vector<uint8_t>{5, 0}));
 }
 
@@ -461,14 +459,17 @@ TEST_F(CacheStoreTest, RunBlobLruEviction) {
   EXPECT_NE(store.FindRun(3, 0), nullptr);
 }
 
-// ---- Stores written before version 2 ----
+// ---- Stores written before version 5 ----
 
-// `blob` in the version-1 layout, which followed every entry's model with
-// its learned clauses: a u64 count, then per clause a u64 literal count,
-// (u16 symbol, u8 value) per literal and the activity's IEEE-754 bits.
-// Each entry here carries one two-literal clause. The envelope and its
-// checksum are the ones version 2 still uses.
-std::vector<uint8_t> SerializeVersion1(const RunBlob& blob) {
+// `blob` in the layout of store version `version` (1 to 4). Those versions
+// followed each entry's result byte with its sorted per-constraint hash
+// keys (a u64 count, then the keys); version 1 also followed every model
+// with its learned clauses: a u64 count, then per clause a u64 literal
+// count, (u16 symbol, u8 value) per literal and the activity's IEEE-754
+// bits. Each entry here carries one key, its set hash, and in version 1
+// one two-literal clause. The envelope and its checksum are the ones
+// version 5 still uses.
+std::vector<uint8_t> SerializeKeyedLayout(const RunBlob& blob, uint32_t version) {
   ByteWriter payload;
   payload.U64(1);
   payload.U64(blob.module_hash);
@@ -480,18 +481,18 @@ std::vector<uint8_t> SerializeVersion1(const RunBlob& blob) {
     payload.U64(entry.set_hash);
     payload.U64(entry.fingerprint);
     payload.U8(entry.result);
-    payload.U64(entry.keys.size());
-    for (uint64_t key : entry.keys) {
-      payload.U64(key);
-    }
-    payload.Blob(entry.model);
     payload.U64(1);
-    payload.U64(2);
-    payload.U16(0);
-    payload.U8(0);
-    payload.U16(1);
-    payload.U8(0);
-    payload.U64(UINT64_C(0x3ff0000000000000));  // activity 1.0
+    payload.U64(entry.set_hash);
+    payload.Blob(entry.model);
+    if (version == 1) {
+      payload.U64(1);
+      payload.U64(2);
+      payload.U16(0);
+      payload.U8(0);
+      payload.U16(1);
+      payload.U8(0);
+      payload.U64(UINT64_C(0x3ff0000000000000));  // activity 1.0
+    }
   }
   const std::vector<uint8_t>& body = payload.bytes();
   PortableHasher checksum;
@@ -510,7 +511,7 @@ std::vector<uint8_t> SerializeVersion1(const RunBlob& blob) {
 
   ByteWriter file;
   file.U64(kCacheStoreMagic);
-  file.U32(1);
+  file.U32(version);
   file.U64(body.size());
   for (uint8_t b : body) {
     file.U8(b);
@@ -519,10 +520,11 @@ std::vector<uint8_t> SerializeVersion1(const RunBlob& blob) {
   return file.Take();
 }
 
-// A version-1 store is refused whole with a "version" diagnostic, and a
-// run handed the refused (empty) store is the cold run: it seeds nothing
-// and returns the cold run's signature.
-TEST(StoreVersion, VersionOneStoreIsRejectedAndTheRunStaysCold) {
+// A store of an earlier `version`, holding the real harvest of a cold run,
+// is refused whole with a "version" diagnostic, and a run handed the
+// refused (empty) store is the cold run: it seeds nothing and returns the
+// cold run's signature.
+void ExpectOldStoreRejectedAndRunStaysCold(uint32_t version) {
   const Workload* wc = FindWorkload("wc");
   ASSERT_NE(wc, nullptr);
   Compiler compiler;
@@ -553,7 +555,7 @@ TEST(StoreVersion, VersionOneStoreIsRejectedAndTheRunStaysCold) {
   ASSERT_NE(blob, nullptr);
 
   CacheStore old;
-  EXPECT_FALSE(old.Deserialize(SerializeVersion1(*blob)));
+  EXPECT_FALSE(old.Deserialize(SerializeKeyedLayout(*blob, version)));
   EXPECT_NE(old.load_error().find("version"), std::string::npos) << old.load_error();
   EXPECT_EQ(old.runs(), 0u);
 
@@ -562,6 +564,15 @@ TEST(StoreVersion, VersionOneStoreIsRejectedAndTheRunStaysCold) {
   EXPECT_EQ(warm, cold) << warm.ToString() << "\nvs cold\n" << cold.ToString();
   EXPECT_EQ(warm_result.metrics.Get(Counter::kPersistSeeded), 0u);
   EXPECT_EQ(warm_result.metrics.Get(Counter::kPersistHits), 0u);
+}
+
+TEST(StoreVersion, VersionOneStoreIsRejectedAndTheRunStaysCold) {
+  ExpectOldStoreRejectedAndRunStaysCold(1);
+}
+
+// Version 4 is the last layout with per-entry keys.
+TEST(StoreVersion, VersionFourStoreIsRejectedAndTheRunStaysCold) {
+  ExpectOldStoreRejectedAndRunStaysCold(4);
 }
 
 // ---- Run-level keys ----

@@ -1,10 +1,10 @@
-// The constraint-preprocessing pipeline and the prefix-aware counterexample
-// cache (src/symex/preprocess.h, docs/engine.md):
+// The constraint-preprocessing pipeline and the counterexample cache
+// (src/symex/preprocess.h, docs/engine.md):
 //  - property tests that preprocessing preserves satisfiability and model
 //    validity against the unpreprocessed solver on randomized constraint
 //    sets,
-//  - regression tests that prefix-cache hits never change verdicts or bug
-//    reports.
+//  - the cache's exact and recent-model tiers, and regression tests that
+//    cache hits never change verdicts or bug reports.
 #include <gtest/gtest.h>
 
 #include "src/driver/compiler.h"
@@ -207,50 +207,68 @@ TEST(PreprocessPropertyTest, MayBeTrueAgreesWithUnpreprocessedChain) {
   }
 }
 
-// ---- Prefix-cache behavior.
+// ---- Counterexample cache and recent-model reuse.
 
-TEST(PrefixCacheTest, SubsetSupersetAndExtensionHits) {
+// The chain's two tiers in front of the core: a depth-k+1 query that adds a
+// constraint on a new symbol is answered by the depth-k core model padded
+// with zeros, a padded model that fails the query falls through to the
+// core, and a re-asked set is an exact hit.
+TEST(CexCacheTest, PaddedRecentModelThenCoreThenExactHit) {
   ExprContext ctx;
   SolverChain chain(ctx);
-  auto ult = [&](unsigned s, uint64_t c) {
-    return ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(s), ctx.Constant(c, 8));
-  };
   // Symbol-symbol constraints are opaque to the range extractor, so these
   // exercise the cache rather than the presolver.
   const Expr* rel01 = ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(0), ctx.Symbol(1));
   const Expr* rel10 = ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(1), ctx.Symbol(0));
+  const Expr* rel21 = ctx.Compare(ICmpPredicate::kULE, ctx.Symbol(2), ctx.Symbol(1));
   const Expr* rel12 = ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(1), ctx.Symbol(2));
+  auto count = [&](Counter c) { return chain.metrics().Get(c); };
+  auto satisfies = [&](const std::vector<const Expr*>& set, const std::vector<uint8_t>& m) {
+    ctx.NewEvaluation();
+    for (const Expr* c : set) {
+      if (ctx.Evaluate(c, m) == 0) {
+        return false;
+      }
+    }
+    return true;
+  };
 
-  // UNSAT set cached; a superset query must be answered from the subset.
-  std::vector<const Expr*> pair = {rel01, rel10};
-  ASSERT_EQ(chain.CheckSat(pair, nullptr), SatResult::kUnsat);
-  std::vector<const Expr*> wider = {rel01, rel10, ult(3, 100)};
-  EXPECT_EQ(chain.CheckSat(wider, nullptr), SatResult::kUnsat);
-  EXPECT_GE(chain.metrics().Get(Counter::kPrefixSubsetHits), 1u);
-
-  // SAT prefix cached; the depth-k+1 extension reuses/extends its model.
-  std::vector<const Expr*> grow = {rel01};
+  // Depth k: the core answers over symbols 0 and 1, a two-byte model.
   std::vector<uint8_t> model;
-  ASSERT_EQ(chain.CheckSat(grow, &model, nullptr), SatResult::kSat);
-  uint64_t core_before = chain.metrics().Get(Counter::kSolverCoreQueries);
-  grow.push_back(rel12);
-  ASSERT_EQ(chain.CheckSat(grow, &model, nullptr), SatResult::kSat);
-  EXPECT_GE(chain.metrics().Get(Counter::kPrefixModelHits) +
-                chain.metrics().Get(Counter::kPrefixSupersetHits) +
-                chain.metrics().Get(Counter::kSolverCoreQueries) - core_before,
-            1u);
-  // SAT superset cached ({rel01, rel12}); its subset is answered with the
-  // superset's model without a core search.
-  core_before = chain.metrics().Get(Counter::kSolverCoreQueries);
-  std::vector<const Expr*> sub = {rel12};
-  ASSERT_EQ(chain.CheckSat(sub, &model, nullptr), SatResult::kSat);
-  EXPECT_EQ(chain.metrics().Get(Counter::kSolverCoreQueries), core_before);
-  EXPECT_GE(chain.metrics().Get(Counter::kPrefixSupersetHits), 1u);
-  ctx.NewEvaluation();
-  EXPECT_NE(ctx.Evaluate(rel12, model), 0u);
+  ASSERT_EQ(chain.CheckSat({rel01}, &model), SatResult::kSat);
+  ASSERT_EQ(count(Counter::kSolverCoreQueries), 1u);
+  ASSERT_EQ(model.size(), 2u);
+
+  // Depth k+1 adds s2 <= s1. The model is one byte short; padded with
+  // s2 = 0 it satisfies the query, so reuse answers without the core.
+  const std::vector<const Expr*> deeper = {rel01, rel21};
+  ASSERT_EQ(chain.CheckSat(deeper, &model), SatResult::kSat);
+  EXPECT_EQ(count(Counter::kSolverReuseHits), 1u);
+  EXPECT_EQ(count(Counter::kSolverCoreQueries), 1u);
+  ASSERT_EQ(model.size(), 3u);
+  EXPECT_EQ(model[2], 0u);
+  EXPECT_TRUE(satisfies(deeper, model));
+
+  // s1 < s2 fails under the padded s2 = 0: the query reaches the core,
+  // which finds a real model.
+  const std::vector<const Expr*> other = {rel01, rel12};
+  ASSERT_EQ(chain.CheckSat(other, &model), SatResult::kSat);
+  EXPECT_EQ(count(Counter::kSolverReuseHits), 1u);
+  EXPECT_EQ(count(Counter::kSolverCoreQueries), 2u);
+  EXPECT_TRUE(satisfies(other, model));
+
+  // No model satisfies an UNSAT set: the core refutes it once, and asking
+  // again is an exact hit.
+  const std::vector<const Expr*> unsat = {rel01, rel10};
+  ASSERT_EQ(chain.CheckSat(unsat, nullptr), SatResult::kUnsat);
+  EXPECT_EQ(count(Counter::kSolverCoreQueries), 3u);
+  const uint64_t hits = count(Counter::kSolverCacheHits);
+  EXPECT_EQ(chain.CheckSat(unsat, nullptr), SatResult::kUnsat);
+  EXPECT_EQ(count(Counter::kSolverCacheHits), hits + 1);
+  EXPECT_EQ(count(Counter::kSolverCoreQueries), 3u);
 }
 
-// ---- Regression: prefix-cache hits never change bug reports.
+// ---- Regression: preprocessing never changes bug reports.
 
 std::unique_ptr<Module> CompileOrDie(const std::string& source) {
   DiagnosticEngine diags;

@@ -175,9 +175,11 @@ TEST(SolverChainTest, StatsExposeFastPathCounters) {
       ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(0), ctx.Symbol(1))};
   auto cond = ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant(3, 8));
   EXPECT_EQ(chain.MayBeTrue(path, cond, nullptr), SatResult::kSat);
-  // The core search evaluates shared subexpressions under the inline memo.
+  // The query reached the core, and the core's own counters reached the
+  // shard.
   const MetricsShard& m = chain.metrics();
-  EXPECT_GE(m.Get(Counter::kSolverEvalMemoHits) + m.Get(Counter::kSolverIntervalMemoHits), 0u);
+  EXPECT_EQ(m.Get(Counter::kSolverCoreQueries), 1u);
+  EXPECT_GT(m.Get(Counter::kSolverCoreCandidates), 0u);
   EXPECT_EQ(m.Get(Counter::kSolverCexEvictions), 0u);
 }
 
