@@ -137,6 +137,78 @@ void BM_SolverMultiByteRelation(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverMultiByteRelation);
 
+// ---- Single core queries: the evaluation program's work per query
+// (docs/solver.md, "The evaluation program"). The counters come from one
+// query on a fresh solver, so they do not depend on the iteration count;
+// run_benches.sh --check gates them exactly.
+void ReportQueryWork(benchmark::State& state, const CoreSolver& core) {
+  state.counters["core_candidates"] = static_cast<double>(core.candidates_tried());
+  state.counters["core_conflicts"] = static_cast<double>(core.conflicts());
+  state.counters["eval_computes"] = static_cast<double>(core.eval_work().computes);
+  state.counters["lane_computes"] = static_cast<double>(core.eval_work().lane_computes);
+  state.counters["interval_computes"] = static_cast<double>(core.eval_work().interval_computes);
+}
+
+// A 72-level chain: cksum_wide's running 16-bit sum over even bytes, with
+// an odd sum wanted. Intervals cannot refute it, so the search spends its
+// 4000-candidate budget (below the derived-domains trigger) mostly at the
+// deepest level, where the parity constraint becomes ready. The solver is
+// warm, as across an exploration's queries: the unary sweeps are memoized.
+void BM_SolverChain72Query(benchmark::State& state) {
+  ExprContext ctx;
+  std::vector<const Expr*> constraints;
+  const Expr* sum = ctx.Constant(0, 32);
+  for (unsigned i = 0; i < 72; ++i) {
+    const Expr* b = ctx.Symbol(i);
+    constraints.push_back(ctx.Compare(
+        ICmpPredicate::kEq, ctx.Binary(ExprKind::kAnd, b, ctx.Constant(1, 8)), ctx.Constant(0, 8)));
+    sum = ctx.Binary(ExprKind::kAnd, ctx.Binary(ExprKind::kAdd, sum, ctx.ZExt(b, 32)),
+                     ctx.Constant(0xFFFF, 32));
+  }
+  constraints.push_back(ctx.Compare(ICmpPredicate::kEq,
+                                    ctx.Binary(ExprKind::kAnd, sum, ctx.Constant(1, 32)),
+                                    ctx.Constant(1, 32)));
+  constexpr uint64_t kBudget = 4000;
+  std::vector<uint8_t> model;
+  {
+    CoreSolver fresh;
+    fresh.CheckSat(ctx, constraints, &model, kBudget);
+    ReportQueryWork(state, fresh);
+  }
+  CoreSolver core;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core.CheckSat(ctx, constraints, &model, kBudget));
+  }
+}
+BENCHMARK(BM_SolverChain72Query);
+
+// A one-byte select chain, as a symbolic index into a 32-entry table
+// lowers (word_freq's `counts[c - 'a']` at -O3): a unary constraint, so
+// the whole query is the 256-value unary sweep. A fresh solver per query,
+// or the unary-domain memo would answer it.
+void BM_SolverSelectChainUnaryQuery(benchmark::State& state) {
+  ExprContext ctx;
+  const Expr* index = ctx.Binary(ExprKind::kSub, ctx.ZExt(ctx.Symbol(0), 32), ctx.Constant('a', 32));
+  const Expr* entry = ctx.Constant(0, 32);
+  for (unsigned k = 32; k-- > 0;) {
+    entry = ctx.Select(ctx.Compare(ICmpPredicate::kEq, index, ctx.Constant(k, 32)),
+                       ctx.Constant(3 * k + 1, 32), entry);
+  }
+  const std::vector<const Expr*> constraints = {
+      ctx.Compare(ICmpPredicate::kUGT, entry, ctx.Constant(40, 32))};
+  std::vector<uint8_t> model;
+  {
+    CoreSolver fresh;
+    fresh.CheckSat(ctx, constraints, &model);
+    ReportQueryWork(state, fresh);
+  }
+  for (auto _ : state) {
+    CoreSolver core;
+    benchmark::DoNotOptimize(core.CheckSat(ctx, constraints, &model));
+  }
+}
+BENCHMARK(BM_SolverSelectChainUnaryQuery);
+
 void BM_CompileWcAtOverify(benchmark::State& state) {
   for (auto _ : state) {
     Compiler compiler;

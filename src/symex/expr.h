@@ -443,8 +443,9 @@ class ExprContext {
   uint64_t eval_memo_hits() const { return eval_memo_hits_; }
   uint64_t interval_memo_hits() const { return interval_memo_hits_; }
   // Credits memo hits taken by an evaluator that stands in for Evaluate /
-  // EvalInterval over its own slots with the same memo rules (the core
-  // solver's EvalProgram, src/symex/eval_program.h).
+  // EvalInterval over its own slots (the core solver's EvalProgram, whose
+  // slots stay valid until a byte they depend on changes;
+  // src/symex/eval_program.h).
   void AddMemoHits(uint64_t eval_hits, uint64_t interval_hits) {
     eval_memo_hits_ += eval_hits;
     interval_memo_hits_ += interval_hits;

@@ -1,5 +1,7 @@
 #include "src/symex/expr_hash.h"
 
+#include <algorithm>
+
 namespace overify {
 
 namespace {
@@ -13,87 +15,99 @@ namespace {
 constexpr uint8_t kRefTag = 0xFF;
 constexpr uint8_t kTableTag = 0xFE;
 
+}  // namespace
+
 // One constraint's walk: depth-first (a, b, c), symbols numbered by first
 // occurrence, shared subtrees by first-visit ordinal. Recursive like the
 // engine's evaluators — constraint DAGs are depth-bounded by the workloads'
 // expression-building patterns, not by path length.
-struct HashWalk {
-  PortableHasher hasher;
-  std::unordered_map<const Expr*, uint32_t> ordinal_of;
-  std::unordered_map<unsigned, uint32_t> number_of;  // symbol index -> De Bruijn number
-  std::vector<unsigned> symbol_table;                // De Bruijn number -> symbol index
-
-  void Walk(const Expr* e) {
-    auto [it, fresh] = ordinal_of.emplace(e, static_cast<uint32_t>(ordinal_of.size()));
-    if (!fresh) {
-      hasher.Fold(kRefTag);
-      hasher.Fold(it->second);
+void PortableHashCache::Walk(const Expr* e, PortableHasher& hasher) {
+  Slot& slot = SlotOf(e);
+  if (slot.walk == walk_) {
+    hasher.Fold(kRefTag);
+    hasher.Fold(slot.ordinal);
+    return;
+  }
+  slot.walk = walk_;
+  slot.ordinal = ordinals_++;
+  hasher.Fold(static_cast<uint8_t>(e->kind()));
+  hasher.Fold(static_cast<uint8_t>(e->width()));
+  switch (e->kind()) {
+    case ExprKind::kConstant:
+      hasher.Fold(e->constant_value());
+      return;
+    case ExprKind::kSymbol: {
+      const unsigned index = e->symbol_index();
+      if (index >= symbols_.size()) {
+        symbols_.resize(index + 1);
+      }
+      SymbolSlot& sym = symbols_[index];
+      if (sym.walk != walk_) {
+        sym.walk = walk_;
+        sym.number = static_cast<uint32_t>(symbol_table_.size());
+        symbol_table_.push_back(index);
+      }
+      hasher.Fold(sym.number);
       return;
     }
-    hasher.Fold(static_cast<uint8_t>(e->kind()));
-    hasher.Fold(static_cast<uint8_t>(e->width()));
-    switch (e->kind()) {
-      case ExprKind::kConstant:
-        hasher.Fold(e->constant_value());
-        return;
-      case ExprKind::kSymbol: {
-        auto [sym, added] =
-            number_of.emplace(e->symbol_index(), static_cast<uint32_t>(symbol_table.size()));
-        if (added) {
-          symbol_table.push_back(e->symbol_index());
-        }
-        hasher.Fold(sym->second);
-        return;
-      }
-      case ExprKind::kExtract:
-        hasher.Fold(static_cast<uint32_t>(e->extract_offset()));
-        break;
-      default:
-        break;
-    }
-    // Arity is determined by the kind (already folded), so child folds need
-    // no per-slot separators.
-    for (const Expr* child : {e->a(), e->b(), e->c()}) {
-      if (child != nullptr) {
-        Walk(child);
-      }
+    case ExprKind::kExtract:
+      hasher.Fold(static_cast<uint32_t>(e->extract_offset()));
+      break;
+    default:
+      break;
+  }
+  // Arity is determined by the kind (already folded), so child folds need
+  // no per-slot separators.
+  for (const Expr* child : {e->a(), e->b(), e->c()}) {
+    if (child != nullptr) {
+      Walk(child, hasher);
     }
   }
+}
 
-  uint64_t Finish() {
-    hasher.Fold(kTableTag);
-    hasher.Fold(static_cast<uint32_t>(symbol_table.size()));
-    for (unsigned sym : symbol_table) {
-      hasher.Fold(static_cast<uint32_t>(sym));
-    }
-    return hasher.hash();
+PortableHashCache::Slot& PortableHashCache::SlotOf(const Expr* e) {
+  const size_t id = static_cast<size_t>(e->id());
+  if (id >= slots_.size()) {
+    // Grow past the id like the contexts' eval memos: amortized by the
+    // interner's dense id allocation.
+    slots_.resize(std::max(id + 1, slots_.size() + slots_.size() / 2));
   }
-};
-
-}  // namespace
+  return slots_[id];
+}
 
 uint64_t PortableExprHash(const Expr* root) {
-  HashWalk walk;
-  walk.Walk(root);
-  return walk.Finish();
+  PortableHashCache cache;
+  return cache.Hash(root);
 }
 
 uint64_t PortableHashCache::Hash(const Expr* root) {
-  const size_t id = static_cast<size_t>(root->id());
-  if (id < valid_.size() && valid_[id] != 0) {
-    return values_[id];
+  if (const Slot& slot = SlotOf(root); slot.hashed) {
+    return slot.hash;
   }
-  const uint64_t h = PortableExprHash(root);
-  if (id >= valid_.size()) {
-    // Grow past the id like the contexts' eval memos: amortized by the
-    // interner's dense id allocation.
-    const size_t size = std::max(id + 1, valid_.size() + valid_.size() / 2);
-    valid_.resize(size, 0);
-    values_.resize(size, 0);
+  if (++walk_ == 0) {
+    // Stamp wrap: forget every stamp rather than trust a recycled one.
+    for (Slot& slot : slots_) {
+      slot.walk = 0;
+    }
+    for (SymbolSlot& sym : symbols_) {
+      sym.walk = 0;
+    }
+    walk_ = 1;
   }
-  valid_[id] = 1;
-  values_[id] = h;
-  return h;
+  ordinals_ = 0;
+  symbol_table_.clear();
+  PortableHasher hasher;
+  Walk(root, hasher);
+  hasher.Fold(kTableTag);
+  hasher.Fold(static_cast<uint32_t>(symbol_table_.size()));
+  for (uint32_t sym : symbol_table_) {
+    hasher.Fold(sym);
+  }
+  // The walk may have grown slots_: look the root's slot up afresh.
+  Slot& slot = SlotOf(root);
+  slot.hash = hasher.hash();
+  slot.hashed = true;
+  return slot.hash;
 }
 
 uint64_t PortableSetFingerprint(const std::vector<const Expr*>& canonical,

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/symex/expr.h"
@@ -80,13 +79,32 @@ uint64_t PortableExprHash(const Expr* root);
 // computed hash is valid for the lifetime of the interner; the table grows
 // lazily like the contexts' eval memos. One cache per interner-coherent
 // user (the SolverChain keeps one): ids from different interners collide.
+// The walk's tables (ordinal by Expr id, De Bruijn number by symbol index)
+// live here too, stamped per walk, so a miss allocates nothing once warm.
 class PortableHashCache {
  public:
   uint64_t Hash(const Expr* root);
 
  private:
-  std::vector<uint64_t> values_;  // by Expr::id()
-  std::vector<uint8_t> valid_;
+  struct Slot {
+    uint64_t hash = 0;
+    bool hashed = false;
+    uint32_t walk = 0;     // the walk that last numbered this node...
+    uint32_t ordinal = 0;  // ...and its first-visit ordinal there
+  };
+  struct SymbolSlot {
+    uint32_t walk = 0;
+    uint32_t number = 0;  // De Bruijn number in that walk
+  };
+
+  Slot& SlotOf(const Expr* e);
+  void Walk(const Expr* e, PortableHasher& hasher);
+
+  std::vector<Slot> slots_;  // by Expr::id()
+  std::vector<SymbolSlot> symbols_;  // by symbol index
+  std::vector<uint32_t> symbol_table_;  // De Bruijn number -> symbol index
+  uint32_t walk_ = 0;
+  uint32_t ordinals_ = 0;  // nodes numbered by the running walk
 };
 
 // The portable fingerprint of a canonically ordered constraint set: folds

@@ -197,15 +197,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     return SatResult::kSat;
   }
-  // Constraint ci is root ci of the program. Its memo hits are credited to
-  // the context on every way out, as if the context had evaluated.
-  program_.Build(live);
-  struct CreditMemoHits {
-    ExprContext& ctx;
-    EvalProgram& program;
-    ~CreditMemoHits() { ctx.AddMemoHits(program.TakeEvalHits(), program.TakeIntervalHits()); }
-  } credit_memo_hits{ctx, program_};
-
   std::vector<unsigned> order;
   order.reserve(support.Size());
   support.ForEach([&](unsigned sym) { order.push_back(sym); });
@@ -221,6 +212,15 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   for (size_t i = 0; i < order.size(); ++i) {
     level_of[order[i]] = static_cast<int32_t>(i);
   }
+  // Constraint ci is root ci of the program, and level l stands for symbol
+  // order[l]. Its memo hits are credited to the context on every way out,
+  // as if the context had evaluated.
+  program_.Build(live, level_of);
+  struct CreditMemoHits {
+    ExprContext& ctx;
+    EvalProgram& program;
+    ~CreditMemoHits() { ctx.AddMemoHits(program.TakeEvalHits(), program.TakeIntervalHits()); }
+  } credit_memo_hits{ctx, program_};
 
   // Per level: constraints (as indices into `live`) that become fully
   // determined there, constraints that merely touch the prefix (interval
@@ -266,7 +266,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   }
 
   std::vector<uint8_t> assignment(max_symbol + 1, 0);
-  std::vector<bool> assigned(max_symbol + 1, false);
   uint64_t budget = candidate_budget;
 
   auto give_up = [&](UnknownCause why) {
@@ -294,13 +293,26 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     return UnknownCause::kNone;
   };
+  // Spends one candidate of the budget, polling every 4096; kNone = keep
+  // going.
+  auto spend = [&]() -> UnknownCause {
+    if (budget == 0) {
+      return UnknownCause::kCandidateBudget;
+    }
+    --budget;
+    ++candidates_tried_;
+    if (polled && (budget & 4095) == 0) {
+      return poll_expired();
+    }
+    return UnknownCause::kNone;
+  };
 
   // ---- Per-symbol domains ----
   //
   // domain[l] holds the byte values still admissible at level l, seeded
-  // from the caller's range facts, narrowed by a 256-round sweep of the
-  // unary constraints (one evaluation generation per value), and further
-  // strengthened mid-search by single-literal nogoods. Everything excised
+  // from the caller's range facts, narrowed by a 256-value lane sweep of
+  // each unary constraint, and further strengthened mid-search by
+  // single-literal nogoods. Everything excised
   // here is provably in no model of the constraint set, so domain pruning
   // never changes a verdict — only the enumeration the search still owes.
   std::vector<Domain> domain(order.size(), Domain::Full());
@@ -341,18 +353,12 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     domain[unary_level(ci)].IntersectWith(Domain{it->second});
   }
   if (!unswept.empty()) {
+    // The constraint's one symbol is the lane variable.
     std::vector<Domain> admitted(unswept.size(), Domain::None());
-    for (unsigned v = 0; v < 256; ++v) {
-      std::fill(assignment.begin(), assignment.end(), static_cast<uint8_t>(v));
-      program_.NewEvaluation();
-      for (size_t k = 0; k < unswept.size(); ++k) {
-        ++candidates_tried_;
-        if (program_.Evaluate(unswept[k], assignment.data()) != 0) {
-          admitted[k].Set(static_cast<uint8_t>(v));
-        }
-      }
+    for (size_t k = 0; k < unswept.size(); ++k) {
+      program_.Sweep(unswept[k], assignment.data(), Domain::Full().w, admitted[k].w);
+      candidates_tried_ += 256;
     }
-    std::fill(assignment.begin(), assignment.end(), 0);
     if (unary_memo_.size() + unswept.size() > kUnaryMemoCapacity) {
       unary_memo_.clear();
     }
@@ -403,30 +409,49 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   // pure function of the constraint set plus its implied range facts —
   // never of query history or of which pruning fired — and so is the model
   // the search returns (docs/solver.md#determinism).
-  std::vector<std::vector<uint8_t>> values(order.size());
+  //
+  // The list is a function of the seeded domain alone, so levels and
+  // queries with equal seeded domains share one (value_lists_). listed[l]
+  // is the set of values on level l's list.
+  if (value_lists_.size() + order.size() > kValueListCapacity) {
+    value_lists_.clear();
+  }
+  std::vector<const std::vector<uint8_t>*> values(order.size());
+  std::vector<Domain> listed(domain);
   for (size_t l = 0; l < order.size(); ++l) {
     const Domain& d = domain[l];
-    std::vector<uint8_t>& vals = values[l];
-    vals.reserve(d.Count());
-    const uint8_t lo = d.Lo();
-    const uint8_t hi = d.Hi();
-    vals.push_back(lo);
-    if (hi != lo) {
-      vals.push_back(hi);
-    }
-    for (uint8_t v : CandidateOrder()) {
-      if (v != lo && v != hi && d.Test(v)) {
-        vals.push_back(v);
+    auto [it, fresh] = value_lists_.try_emplace(d.w);
+    std::vector<uint8_t>& vals = it->second;
+    if (fresh) {
+      vals.reserve(d.Count());
+      const uint8_t lo = d.Lo();
+      const uint8_t hi = d.Hi();
+      vals.push_back(lo);
+      if (hi != lo) {
+        vals.push_back(hi);
+      }
+      for (uint8_t v : CandidateOrder()) {
+        if (v != lo && v != hi && d.Test(v)) {
+          vals.push_back(v);
+        }
       }
     }
+    values[l] = &vals;
   }
-  // Drops the values the domains no longer admit, keeping the order.
+  // Drops the values the domains no longer admit, keeping the order, into
+  // lists of the query's own.
+  std::vector<std::vector<uint8_t>> filtered;
   auto filter_values = [&]() {
+    filtered.assign(order.size(), std::vector<uint8_t>{});
     for (size_t l = 0; l < order.size(); ++l) {
       const Domain& d = domain[l];
-      values[l].erase(std::remove_if(values[l].begin(), values[l].end(),
-                                     [&](uint8_t v) { return !d.Test(v); }),
-                      values[l].end());
+      for (uint8_t v : *values[l]) {
+        if (d.Test(v)) {
+          filtered[l].push_back(v);
+        }
+      }
+      values[l] = &filtered[l];
+      listed[l] = d;
     }
   };
 
@@ -616,16 +641,8 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
         ctx.NewIntervalRound();
         program_.NewIntervalRound();
         for (size_t ci : multi_at[l]) {
-          if (budget == 0) {
-            return give_up(UnknownCause::kCandidateBudget);
-          }
-          --budget;
-          ++candidates_tried_;
-          if (polled && (budget & 4095) == 0) {
-            const UnknownCause why = poll_expired();
-            if (why != UnknownCause::kNone) {
-              return give_up(why);
-            }
+          if (const UnknownCause why = spend(); why != UnknownCause::kNone) {
+            return give_up(why);
           }
           if (program_.EvalIntervalRanges(ci, hull).hi == 0) {
             domain[l].Clear(static_cast<uint8_t>(v));
@@ -660,7 +677,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       for (size_t level = 0; level < depth; ++level) {
         candidate_index[level] = 0;
         conflict_mask[level] = 0;
-        assigned[order[level]] = false;
       }
       candidate_index[depth] = 0;
       conflict_mask[depth] = 0;
@@ -683,12 +699,13 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     // static candidate list still carries; forward checking excises values
     // under the standing prefix. Skip both here — the blame for scoped
     // exclusions is already parked in fc_blame for the exhaustion mask.
-    while (candidate_index[depth] < values[depth].size() &&
-           (!domain[depth].Test(values[depth][candidate_index[depth]]) ||
-            (derived && !scoped[depth].Test(values[depth][candidate_index[depth]])))) {
+    const std::vector<uint8_t>& level_values = *values[depth];
+    while (candidate_index[depth] < level_values.size() &&
+           (!domain[depth].Test(level_values[candidate_index[depth]]) ||
+            (derived && !scoped[depth].Test(level_values[candidate_index[depth]])))) {
       ++candidate_index[depth];
     }
-    if (candidate_index[depth] >= values[depth].size()) {
+    if (candidate_index[depth] >= level_values.size()) {
       // Level exhausted: the blame mask is a valid nogood over the levels it
       // names — learn it, then jump to its deepest level (the learned
       // clause's second-highest decision level, counting the exhausted level
@@ -704,7 +721,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       }
       candidate_index[depth] = 0;
       conflict_mask[depth] = 0;
-      assigned[order[depth]] = false;
       if (!use_cbj) {
         if (depth == 0) {
           return SatResult::kUnsat;
@@ -739,25 +755,16 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       for (size_t level = jump + 1; level < depth; ++level) {
         candidate_index[level] = 0;
         conflict_mask[level] = 0;
-        assigned[order[level]] = false;
       }
       depth = jump;
       continue;
     }
-    if (budget == 0) {
-      return give_up(UnknownCause::kCandidateBudget);
+    if (const UnknownCause why = spend(); why != UnknownCause::kNone) {
+      return give_up(why);
     }
-    --budget;
-    ++candidates_tried_;
-    if (polled && (budget & 4095) == 0) {
-      const UnknownCause why = poll_expired();
-      if (why != UnknownCause::kNone) {
-        return give_up(why);
-      }
-    }
-    const uint8_t value = values[depth][candidate_index[depth]++];
+    const uint8_t value = level_values[candidate_index[depth]++];
     assignment[order[depth]] = value;
-    assigned[order[depth]] = true;
+    program_.Assign(depth);
 
     // Levels strictly below this one, saturating: depths past 63 only occur
     // with CBJ off (order.size() > 64), where level_mask is all-zero and the
@@ -795,8 +802,8 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       } while (idx != tail);
     }
     if (ok) {
-      // Constraints that just became fully determined.
-      program_.NewEvaluation();
+      // Constraints that just became fully determined. Only their nodes at
+      // this level are computed; the shallower ones are memoized.
       for (size_t ci : ready_at[depth]) {
         if (program_.Evaluate(ci, assignment.data()) == 0) {
           const uint64_t blame = level_mask[ci] & below;
@@ -812,9 +819,8 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       // completion of this prefix.
       if (ok && !touched_at[depth].empty()) {
         ctx.NewIntervalRound();  // see derive_domains
-        program_.NewIntervalRound();
         for (size_t ci : touched_at[depth]) {
-          const UInterval bound = program_.EvalInterval(ci, assignment.data(), assigned);
+          const UInterval bound = program_.EvalInterval(ci, assignment.data(), depth);
           if (bound.hi == 0) {
             const uint64_t blame = level_mask[ci] & below;
             conflict_mask[depth] |= blame;
@@ -828,10 +834,10 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       // Forward checking (derived-domains mode): every constraint watched
       // here has exactly one free support symbol left — its deepest level.
       // Sweep that level's remaining values concretely once, under this
-      // prefix, instead of letting every deeper prefix rediscover the same
-      // refutations. An emptied level is a conflict right now, blamed on the
-      // constraint's assigned support plus whatever already narrowed the
-      // level (docs/solver.md#domains).
+      // prefix (one lane sweep, charged per value), instead of letting every
+      // deeper prefix rediscover the same refutations. An emptied level is a
+      // conflict right now, blamed on the constraint's assigned support plus
+      // whatever already narrowed the level (docs/solver.md#domains).
       if (ok && derived && !fc_at[depth].empty()) {
         for (size_t ci : fc_at[depth]) {
           const size_t fl = ci_last[ci];
@@ -853,7 +859,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
           if (!memoize && fl == depth + 1) {
             continue;
           }
-          const unsigned fsym = order[fl];
           if (memoize) {
             // Key: assigned support bytes, packed ascending by level. The
             // packing is unambiguous because the map is per-constraint.
@@ -878,22 +883,11 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
             } else {
               // Canonical sweep over the static value list (not the current
               // scoped view) so the result is context-free and cacheable.
-              for (uint8_t w : values[fl]) {
-                if (budget == 0) {
-                  return give_up(UnknownCause::kCandidateBudget);
-                }
-                --budget;
-                ++candidates_tried_;
-                if (polled && (budget & 4095) == 0) {
-                  const UnknownCause why = poll_expired();
-                  if (why != UnknownCause::kNone) {
-                    return give_up(why);
-                  }
-                }
-                assignment[fsym] = w;
-                program_.NewEvaluation();
-                if (program_.Evaluate(ci, assignment.data()) != 0) {
-                  viable_set.Set(w);
+              // One candidate per listed value.
+              program_.Sweep(ci, assignment.data(), listed[fl].w, viable_set.w);
+              for (size_t k = 0; k < values[fl]->size(); ++k) {
+                if (const UnknownCause why = spend(); why != UnknownCause::kNone) {
+                  return give_up(why);
                 }
               }
               if (fc_memo[ci].size() < 4096) {
@@ -912,25 +906,20 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
             // Unique-key constraint with intermediate levels between here
             // and the free one: sweep just the currently viable values so
             // an empty level is caught before those levels multiply it.
+            Domain viable = listed[fl];
+            viable.IntersectWith(domain[fl]);
+            viable.IntersectWith(scoped[fl]);
+            Domain admitted = Domain::None();
+            program_.Sweep(ci, assignment.data(), viable.w, admitted.w);
             bool snapshotted = false;
-            for (uint8_t w : values[fl]) {
-              if (!domain[fl].Test(w) || !scoped[fl].Test(w)) {
+            for (uint8_t w : *values[fl]) {
+              if (!viable.Test(w)) {
                 continue;
               }
-              if (budget == 0) {
-                return give_up(UnknownCause::kCandidateBudget);
+              if (const UnknownCause why = spend(); why != UnknownCause::kNone) {
+                return give_up(why);
               }
-              --budget;
-              ++candidates_tried_;
-              if (polled && (budget & 4095) == 0) {
-                const UnknownCause why = poll_expired();
-                if (why != UnknownCause::kNone) {
-                  return give_up(why);
-                }
-              }
-              assignment[fsym] = w;
-              program_.NewEvaluation();
-              if (program_.Evaluate(ci, assignment.data()) == 0) {
+              if (!admitted.Test(w)) {
                 if (!snapshotted) {
                   snapshotted = true;
                   undo[depth].push_back(
@@ -956,8 +945,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     if (ok) {
       ++depth;
-    } else {
-      assigned[order[depth]] = false;
     }
   }
 }

@@ -119,6 +119,8 @@ class CoreSolver {
   uint64_t learned() const { return learned_; }
   uint64_t learned_hits() const { return learned_hits_; }
   uint64_t backjumps() const { return backjumps_; }
+  // The evaluation program's work, cumulative like the counters above.
+  const EvalProgram::Work& eval_work() const { return program_.work(); }
 
  private:
   // A stored nogood in decision-level space: "the assignment taking every
@@ -158,6 +160,16 @@ class CoreSolver {
   static constexpr size_t kUnaryMemoCapacity = 4096;
   std::unordered_map<const Expr*, std::array<uint64_t, 4>> unary_memo_;
   uint64_t unary_memo_interner_ = 0;
+  // Candidate value lists by seeded domain (docs/solver.md#determinism):
+  // the list is a function of the domain alone, so levels and queries with
+  // equal domains share one. Bounded: cleared when full.
+  struct DomainHash {
+    size_t operator()(const std::array<uint64_t, 4>& w) const {
+      return static_cast<size_t>(HashMix64(w[0] ^ HashMix64(w[1] ^ HashMix64(w[2] ^ HashMix64(w[3])))));
+    }
+  };
+  static constexpr size_t kValueListCapacity = 1024;
+  std::unordered_map<std::array<uint64_t, 4>, std::vector<uint8_t>, DomainHash> value_lists_;
   uint64_t candidates_tried_ = 0;
   uint64_t conflicts_ = 0;
   uint64_t learned_ = 0;

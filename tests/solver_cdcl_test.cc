@@ -513,6 +513,64 @@ TEST(CoreHotSpotTest, OverifySuiteHotSpotsStayCheap) {
   }
 }
 
+// ---- Evaluation cost per candidate.
+
+// cksum_wide's query shape: a 72-byte running 16-bit sum and a parity
+// constraint over all of it. The evaluation program memoizes each node
+// until a byte it depends on changes (docs/solver.md, "The evaluation
+// program"), so placing a value at the deepest level recomputes that
+// level's few nodes and not the 200-node sum below them.
+class RunningSumCostTest : public CdclTest {
+ protected:
+  // `unary(b)` constrains every byte; the parity constraint wants an odd
+  // sum.
+  template <typename Unary>
+  std::vector<const Expr*> Query(Unary unary) {
+    std::vector<const Expr*> constraints;
+    const Expr* sum = C(0, 32);
+    for (unsigned i = 0; i < 72; ++i) {
+      constraints.push_back(unary(Sym(i)));
+      sum = ctx.Binary(ExprKind::kAnd, ctx.Binary(ExprKind::kAdd, sum, W(i)), C(0xFFFF, 32));
+    }
+    constraints.push_back(ctx.Compare(ICmpPredicate::kEq, ctx.Binary(ExprKind::kAnd, sum, C(1, 32)),
+                                      C(1, 32)));
+    return constraints;
+  }
+};
+
+TEST_F(RunningSumCostTest, SatisfiableSumKeepsItsModel) {
+  // Every byte nonzero: the first model in value order is 71 ones and the
+  // first odd-making preferred value, ' ' (the unary sweeps take 72 * 256
+  // of the candidates).
+  const auto constraints =
+      Query([&](const Expr* b) { return ctx.Compare(ICmpPredicate::kNe, b, C(0)); });
+  CoreSolver core;
+  std::vector<uint8_t> model;
+  ASSERT_EQ(core.CheckSat(ctx, constraints, &model), SatResult::kSat);
+  std::vector<uint8_t> want(72, 1);
+  want[71] = ' ';
+  EXPECT_EQ(model, want);
+  EXPECT_EQ(core.candidates_tried(), 18507u);
+  EXPECT_EQ(core.conflicts(), 3u);
+}
+
+TEST_F(RunningSumCostTest, ReadyAtEvaluationIsConstantPerCandidate) {
+  // Every byte even: no odd sum exists, intervals cannot tell, and the
+  // search spends its budget nearly all at the deepest level, where the
+  // parity constraint becomes ready.
+  const auto constraints = Query([&](const Expr* b) {
+    return ctx.Compare(ICmpPredicate::kEq, ctx.Binary(ExprKind::kAnd, b, C(1)), C(0));
+  });
+  CoreSolver core;
+  std::vector<uint8_t> model;
+  constexpr uint64_t kBudget = 20000;
+  EXPECT_EQ(core.CheckSat(ctx, constraints, &model, kBudget), SatResult::kUnknown);
+  EXPECT_EQ(core.candidates_tried(), 72u * 256 + kBudget);
+  EXPECT_EQ(core.conflicts(), 10560u);
+  // A whole-sum evaluation per candidate would be about 200 computes.
+  EXPECT_LT(core.eval_work().computes, 4 * kBudget);
+}
+
 // ---- Canary (registered separately in CMakeLists: label `solver` only).
 
 // The solver-hostile workload that motivated the CDCL core: factor at its

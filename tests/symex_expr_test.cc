@@ -395,11 +395,10 @@ TEST(SharedInternerTest, PerContextMemosEvaluateTheSharedDagIndependently) {
 // shifts whose constant operands trap (Rebuild interns those raw too).
 class RandomDag {
  public:
-  static constexpr unsigned kSymbols = 5;
   static constexpr unsigned kWidths[] = {1, 8, 16, 32, 64};
 
-  RandomDag(ExprContext& ctx, uint64_t seed) : ctx_(ctx), rng_(seed) {
-    for (unsigned s = 0; s < kSymbols; ++s) {
+  RandomDag(ExprContext& ctx, uint64_t seed, unsigned symbols = 5) : ctx_(ctx), rng_(seed) {
+    for (unsigned s = 0; s < symbols; ++s) {
       Add(ctx_.Symbol(s));
     }
     for (unsigned w : kWidths) {
@@ -525,62 +524,198 @@ void CollectKinds(const Expr* e, std::set<ExprKind>& kinds, std::set<const Expr*
   }
 }
 
-// Bit-equal values and intervals, and equal memo-hit counts per round,
-// against ExprContext over the same roots.
-void ExpectProgramMatchesContext(ExprContext& ctx, const std::vector<const Expr*>& roots,
-                                 Rng& rng) {
-  EvalProgram program;
-  program.Build(roots);
-  std::vector<uint8_t> bytes(RandomDag::kSymbols);
-  std::vector<bool> assigned(RandomDag::kSymbols);
-  for (int round = 0; round < 24; ++round) {
-    for (unsigned s = 0; s < RandomDag::kSymbols; ++s) {
-      const uint8_t corner[] = {0, 1, 0x7f, 0x80, 0xff};
-      bytes[s] = rng.NextBool() ? corner[rng.NextBelow(5)] : static_cast<uint8_t>(rng.Next());
-      assigned[s] = rng.NextBool();
+// One random DAG's roots under a random symbol-to-level order, driven
+// through DFS-shaped sequences the way CheckSat drives its program: assign
+// the next level, try another value at the current one, backtrack, backjump,
+// sweep a free level (lane-wise, and by transient scalar assignment), and
+// interval rounds under per-symbol ranges. Every answer of the stamped
+// program must equal a fresh ExprContext evaluation.
+class ProgramDriver {
+ public:
+  ProgramDriver(ExprContext& ctx, const std::vector<const Expr*>& roots, unsigned symbols,
+                Rng& rng)
+      : ctx_(ctx), roots_(roots), rng_(rng), bytes_(symbols), level_of_(symbols) {
+    for (unsigned s = 0; s < symbols; ++s) {
+      order_.push_back(s);
     }
-    ctx.NewEvaluation();
-    program.NewEvaluation();
-    const uint64_t eval_hits = ctx.eval_memo_hits();
-    for (size_t i = 0; i < roots.size(); ++i) {
-      ASSERT_EQ(program.Evaluate(i, bytes.data()), ctx.Evaluate(roots[i], bytes))
-          << "root " << i << " round " << round;
+    for (unsigned i = symbols; i > 1; --i) {
+      std::swap(order_[i - 1], order_[rng_.NextBelow(i)]);
     }
-    EXPECT_EQ(program.TakeEvalHits(), ctx.eval_memo_hits() - eval_hits) << "round " << round;
+    for (unsigned l = 0; l < symbols; ++l) {
+      level_of_[order_[l]] = static_cast<int32_t>(l);
+    }
+    for (const Expr* root : roots_) {
+      int level = -1;
+      int below = -1;  // deepest support level but one
+      root->Support().ForEach([&](unsigned sym) {
+        const int l = level_of_[sym];
+        below = std::max(below, std::min(level, l));
+        level = std::max(level, l);
+      });
+      root_level_.push_back(level);
+      below_level_.push_back(below);
+    }
+    for (uint8_t& b : bytes_) {
+      b = static_cast<uint8_t>(rng_.Next());
+    }
+    program_.Build(roots_, level_of_);
+  }
 
-    ctx.NewIntervalRound();
-    program.NewIntervalRound();
-    uint64_t interval_hits = ctx.interval_memo_hits();
-    for (size_t i = 0; i < roots.size(); ++i) {
-      const UInterval want = ctx.EvalInterval(roots[i], bytes, assigned);
-      const UInterval got = program.EvalInterval(i, bytes.data(), assigned);
-      ASSERT_EQ(got.lo, want.lo) << "root " << i << " round " << round;
-      ASSERT_EQ(got.hi, want.hi) << "root " << i << " round " << round;
+  void Run(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const int levels = static_cast<int>(order_.size());
+      switch (rng_.NextBelow(9)) {
+        case 0:
+        case 1:  // the next level
+          if (depth_ + 1 < levels) {
+            Place(++depth_);
+          }
+          break;
+        case 2:  // the next value at this level
+          if (depth_ >= 0) {
+            Place(depth_);
+          }
+          break;
+        case 3:  // backtrack: the level is left, its byte stays
+          if (depth_ >= 0) {
+            --depth_;
+          }
+          break;
+        case 4:  // backjump, then the next value there
+          if (depth_ >= 1) {
+            depth_ = static_cast<int>(rng_.NextBelow(static_cast<uint64_t>(depth_)));
+            Place(depth_);
+          }
+          break;
+        case 5:
+          CheckSweeps();
+          break;
+        case 6:
+          CheckTransientSweep();
+          break;
+        case 7:
+          CheckRanges();
+          break;
+        default:
+          break;
+      }
+      CheckValues();
     }
-    EXPECT_EQ(program.TakeIntervalHits(), ctx.interval_memo_hits() - interval_hits);
+  }
 
+ private:
+  uint8_t RandomByte() {
+    const uint8_t corner[] = {0, 1, 0x7f, 0x80, 0xff};
+    return rng_.NextBool() ? corner[rng_.NextBelow(5)] : static_cast<uint8_t>(rng_.Next());
+  }
+
+  void Place(int level) {
+    bytes_[order_[level]] = RandomByte();
+    program_.Assign(static_cast<size_t>(level));
+  }
+
+  uint64_t Fresh(size_t i, const std::vector<uint8_t>& bytes) {
+    ctx_.NewEvaluation();
+    return ctx_.Evaluate(roots_[i], bytes);
+  }
+
+  // Concrete values of the roots wholly at assigned levels, and intervals
+  // of every root at the current depth.
+  void CheckValues() {
+    for (size_t i = 0; i < roots_.size(); ++i) {
+      if (root_level_[i] <= depth_) {
+        ASSERT_EQ(program_.Evaluate(i, bytes_.data()), Fresh(i, bytes_))
+            << "root " << i << " depth " << depth_;
+      }
+    }
+    if (depth_ < 0) {
+      return;
+    }
+    std::vector<bool> assigned(bytes_.size());
+    for (int l = 0; l <= depth_; ++l) {
+      assigned[order_[l]] = true;
+    }
+    for (size_t i = 0; i < roots_.size(); ++i) {
+      ctx_.NewIntervalRound();
+      const UInterval want = ctx_.EvalInterval(roots_[i], bytes_, assigned);
+      const UInterval got = program_.EvalInterval(i, bytes_.data(), static_cast<size_t>(depth_));
+      ASSERT_EQ(got.lo, want.lo) << "root " << i << " depth " << depth_;
+      ASSERT_EQ(got.hi, want.hi) << "root " << i << " depth " << depth_;
+    }
+  }
+
+  // A root whose support is assigned but for its deepest level, which is
+  // free — forward checking's sweep shape.
+  bool FreeAtOneLevel(size_t i) const { return root_level_[i] > depth_ && below_level_[i] <= depth_; }
+
+  void CheckSweeps() {
+    for (size_t i = 0; i < roots_.size(); ++i) {
+      if (!FreeAtOneLevel(i)) {
+        continue;
+      }
+      std::array<uint64_t, 4> want = {rng_.Next(), rng_.Next(), 0, ~uint64_t{0}};
+      std::swap(want[rng_.NextBelow(4)], want[rng_.NextBelow(4)]);
+      std::array<uint64_t, 4> admitted{};
+      program_.Sweep(i, bytes_.data(), want, admitted);
+      std::vector<uint8_t> bytes = bytes_;
+      for (unsigned v = 0; v < 256; ++v) {
+        bytes[order_[root_level_[i]]] = static_cast<uint8_t>(v);
+        const bool wanted = (want[v / 64] >> (v % 64)) & 1;
+        const bool expect = wanted && Fresh(i, bytes) != 0;
+        ASSERT_EQ(((admitted[v / 64] >> (v % 64)) & 1) != 0, expect)
+            << "root " << i << " value " << v << " depth " << depth_;
+      }
+    }
+  }
+
+  // The free level assigned value by value and evaluated as a scalar; it
+  // stays stamped but deeper than the search.
+  void CheckTransientSweep() {
+    for (size_t i = 0; i < roots_.size(); ++i) {
+      if (!FreeAtOneLevel(i)) {
+        continue;
+      }
+      for (int k = 0; k < 4; ++k) {
+        Place(root_level_[i]);
+        ASSERT_EQ(program_.Evaluate(i, bytes_.data()), Fresh(i, bytes_)) << "root " << i;
+      }
+      return;
+    }
+  }
+
+  void CheckRanges() {
     // Per-symbol ranges, one symbol short so the [0, 255] default shows.
-    std::vector<UInterval> ranges(RandomDag::kSymbols - 1);
+    std::vector<UInterval> ranges(bytes_.size() - 1);
     for (UInterval& r : ranges) {
-      const uint64_t a = rng.NextBelow(256);
-      const uint64_t b = rng.NextBool() ? a : rng.NextBelow(256);
+      const uint64_t a = rng_.NextBelow(256);
+      const uint64_t b = rng_.NextBool() ? a : rng_.NextBelow(256);
       r = UInterval{std::min(a, b), std::max(a, b)};
     }
-    ctx.NewIntervalRound();
-    program.NewIntervalRound();
-    interval_hits = ctx.interval_memo_hits();
-    for (size_t i = 0; i < roots.size(); ++i) {
-      const UInterval want = ctx.EvalIntervalRanges(roots[i], ranges);
-      const UInterval got = program.EvalIntervalRanges(i, ranges);
-      ASSERT_EQ(got.lo, want.lo) << "root " << i << " round " << round;
-      ASSERT_EQ(got.hi, want.hi) << "root " << i << " round " << round;
+    program_.NewIntervalRound();
+    for (size_t i = 0; i < roots_.size(); ++i) {
+      ctx_.NewIntervalRound();
+      const UInterval want = ctx_.EvalIntervalRanges(roots_[i], ranges);
+      const UInterval got = program_.EvalIntervalRanges(i, ranges);
+      ASSERT_EQ(got.lo, want.lo) << "root " << i;
+      ASSERT_EQ(got.hi, want.hi) << "root " << i;
     }
-    EXPECT_EQ(program.TakeIntervalHits(), ctx.interval_memo_hits() - interval_hits);
   }
-}
+
+  ExprContext& ctx_;
+  const std::vector<const Expr*>& roots_;
+  Rng& rng_;
+  std::vector<uint8_t> bytes_;
+  std::vector<int32_t> level_of_;
+  std::vector<unsigned> order_;
+  std::vector<int> root_level_;
+  std::vector<int> below_level_;
+  int depth_ = -1;
+  EvalProgram program_;
+};
 
 TEST(EvalProgramTest, MatchesContextEvaluationOnRandomDags) {
   std::set<ExprKind> kinds;
+  std::set<unsigned> widths;
   for (bool shared : {false, true}) {
     for (uint64_t seed = 1; seed <= 40; ++seed) {
       ExprInterner interner(/*concurrent=*/true);
@@ -591,12 +726,44 @@ TEST(EvalProgramTest, MatchesContextEvaluationOnRandomDags) {
       for (const Expr* root : roots) {
         CollectKinds(root, kinds, seen);
       }
+      for (const Expr* e : seen) {
+        widths.insert(e->width());
+      }
       Rng rng(seed * 7919);
       SCOPED_TRACE(testing::Message() << (shared ? "shared" : "private") << " seed " << seed);
-      ExpectProgramMatchesContext(ctx, roots, rng);
+      ProgramDriver(ctx, roots, 5, rng).Run(160);
+      if (HasFatalFailure()) {
+        return;
+      }
     }
   }
   EXPECT_EQ(kinds.size(), 26u) << "the DAGs must cover every ExprKind";
+  EXPECT_TRUE(widths.count(1) && widths.count(64)) << "widths 1 to 64";
+}
+
+TEST(EvalProgramTest, UnarySweepsMatchScalarEvaluation) {
+  // Every root over one symbol: the sweep with nothing assigned is the
+  // core's unary sweep. Roots over constants alone (raw trapping folds)
+  // give one value for every lane.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    ExprContext ctx;
+    RandomDag dag(ctx, seed, /*symbols=*/1);
+    const std::vector<const Expr*> roots = dag.Roots(12);
+    EvalProgram program;
+    program.Build(roots, {0});
+    for (size_t i = 0; i < roots.size(); ++i) {
+      std::array<uint64_t, 4> admitted{};
+      const uint8_t unused = 0;
+      program.Sweep(i, &unused, {~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}},
+                    admitted);
+      for (unsigned v = 0; v < 256; ++v) {
+        ctx.NewEvaluation();
+        const bool expect = ctx.Evaluate(roots[i], {static_cast<uint8_t>(v)}) != 0;
+        ASSERT_EQ(((admitted[v / 64] >> (v % 64)) & 1) != 0, expect)
+            << "seed " << seed << " root " << i << " value " << v;
+      }
+    }
+  }
 }
 
 TEST(EvalProgramTest, RebuildReplacesTheProgramAndKeepsMemosFresh) {
@@ -607,15 +774,40 @@ TEST(EvalProgramTest, RebuildReplacesTheProgramAndKeepsMemosFresh) {
   const Expr* x = ctx.ZExt(ctx.Symbol(0), 32);
   const Expr* y = ctx.ZExt(ctx.Symbol(1), 32);
   const std::vector<uint8_t> bytes = {6, 7};
-  program.Build({ctx.Binary(ExprKind::kMul, x, y)});
-  program.NewEvaluation();
+  program.Build({ctx.Binary(ExprKind::kMul, x, y)}, {0, 1});
   EXPECT_EQ(program.Evaluate(0, bytes.data()), 42u);
-  program.Build({ctx.Binary(ExprKind::kAdd, x, y), ctx.Binary(ExprKind::kMul, x, y)});
+  program.Build({ctx.Binary(ExprKind::kAdd, x, y), ctx.Binary(ExprKind::kMul, x, y)}, {0, 1});
   EXPECT_EQ(program.Evaluate(0, bytes.data()), 13u);
   EXPECT_EQ(program.Evaluate(1, bytes.data()), 42u);
   EXPECT_EQ(program.TakeEvalHits(), 2u);  // the product re-reads both zexts
   EXPECT_EQ(program.Evaluate(1, bytes.data()), 42u);
   EXPECT_EQ(program.TakeEvalHits(), 1u);
+}
+
+TEST(EvalProgramTest, AssignRecomputesOnlyTheNodesAtOrPastTheLevel) {
+  // A running sum over four levels: a new value at the deepest level
+  // recomputes that level's add alone, one at level 1 everything from there.
+  ExprContext ctx;
+  const Expr* sum = ctx.ZExt(ctx.Symbol(0), 32);
+  for (unsigned s = 1; s < 4; ++s) {
+    sum = ctx.Binary(ExprKind::kAdd, sum, ctx.ZExt(ctx.Symbol(s), 32));
+  }
+  EvalProgram program;
+  program.Build({sum}, {0, 1, 2, 3});
+  std::vector<uint8_t> bytes = {1, 2, 3, 4};
+  EXPECT_EQ(program.Evaluate(0, bytes.data()), 10u);
+  const uint64_t cold = program.work().computes;
+  EXPECT_EQ(cold, 7u);  // four zexts and three adds
+  bytes[3] = 40;
+  program.Assign(3);
+  EXPECT_EQ(program.Evaluate(0, bytes.data()), 46u);
+  EXPECT_EQ(program.work().computes - cold, 2u);  // zext b3 and the last add
+  bytes[1] = 20;
+  program.Assign(1);
+  program.Assign(2);
+  program.Assign(3);
+  EXPECT_EQ(program.Evaluate(0, bytes.data()), 64u);
+  EXPECT_EQ(program.work().computes - cold, 2u + 6u);
 }
 
 }  // namespace
