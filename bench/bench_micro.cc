@@ -48,7 +48,6 @@ void ReportCoreSearchStats(benchmark::State& state, const MetricsShard& m) {
   Report(state, "core_candidates", m, Counter::kSolverCoreCandidates);
   Report(state, "core_conflicts", m, Counter::kSolverCoreConflicts);
   Report(state, "core_learned", m, Counter::kSolverCoreLearned);
-  Report(state, "core_learned_hits", m, Counter::kSolverCoreLearnedHits);
   Report(state, "core_backjumps", m, Counter::kSolverCoreBackjumps);
 }
 

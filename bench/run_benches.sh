@@ -9,7 +9,7 @@
 # against the committed BENCH_symex.json and fail (exit 1) on a wall-time
 # slowdown beyond BENCH_CHECK_THRESHOLD (default 1.5x), on any change in
 # the hardware-independent `paths` / core-search counters (`core_candidates`,
-# `core_conflicts`, `core_learned`, `core_learned_hits`, `core_backjumps`) and
+# `core_conflicts`, `core_learned`, `core_backjumps`) and
 # evaluation-program work counts (`eval_computes`, `lane_computes`,
 # `interval_computes`) — the CI regression gate. The thread_scaling section is gated the same way, but
 # only when this host has at least as many cores as the one that produced
@@ -77,7 +77,7 @@ for b in micro.get("benchmarks", []):
     entry = {"wall_seconds_per_iter": b["real_time"] * scale,
              "iterations": b.get("iterations", 0)}
     for key in ("paths", "solver_queries", "core_candidates", "core_conflicts",
-                "core_learned", "core_learned_hits", "core_backjumps", "eval_memo_hits",
+                "core_learned", "core_backjumps", "eval_memo_hits",
                 "interval_memo_hits", "independence_drops", "cache_hits",
                 "reuse_hits", "cex_evictions", "presolve_shortcuts",
                 "preprocess_bindings", "preprocess_tautologies",
@@ -158,13 +158,13 @@ for name in sorted(committed):
     ratio = new / old
     flag = " FAIL" if ratio > THRESHOLD else ""
     # The path count, the learning core's search counters (candidates,
-    # conflicts, learned clauses, clause hits, backjumps) and the evaluation
-    # program's work counts are deterministic and hardware-independent on
+    # conflicts, unit nogoods, backjumps) and the evaluation program's work
+    # counts are deterministic and hardware-independent on
     # these single-threaded benches: any drift is an engine behavior change,
     # flagged at any magnitude.
     drift = []
     for counter in ("paths", "core_candidates", "core_conflicts",
-                    "core_learned", "core_learned_hits", "core_backjumps",
+                    "core_learned", "core_backjumps",
                     "slice_checks_found", "slices_built", "slice_fallbacks",
                     "slice_cone_pct_max", "eval_computes", "lane_computes",
                     "interval_computes"):

@@ -104,7 +104,9 @@ uint64_t OptionsFingerprint(const SymexOptions& options) {
   // so a 1-job warm run may reuse a 8-job cold harvest.
   PortableHasher hasher;
   hasher.Fold(static_cast<uint8_t>(options.solver_preprocess ? 1 : 0));
-  hasher.Fold(static_cast<uint8_t>(options.solver_learning ? 1 : 0));
+  // Once a learning switch that never changed an answer; kept as its
+  // always-on value so stored run blobs keep resolving.
+  hasher.Fold(static_cast<uint8_t>(1));
   hasher.Fold(static_cast<uint8_t>(options.slice_checks ? 1 : 0));
   hasher.Fold(static_cast<uint8_t>(options.annotations != nullptr ? 1 : 0));
   hasher.Fold(static_cast<uint8_t>(options.faults.enabled() ? 1 : 0));

@@ -53,7 +53,7 @@ SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned 
                     const SymexLimits& limits, unsigned jobs = 1);
 
 // Full-options overload (solver A/B configurations such as
-// solver_preprocess and solver_learning, slicing, persistence, tracing).
+// solver_preprocess, slicing, persistence, tracing).
 // The compiled module's annotations are still injected when present.
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,
                     const SymexLimits& limits, const SymexOptions& base_options);

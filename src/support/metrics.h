@@ -72,7 +72,7 @@ namespace overify {
   X(kSolverCoreCandidates, "solver.core_candidates", false)   \
   X(kSolverCoreConflicts, "solver.core_conflicts", false)     \
   X(kSolverCoreLearned, "solver.core_learned", false)         \
-  X(kSolverCoreLearnedHits, "solver.core_learned_hits", false) \
+  X(kSolverCoreLearnedHits, "solver.core_learned_hits", false) /* retired */ \
   X(kSolverCoreBackjumps, "solver.core_backjumps", false)     \
   X(kSolverCoreRestarts, "solver.core_restarts", false) /* retired */ \
   X(kSolverIndependenceDrops, "solver.independence_drops", false) \

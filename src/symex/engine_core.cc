@@ -62,7 +62,6 @@ class EngineCore::Impl {
     // any query so no counts land in the chain's private fallback shard.
     solver_.set_metrics(&metrics_);
     solver_.set_preprocessing(options_.solver_preprocess);
-    solver_.set_learning(options_.solver_learning);
     // Cooperative query controls: the run deadline (stamped by the pool; a
     // default-constructed SharedCounters leaves it unset, so direct engine
     // users never get spurious deadline unknowns), the stop latch, this

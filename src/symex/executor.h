@@ -122,12 +122,6 @@ struct SymexOptions {
   // preprocessing regression tests; verdicts and bug reports are identical
   // either way.
   bool solver_preprocess = true;
-  // In-query conflict clause learning in the backtracking core
-  // (docs/solver.md); backjumping and domains stay on either way. Off is
-  // for A/B comparisons in the differential lattice; verdicts, models and
-  // bug reports are identical either way — learning only prunes candidates
-  // the search would have refuted one by one.
-  bool solver_learning = true;
   // Deterministic fault injection (src/support/fault.h). Disabled by
   // default (seed 0); tests and the robustness differential harness enable
   // it to exercise the graceful-degradation contract (docs/robustness.md).

@@ -138,20 +138,6 @@ bool PropagateByteOrders(const std::vector<ByteOrder>& orders, std::vector<Domai
   return true;
 }
 
-static_assert(kMaxClauseLiterals <= 8, "clause values pack into one uint64_t");
-
-constexpr uint32_t kNoClause = ~uint32_t{0};
-
-// A clause's bucket: its deepest level and that literal's value. The clause
-// is consulted exactly when that level is assigned that value — every
-// shallower literal is already assigned there, so the match test is a few
-// byte compares, and clauses for other values are never visited.
-uint16_t BucketOf(uint64_t mask, uint64_t values) {
-  const unsigned deepest = 63 - static_cast<unsigned>(__builtin_clzll(mask));
-  const unsigned n = static_cast<unsigned>(__builtin_popcountll(mask));
-  return static_cast<uint16_t>(deepest * 256 + ((values >> (8 * (n - 1))) & 0xff));
-}
-
 }  // namespace
 
 SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>& constraints,
@@ -201,11 +187,10 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   order.reserve(support.Size());
   support.ForEach([&](unsigned sym) { order.push_back(sym); });
   unsigned max_symbol = support.MaxSymbol();
-  // Conflict-directed backjumping and clause learning use per-level
-  // position masks; fall back to chronological, learning-free behaviour for
-  // absurdly wide queries. Domain pruning and value ordering apply always.
+  // Conflict-directed backjumping and unit nogoods use per-level position
+  // masks; fall back to chronological, learning-free behaviour for absurdly
+  // wide queries. Domain pruning and value ordering apply always.
   const bool use_cbj = order.size() <= 64;
-  const bool learn = config_.learning && use_cbj;
 
   // Symbol index -> decision level.
   std::vector<int32_t> level_of(max_symbol + 1, -1);
@@ -373,32 +358,6 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
   }
 
-  // ---- Clause store ----
-  //
-  // Learned nogoods in level space (store_), indexed by (deepest level,
-  // deepest value) through bucket_tail_. The previous query's clauses are
-  // unhooked from their buckets — every other bucket is already empty — and
-  // the buffers are kept.
-  for (const ActiveClause& c : store_) {
-    bucket_tail_[c.bucket] = kNoClause;
-  }
-  store_.clear();
-  if (learn && bucket_tail_.size() < order.size() * 256) {
-    bucket_tail_.resize(order.size() * 256, kNoClause);
-  }
-  // Appends store_[i] to its bucket's circular list.
-  auto link = [&](uint32_t i) {
-    ActiveClause& c = store_[i];
-    uint32_t& tail = bucket_tail_[c.bucket];
-    if (tail == kNoClause) {
-      c.next = i;
-    } else {
-      c.next = store_[tail].next;
-      store_[tail].next = i;
-    }
-    tail = i;
-  };
-
   // ---- Value ordering ----
   //
   // Domain endpoints first (range checks make the extremes the likeliest
@@ -538,69 +497,16 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
   };
 
-  // The strict total order compaction keeps by: hits descending, then
-  // insertion index ascending — the order a stable sort by hits gives.
-  auto more_hits = [&](uint32_t a, uint32_t b) {
-    const uint64_t x = store_[a].hits;
-    const uint64_t y = store_[b].hits;
-    return x > y || (x == y && a < b);
-  };
-
-  // Appends the nogood over `mask` at the current assignment, first
-  // compacting the store to its most-hit half when full. The kept set
-  // is selected in O(n) and keeps its insertion order, bucket lists
-  // included, so the store's evolution is deterministic.
-  auto add_clause = [&](uint64_t mask) {
-    uint64_t values = 0;
-    unsigned shift = 0;
-    for (uint64_t rest = mask; rest != 0; rest &= rest - 1, shift += 8) {
-      values |= uint64_t{assignment[order[__builtin_ctzll(rest)]]} << shift;
-    }
-    if (store_.size() >= config_.clause_capacity) {
-      const size_t keep = std::max<size_t>(config_.clause_capacity / 2, 1);
-      by_hits_.resize(store_.size());
-      for (uint32_t i = 0; i < by_hits_.size(); ++i) {
-        by_hits_[i] = i;
-      }
-      std::nth_element(by_hits_.begin(), by_hits_.begin() + keep, by_hits_.end(), more_hits);
-      // Relinking rebuilds every bucket, so `next` is free to mark the kept.
-      for (ActiveClause& c : store_) {
-        bucket_tail_[c.bucket] = kNoClause;
-        c.next = kNoClause;
-      }
-      for (size_t k = 0; k < keep; ++k) {
-        store_[by_hits_[k]].next = 0;
-      }
-      uint32_t kept = 0;
-      for (const ActiveClause& c : store_) {
-        if (c.next != kNoClause) {
-          store_[kept] = c;
-          link(kept++);
-        }
-      }
-      store_.resize(kept);
-    }
-    store_.push_back(ActiveClause{mask, values, 0, 0, BucketOf(mask, values)});
-    link(static_cast<uint32_t>(store_.size() - 1));
-    ++learned_;
-  };
-
   // Derives a nogood from an evaluation conflict: the failing constraint's
-  // assigned support levels plus the value just placed. A single-literal
-  // nogood means the value fails under every prefix — fold it into the
-  // domain instead of the store.
+  // assigned support levels plus the value just placed. Only a
+  // single-literal nogood is kept: the value fails under every prefix, so
+  // it is folded into the domain. Longer nogoods are not stored; a store of
+  // them pruned no candidate on any measured workload (docs/solver.md,
+  // "Learning and backjumping").
   auto learn_from_conflict = [&](uint64_t blame, size_t depth_now, uint8_t value) {
-    if (!learn) {
-      return;
-    }
-    const uint64_t m = blame | (uint64_t{1} << depth_now);
-    const int n = __builtin_popcountll(m);
-    if (n == 1) {
+    if (use_cbj && blame == 0) {
       domain[depth_now].Clear(value);
-      return;
-    }
-    if (static_cast<size_t>(n) <= kMaxClauseLiterals) {
-      add_clause(m);
+      ++learned_;
     }
   };
 
@@ -666,12 +572,12 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       }
       return SatResult::kSat;
     }
-    // Derived-domains trigger (once per query, independent of the learning
-    // switch): unwind to the root so the sweep sees no assigned levels,
-    // derive, filter the value lists through the narrowed domains (never
-    // reorder them: that would change which model comes first), and turn
-    // on forward checking for the rest of the query. Replaying the unwound
-    // prefix costs at most the kDeriveTrigger candidates already spent.
+    // Derived-domains trigger (once per query): unwind to the root so the
+    // sweep sees no assigned levels, derive, filter the value lists through
+    // the narrowed domains (never reorder them: that would change which
+    // model comes first), and turn on forward checking for the rest of the
+    // query. Replaying the unwound prefix costs at most the kDeriveTrigger
+    // candidates already spent.
     if (!derived && candidates_tried_ - candidates_at_entry >= kDeriveTrigger) {
       derived = true;
       for (size_t level = 0; level < depth; ++level) {
@@ -707,12 +613,12 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     }
     if (candidate_index[depth] >= level_values.size()) {
       // Level exhausted: the blame mask is a valid nogood over the levels it
-      // names — learn it, then jump to its deepest level (the learned
-      // clause's second-highest decision level, counting the exhausted level
-      // as highest); reassigning anything in between cannot help. Without
-      // CBJ (queries wider than 64 symbols) this is plain chronological
-      // backtracking, computed directly — level indices past 63 cannot be
-      // expressed as bit masks.
+      // names — jump to its deepest level (the nogood's second-highest
+      // decision level, counting the exhausted level as highest);
+      // reassigning anything in between cannot help. Without CBJ (queries
+      // wider than 64 symbols) this is plain chronological backtracking,
+      // computed directly — level indices past 63 cannot be expressed as
+      // bit masks.
       uint64_t mask = use_cbj ? conflict_mask[depth] : 0;
       if (use_cbj && derived) {
         // Values forward checking excised from this level were skipped
@@ -735,15 +641,11 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
       if (depth - jump > 1) {
         ++backjumps_;  // non-chronological: at least one level skipped
       }
-      if (learn) {
-        const int n = __builtin_popcountll(mask);
-        if (n == 1) {
-          // The jump level's value alone admits no completion: a permanent
-          // domain clear, stronger than any stored clause.
-          domain[jump].Clear(assignment[order[jump]]);
-        } else if (static_cast<size_t>(n) <= kMaxClauseLiterals) {
-          add_clause(mask);
-        }
+      if ((mask & (mask - 1)) == 0) {
+        // The jump level's value alone admits no completion: a permanent
+        // domain clear.
+        domain[jump].Clear(assignment[order[jump]]);
+        ++learned_;
       }
       // Merge the remaining blame into the jump target (standard CBJ).
       conflict_mask[jump] |= mask & ~(uint64_t{1} << jump);
@@ -771,41 +673,26 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     // blame mask is never consulted — but the shift itself must stay defined.
     const uint64_t below = depth >= 64 ? ~uint64_t{0} : (uint64_t{1} << depth) - 1;
     bool ok = true;
-    // Learned-clause consultation before any constraint evaluation: a
-    // matching nogood refutes the candidate with a few byte compares. The
-    // bucket holds exactly the clauses whose deepest literal is (this
-    // level, this value), oldest first, so the first match is the first
-    // clause of the whole store that matches; their shallower literals are
-    // all assigned already.
-    const uint32_t tail = learn ? bucket_tail_[depth * 256 + value] : kNoClause;
-    if (tail != kNoClause) {
-      uint32_t idx = tail;
-      do {
-        idx = store_[idx].next;
-        ActiveClause& c = store_[idx];
-        bool match = true;
-        uint64_t values = c.values;
-        for (uint64_t rest = c.mask & below; rest != 0; rest &= rest - 1, values >>= 8) {
-          if (assignment[order[__builtin_ctzll(rest)]] != static_cast<uint8_t>(values)) {
-            match = false;
-            break;
-          }
-        }
-        if (match) {
-          conflict_mask[depth] |= c.mask & below;
-          ++c.hits;
-          ++learned_hits_;
-          record_conflict(depth);
-          ok = false;
-          break;
-        }
-      } while (idx != tail);
+    // Constraints that just became fully determined. Only their nodes at
+    // this level are computed; the shallower ones are memoized.
+    for (size_t ci : ready_at[depth]) {
+      if (program_.Evaluate(ci, assignment.data()) == 0) {
+        const uint64_t blame = level_mask[ci] & below;
+        conflict_mask[depth] |= blame;
+        record_conflict(depth);
+        learn_from_conflict(blame, depth, value);
+        ok = false;
+        break;
+      }
     }
-    if (ok) {
-      // Constraints that just became fully determined. Only their nodes at
-      // this level are computed; the shallower ones are memoized.
-      for (size_t ci : ready_at[depth]) {
-        if (program_.Evaluate(ci, assignment.data()) == 0) {
+    // Interval pruning for partially-determined constraints: a sound
+    // over-approximation that already excludes `true` kills every
+    // completion of this prefix.
+    if (ok && !touched_at[depth].empty()) {
+      ctx.NewIntervalRound();  // see derive_domains
+      for (size_t ci : touched_at[depth]) {
+        const UInterval bound = program_.EvalInterval(ci, assignment.data(), depth);
+        if (bound.hi == 0) {
           const uint64_t blame = level_mask[ci] & below;
           conflict_mask[depth] |= blame;
           record_conflict(depth);
@@ -814,132 +701,114 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
           break;
         }
       }
-      // Interval pruning for partially-determined constraints: a sound
-      // over-approximation that already excludes `true` kills every
-      // completion of this prefix.
-      if (ok && !touched_at[depth].empty()) {
-        ctx.NewIntervalRound();  // see derive_domains
-        for (size_t ci : touched_at[depth]) {
-          const UInterval bound = program_.EvalInterval(ci, assignment.data(), depth);
-          if (bound.hi == 0) {
-            const uint64_t blame = level_mask[ci] & below;
-            conflict_mask[depth] |= blame;
-            record_conflict(depth);
-            learn_from_conflict(blame, depth, value);
-            ok = false;
-            break;
-          }
+    }
+    // Forward checking (derived-domains mode): every constraint watched
+    // here has exactly one free support symbol left — its deepest level.
+    // Sweep that level's remaining values concretely once, under this
+    // prefix (one lane sweep, charged per value), instead of letting every
+    // deeper prefix rediscover the same refutations. An emptied level is a
+    // conflict right now, blamed on the constraint's assigned support plus
+    // whatever already narrowed the level (docs/solver.md#domains).
+    if (ok && derived && !fc_at[depth].empty()) {
+      for (size_t ci : fc_at[depth]) {
+        const size_t fl = ci_last[ci];
+        // Levels past 63 only occur with CBJ off, where level_mask is
+        // all-zero anyway — but the shift must stay defined.
+        const uint64_t fl_bit = fl < 64 ? uint64_t{1} << fl : 0;
+        // The sweep's outcome depends only on the assigned support bytes.
+        // If some assigned level is OUTSIDE the support, the identical
+        // sweep recurs as that level enumerates — memoize it over the
+        // canonical value list and amortize. If the support covers the
+        // whole prefix the key is unique per prefix: sweep only the
+        // scoped view (no 256-value canonical pass), and not even that
+        // when the free level is next — enumeration there performs the
+        // identical evaluations one candidate at a time.
+        const int support_levels = __builtin_popcountll(level_mask[ci]);
+        const bool recurs = use_cbj && static_cast<size_t>(support_levels - 1) < depth + 1;
+        const bool memoize = recurs && support_levels - 1 <= 8;
+        if (!memoize && fl == depth + 1) {
+          continue;
         }
-      }
-      // Forward checking (derived-domains mode): every constraint watched
-      // here has exactly one free support symbol left — its deepest level.
-      // Sweep that level's remaining values concretely once, under this
-      // prefix (one lane sweep, charged per value), instead of letting every
-      // deeper prefix rediscover the same refutations. An emptied level is a
-      // conflict right now, blamed on the constraint's assigned support plus
-      // whatever already narrowed the level (docs/solver.md#domains).
-      if (ok && derived && !fc_at[depth].empty()) {
-        for (size_t ci : fc_at[depth]) {
-          const size_t fl = ci_last[ci];
-          // Levels past 63 only occur with CBJ off, where level_mask is
-          // all-zero anyway — but the shift must stay defined.
-          const uint64_t fl_bit = fl < 64 ? uint64_t{1} << fl : 0;
-          // The sweep's outcome depends only on the assigned support bytes.
-          // If some assigned level is OUTSIDE the support, the identical
-          // sweep recurs as that level enumerates — memoize it over the
-          // canonical value list and amortize. If the support covers the
-          // whole prefix the key is unique per prefix: sweep only the
-          // scoped view (no 256-value canonical pass), and not even that
-          // when the free level is next — enumeration there performs the
-          // identical evaluations one candidate at a time.
-          const int support_levels = __builtin_popcountll(level_mask[ci]);
-          const bool recurs =
-              use_cbj && static_cast<size_t>(support_levels - 1) < depth + 1;
-          const bool memoize = recurs && support_levels - 1 <= 8;
-          if (!memoize && fl == depth + 1) {
-            continue;
+        if (memoize) {
+          // Key: assigned support bytes, packed ascending by level. The
+          // packing is unambiguous because the map is per-constraint.
+          uint64_t key = 0;
+          uint64_t rest = level_mask[ci] & ~fl_bit;
+          while (rest != 0) {
+            const uint32_t lvl = static_cast<uint32_t>(__builtin_ctzll(rest));
+            rest &= rest - 1;
+            key = (key << 8) | assignment[order[lvl]];
           }
-          if (memoize) {
-            // Key: assigned support bytes, packed ascending by level. The
-            // packing is unambiguous because the map is per-constraint.
-            uint64_t key = 0;
-            uint64_t rest = level_mask[ci] & ~fl_bit;
-            while (rest != 0) {
-              const uint32_t lvl = static_cast<uint32_t>(__builtin_ctzll(rest));
-              rest &= rest - 1;
-              key = (key << 8) | assignment[order[lvl]];
+          Domain viable_set = Domain::None();
+          auto it = fc_memo[ci].find(key);
+          if (it != fc_memo[ci].end()) {
+            viable_set = it->second;
+            // A hit replaces the whole sweep; charge one candidate so the
+            // budget still bounds total work.
+            if (budget == 0) {
+              return give_up(UnknownCause::kCandidateBudget);
             }
-            Domain viable_set = Domain::None();
-            auto it = fc_memo[ci].find(key);
-            if (it != fc_memo[ci].end()) {
-              viable_set = it->second;
-              // A hit replaces the whole sweep; charge one candidate so the
-              // budget still bounds total work.
-              if (budget == 0) {
-                return give_up(UnknownCause::kCandidateBudget);
-              }
-              --budget;
-              ++candidates_tried_;
-            } else {
-              // Canonical sweep over the static value list (not the current
-              // scoped view) so the result is context-free and cacheable.
-              // One candidate per listed value.
-              program_.Sweep(ci, assignment.data(), listed[fl].w, viable_set.w);
-              for (size_t k = 0; k < values[fl]->size(); ++k) {
-                if (const UnknownCause why = spend(); why != UnknownCause::kNone) {
-                  return give_up(why);
-                }
-              }
-              if (fc_memo[ci].size() < 4096) {
-                fc_memo[ci].emplace(key, viable_set);
-              }
-            }
-            Domain narrowed = scoped[fl];
-            narrowed.IntersectWith(viable_set);
-            if (!narrowed.Equals(scoped[fl])) {
-              undo[depth].push_back(
-                  ScopedUndo{static_cast<uint32_t>(fl), scoped[fl], fc_blame[fl]});
-              scoped[fl] = narrowed;
-              fc_blame[fl] |= level_mask[ci] & ~fl_bit;
-            }
+            --budget;
+            ++candidates_tried_;
           } else {
-            // Unique-key constraint with intermediate levels between here
-            // and the free one: sweep just the currently viable values so
-            // an empty level is caught before those levels multiply it.
-            Domain viable = listed[fl];
-            viable.IntersectWith(domain[fl]);
-            viable.IntersectWith(scoped[fl]);
-            Domain admitted = Domain::None();
-            program_.Sweep(ci, assignment.data(), viable.w, admitted.w);
-            bool snapshotted = false;
-            for (uint8_t w : *values[fl]) {
-              if (!viable.Test(w)) {
-                continue;
-              }
+            // Canonical sweep over the static value list (not the current
+            // scoped view) so the result is context-free and cacheable.
+            // One candidate per listed value.
+            program_.Sweep(ci, assignment.data(), listed[fl].w, viable_set.w);
+            for (size_t k = 0; k < values[fl]->size(); ++k) {
               if (const UnknownCause why = spend(); why != UnknownCause::kNone) {
                 return give_up(why);
               }
-              if (!admitted.Test(w)) {
-                if (!snapshotted) {
-                  snapshotted = true;
-                  undo[depth].push_back(
-                      ScopedUndo{static_cast<uint32_t>(fl), scoped[fl], fc_blame[fl]});
-                }
-                scoped[fl].Clear(w);
-                fc_blame[fl] |= level_mask[ci] & ~fl_bit;
-              }
+            }
+            if (fc_memo[ci].size() < 4096) {
+              fc_memo[ci].emplace(key, viable_set);
             }
           }
-          Domain remaining = domain[fl];
-          remaining.IntersectWith(scoped[fl]);
-          if (remaining.Empty()) {
-            const uint64_t blame = (level_mask[ci] | fc_blame[fl]) & below;
-            conflict_mask[depth] |= blame;
-            record_conflict(depth);
-            learn_from_conflict(blame, depth, value);
-            ok = false;
-            break;
+          Domain narrowed = scoped[fl];
+          narrowed.IntersectWith(viable_set);
+          if (!narrowed.Equals(scoped[fl])) {
+            undo[depth].push_back(
+                ScopedUndo{static_cast<uint32_t>(fl), scoped[fl], fc_blame[fl]});
+            scoped[fl] = narrowed;
+            fc_blame[fl] |= level_mask[ci] & ~fl_bit;
           }
+        } else {
+          // Unique-key constraint with intermediate levels between here
+          // and the free one: sweep just the currently viable values so
+          // an empty level is caught before those levels multiply it.
+          Domain viable = listed[fl];
+          viable.IntersectWith(domain[fl]);
+          viable.IntersectWith(scoped[fl]);
+          Domain admitted = Domain::None();
+          program_.Sweep(ci, assignment.data(), viable.w, admitted.w);
+          bool snapshotted = false;
+          for (uint8_t w : *values[fl]) {
+            if (!viable.Test(w)) {
+              continue;
+            }
+            if (const UnknownCause why = spend(); why != UnknownCause::kNone) {
+              return give_up(why);
+            }
+            if (!admitted.Test(w)) {
+              if (!snapshotted) {
+                snapshotted = true;
+                undo[depth].push_back(
+                    ScopedUndo{static_cast<uint32_t>(fl), scoped[fl], fc_blame[fl]});
+              }
+              scoped[fl].Clear(w);
+              fc_blame[fl] |= level_mask[ci] & ~fl_bit;
+            }
+          }
+        }
+        Domain remaining = domain[fl];
+        remaining.IntersectWith(scoped[fl]);
+        if (remaining.Empty()) {
+          const uint64_t blame = (level_mask[ci] | fc_blame[fl]) & below;
+          conflict_mask[depth] |= blame;
+          record_conflict(depth);
+          learn_from_conflict(blame, depth, value);
+          ok = false;
+          break;
         }
       }
     }
@@ -1097,7 +966,6 @@ void SolverChain::SyncCoreCounters() const {
   m.Set(Counter::kSolverCoreCandidates, core_.candidates_tried());
   m.Set(Counter::kSolverCoreConflicts, core_.conflicts());
   m.Set(Counter::kSolverCoreLearned, core_.learned());
-  m.Set(Counter::kSolverCoreLearnedHits, core_.learned_hits());
   m.Set(Counter::kSolverCoreBackjumps, core_.backjumps());
 }
 

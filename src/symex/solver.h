@@ -67,24 +67,10 @@ struct QueryControl {
   double query_seconds = 0;                          // wall budget per query; 0 = none
 };
 
-// Longer nogoods are not worth storing. Fixed, so a stored clause's values
-// pack into one uint64_t inline in the clause record.
-constexpr size_t kMaxClauseLiterals = 8;
-
-// CDCL settings. Learning only ever skips non-models, so the first model in
-// the fixed value order — and therefore every verdict and model — is the
-// same for every setting (docs/solver.md#determinism); the differential
-// lattice A/Bs `learning`, and tests shrink `clause_capacity` to drive
-// compaction.
-struct CdclConfig {
-  bool learning = true;          // clause store (domains stay on)
-  size_t clause_capacity = 512;  // store bound; the less-hit half is evicted
-};
-
 // Core backtracking solver with CDCL machinery: per-symbol domain pruning
 // from unary constraints and caller range facts, structure-driven value
-// ordering (domain endpoints first), in-query conflict clause learning into
-// a bounded store, and clause-driven non-chronological backjumping
+// ordering (domain endpoints first), single-literal nogoods folded into the
+// domains, and conflict-directed non-chronological backjumping
 // (docs/solver.md).
 class CoreSolver {
  public:
@@ -110,46 +96,18 @@ class CoreSolver {
                      const QueryControl* control = nullptr, UnknownCause* cause = nullptr,
                      const SearchExtras* extras = nullptr);
 
-  void set_config(const CdclConfig& config) { config_ = config; }
-  const CdclConfig& config() const { return config_; }
-
   // Cumulative across every CheckSat call on this instance.
   uint64_t candidates_tried() const { return candidates_tried_; }
   uint64_t conflicts() const { return conflicts_; }
-  uint64_t learned() const { return learned_; }
-  uint64_t learned_hits() const { return learned_hits_; }
+  uint64_t learned() const { return learned_; }  // unit nogoods
   uint64_t backjumps() const { return backjumps_; }
   // The evaluation program's work, cumulative like the counters above.
   const EvalProgram::Work& eval_work() const { return program_.work(); }
 
  private:
-  // A stored nogood in decision-level space: "the assignment taking every
-  // (level, value) literal cannot extend to a model". The levels are the
-  // set bits of `mask`; byte k of `values` is the value at the k-th level in
-  // ascending order. Only queries of at most 64 levels learn, and clauses
-  // hold at most kMaxClauseLiterals literals, so the record is fixed-size.
-  struct ActiveClause {
-    uint64_t mask;     // 1 << level per literal
-    uint64_t values;   // literal values, ascending by level, one byte each
-    uint64_t hits;     // times it refuted a candidate; orders compaction
-    uint32_t next;     // next clause of the same bucket (circular list)
-    uint16_t bucket;   // deepest level * 256 + deepest literal's value
-  };
-
-  CdclConfig config_;
-  // The running query's clause store (docs/solver.md, "Learning and
-  // backjumping"). Members rather than locals only so their buffers
-  // outlive a query: once grown, clause bookkeeping allocates nothing.
-  std::vector<ActiveClause> store_;
-  // Per bucket, the newest clause of that (deepest level, deepest value)
-  // pair, or ~0u when empty. Each bucket is a circular list through
-  // ActiveClause::next in insertion order, so the newest clause's next is
-  // the oldest.
-  std::vector<uint32_t> bucket_tail_;
-  std::vector<uint32_t> by_hits_;  // compaction scratch
   // The running query's live constraints, lowered for evaluation; every
   // concrete and interval evaluation of the search runs on it. A member
-  // for the same reason as store_.
+  // rather than a local so its buffers outlive a query.
   EvalProgram program_;
   // Unary-domain memo: a single-symbol constraint's admissible byte values
   // (bit v of the 256-bit set) keyed by its hash-consed Expr. Expr pointers
@@ -173,7 +131,6 @@ class CoreSolver {
   uint64_t candidates_tried_ = 0;
   uint64_t conflicts_ = 0;
   uint64_t learned_ = 0;
-  uint64_t learned_hits_ = 0;
   uint64_t backjumps_ = 0;
 };
 
@@ -282,18 +239,6 @@ class SolverChain {
   // Disables the preprocessing pipeline (A/B comparisons and regression
   // tests; queries then flow straight to canonicalization + caching).
   void set_preprocessing(bool on) { preprocess_enabled_ = on; }
-
-  // Toggles in-query CDCL clause learning (the clause store).
-  // Learning only ever prunes non-models, so verdicts and the models the
-  // core returns are identical either way — the diff harness A/Bs this
-  // in-lattice (DiffOptions::learning). Domain pruning and value ordering
-  // are not gated: they define the value order models depend on, so they
-  // must stay a pure function of the constraint set.
-  void set_learning(bool on) {
-    CdclConfig config = core_.config();
-    config.learning = on;
-    core_.set_config(config);
-  }
 
   // Installs the run's cooperative controls (deadline, cancel latch, fault
   // injector, per-query budgets). The engine calls this once per run; the

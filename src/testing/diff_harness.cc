@@ -25,8 +25,7 @@ void AppendBytes(std::ostringstream& out, const std::vector<uint8_t>& bytes) {
 std::string LatticeCell::Name() const {
   std::ostringstream out;
   out << OptLevelName(level) << "/j" << jobs << "/"
-      << (solver_preprocess ? "prep" : "noprep") << "/"
-      << (solver_learning ? "learn" : "nolearn");
+      << (solver_preprocess ? "prep" : "noprep");
   if (slice_checks) {
     out << "/slice";
   }
@@ -37,7 +36,6 @@ SymexOptions LatticeCell::ToOptions() const {
   SymexOptions options;
   options.jobs = jobs;
   options.solver_preprocess = solver_preprocess;
-  options.solver_learning = solver_learning;
   options.slice_checks = slice_checks;
   return options;
 }
@@ -112,16 +110,13 @@ std::vector<LatticeCell> FullLattice(const DiffOptions& options) {
   for (OptLevel level : options.levels) {
     for (unsigned jobs : options.jobs) {
       for (bool preprocess : options.preprocess) {
-        for (bool learning : options.learning) {
-          for (bool slice : options.slicing) {
-            LatticeCell cell;
-            cell.level = level;
-            cell.jobs = jobs;
-            cell.solver_preprocess = preprocess;
-            cell.solver_learning = learning;
-            cell.slice_checks = slice;
-            cells.push_back(cell);
-          }
+        for (bool slice : options.slicing) {
+          LatticeCell cell;
+          cell.level = level;
+          cell.jobs = jobs;
+          cell.solver_preprocess = preprocess;
+          cell.slice_checks = slice;
+          cells.push_back(cell);
         }
       }
     }

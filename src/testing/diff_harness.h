@@ -1,16 +1,14 @@
 // Differential verification harness: one workload, every configuration.
 //
 // The engine has independently-toggleable fast paths (constraint
-// preprocessing, prefix caching behind it, CDCL-style learning in the
-// backtracking core, the multi-worker steal path) on top of the
-// optimization-level axis the paper studies. Each of them claims
+// preprocessing, prefix caching behind it, the multi-worker steal path) on
+// top of the optimization-level axis the paper studies. Each of them claims
 // "identical results either way" — this harness is the single oracle that
 // enforces the claim at suite scale instead of scattered per-feature
 // equivalence tests. It runs a program through the full configuration
 // lattice
 //
 //   {-O0, -OVERIFY, -O3} x {1, 4 workers} x {preprocess on, off}
-//                        x {learning on, off}
 //
 // and asserts a canonical RunSignature per cell:
 //
@@ -48,7 +46,6 @@ struct LatticeCell {
   OptLevel level = OptLevel::kOverify;
   unsigned jobs = 1;
   bool solver_preprocess = true;
-  bool solver_learning = true;
   // Per-check slice verification (docs/slicing.md). Slice-mode path/fork
   // counts are per-slice sums, so slice cells form their own bit-identical
   // reference group within a level; the cross-level semantic comparison
@@ -56,7 +53,7 @@ struct LatticeCell {
   // cells.
   bool slice_checks = false;
 
-  // "O3/j4/prep/learn" — stable, greppable cell id; slice-mode cells
+  // "O3/j4/prep" — stable, greppable cell id; slice-mode cells
   // append "/slice".
   std::string Name() const;
   SymexOptions ToOptions() const;
@@ -135,7 +132,6 @@ struct DiffOptions {
   std::vector<OptLevel> levels = {OptLevel::kO0, OptLevel::kOverify, OptLevel::kO3};
   std::vector<unsigned> jobs = {1, 4};
   std::vector<bool> preprocess = {true, false};  // solver_preprocess values
-  std::vector<bool> learning = {true, false};    // solver_learning values
   // Slice-mode axis (docs/slicing.md). Default spans whole-program only so
   // the base lattice's cost is unchanged; slicing suites set {false, true}
   // to assert slice-vs-whole verdict equivalence on top of the scheduler

@@ -34,8 +34,8 @@ using difftest::SemanticOf;
 TEST(LatticeTest, FullLatticeSpansEveryAxisCombination) {
   DiffOptions options;
   auto cells = FullLattice(options);
-  // 3 levels x 2 worker counts x 2 preprocess x 2 learning.
-  EXPECT_EQ(cells.size(), 24u);
+  // 3 levels x 2 worker counts x 2 preprocess.
+  EXPECT_EQ(cells.size(), 12u);
   // Cell names are unique (they key diffs and logs).
   std::vector<std::string> names;
   for (const LatticeCell& cell : cells) {
@@ -43,19 +43,17 @@ TEST(LatticeTest, FullLatticeSpansEveryAxisCombination) {
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
-  EXPECT_EQ(cells.front().Name(), "-O0/j1/prep/learn");
+  EXPECT_EQ(cells.front().Name(), "-O0/j1/prep");
 }
 
 TEST(LatticeTest, CellOptionsCarryEveryAxis) {
   LatticeCell cell;
   cell.jobs = 4;
   cell.solver_preprocess = false;
-  cell.solver_learning = false;
   cell.slice_checks = true;
   SymexOptions options = cell.ToOptions();
   EXPECT_EQ(options.jobs, 4u);
   EXPECT_FALSE(options.solver_preprocess);
-  EXPECT_FALSE(options.solver_learning);
   EXPECT_TRUE(options.slice_checks);
   EXPECT_NE(cell.Name().find("/slice"), std::string::npos);
 }
@@ -64,7 +62,7 @@ TEST(LatticeTest, SlicingAxisDoublesTheLattice) {
   DiffOptions options;
   options.slicing = {false, true};
   auto cells = FullLattice(options);
-  EXPECT_EQ(cells.size(), 48u);
+  EXPECT_EQ(cells.size(), 24u);
   size_t sliced = 0;
   for (const LatticeCell& cell : cells) {
     if (cell.slice_checks) {
@@ -72,7 +70,7 @@ TEST(LatticeTest, SlicingAxisDoublesTheLattice) {
       EXPECT_NE(cell.Name().find("/slice"), std::string::npos);
     }
   }
-  EXPECT_EQ(sliced, 24u);
+  EXPECT_EQ(sliced, 12u);
 }
 
 TEST(SignatureTest, SemanticSignatureDedupsKindsAndKeepsConfirmation) {
@@ -115,7 +113,7 @@ TEST(DifferentialTest, CleanProgramPassesTheFullLattice) {
   )",
                                       4, options);
   EXPECT_TRUE(report.ok) << report.diff;
-  EXPECT_EQ(report.cells.size(), 24u);
+  EXPECT_EQ(report.cells.size(), 12u);
   for (const auto& cell : report.cells) {
     EXPECT_TRUE(cell.signature.exhausted) << cell.cell.Name();
     EXPECT_TRUE(cell.signature.bugs.empty()) << cell.cell.Name();
@@ -156,7 +154,6 @@ TEST(DifferentialTest, SliceModeAgreesOnABuggyProgram) {
   DiffOptions options;
   options.jobs = {1};
   options.preprocess = {true};
-  options.learning = {true};
   options.slicing = {false, true};
   options.limits.max_seconds = 60;
   DiffReport report = RunDifferential("div_bug_sliced", R"(
@@ -225,7 +222,6 @@ TEST_P(WorkloadDifferentialTest, SliceModeAgreesWithWholeProgram) {
   DiffOptions options;
   options.jobs = {1, 4};
   options.preprocess = {true};
-  options.learning = {true};
   options.slicing = {false, true};
   options.limits.max_seconds = 120;
   DiffReport report = RunDifferential(*workload, /*sym_bytes=*/4, options);
@@ -310,7 +306,6 @@ TEST_P(SlowSlicingDifferentialTest, SliceModeAgreesAtDefaultWidth) {
   const Workload& workload = GetParam();
   DiffOptions options;
   options.preprocess = {true};
-  options.learning = {true};
   options.slicing = {false, true};
   options.limits.max_paths = 400000;
   options.limits.max_seconds = 120;

@@ -585,9 +585,6 @@ TEST(RunKeys, OptionsFingerprintSeparatesBehaviorNotWorkerCount) {
   jobs.jobs = 8;
   EXPECT_EQ(OptionsFingerprint(jobs), fp);
   // …but anything changing solver behavior or verdicts must.
-  SymexOptions no_learning = base;
-  no_learning.solver_learning = false;
-  EXPECT_NE(OptionsFingerprint(no_learning), fp);
   SymexOptions sliced = base;
   sliced.slice_checks = true;
   EXPECT_NE(OptionsFingerprint(sliced), fp);

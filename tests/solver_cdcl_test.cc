@@ -1,15 +1,15 @@
 // CDCL machinery in the core backtracking solver (src/symex/solver.cc,
-// docs/solver.md): in-query clause learning, conflict-directed
+// docs/solver.md): unit nogoods folded into the domains, conflict-directed
 // backjumping, and caller-supplied domain facts.
 //
 // The load-bearing property throughout is docs/solver.md#determinism:
-// learning may only ever skip NON-models, so the verdict and the first
-// model in the fixed (level, value) order are invariant across learning
-// on/off and clause-store sizes. The randomized suites check that
-// invariance directly and against an exhaustive reference; CMakeLists
-// labels this binary "tier1;solver" so the solver CI job can run it alone.
+// pruning may only ever skip NON-models, so the verdict and the model are
+// the first model in the fixed (level, value) order. The randomized suites
+// check both against an exhaustive reference; CMakeLists labels this binary
+// "tier1;solver" so the solver CI job can run it alone.
 #include <gtest/gtest.h>
 
+#include <bitset>
 #include <vector>
 
 #include "src/driver/compiler.h"
@@ -40,11 +40,18 @@ class CdclTest : public ::testing::Test {
     }
     return true;
   }
+
+  // The first model in the documented search order, by brute force over two
+  // byte symbols: each symbol in the support runs through DocumentedOrder
+  // of its seeded domain — the values its unary constraints admit — with
+  // symbol 0 outermost; a symbol outside the support stays 0. Empty when
+  // the set has no model.
+  std::vector<uint8_t> DocumentedFirstModel(const std::vector<const Expr*>& constraints);
 };
 
 // Random constraints over two byte symbols, weighted toward the shapes the
 // core search's pruning layers act on: unary bounds (domain sweep), byte
-// equalities, and non-unary arithmetic relations (clause learning fodder).
+// equalities, and non-unary arithmetic relations (conflicts and backjumps).
 const Expr* RandomConstraint2(ExprContext& ctx, Rng& rng) {
   auto sym = [&] { return ctx.Symbol(static_cast<unsigned>(rng.NextBelow(2))); };
   auto wide = [&](const Expr* e) { return ctx.ZExt(e, 32); };
@@ -115,76 +122,31 @@ TEST_F(CdclTest, RandomizedVerdictsMatchExhaustiveReference) {
 
 // ---- docs/solver.md#determinism: results are a pure function of the set.
 
-// Learning on and off must return the same verdict AND the same model —
-// clause pruning only skips assignments that cannot be models, so the
-// first model in the fixed search order is reached either way.
-TEST_F(CdclTest, LearningToggleKeepsVerdictAndCanonicalModel) {
-  Rng rng(0xab1e5eed);
-  for (int round = 0; round < 80; ++round) {
-    std::vector<const Expr*> constraints;
-    const size_t n = 1 + rng.NextBelow(4);
-    for (size_t i = 0; i < n; ++i) {
-      constraints.push_back(RandomConstraint2(ctx, rng));
-    }
-
-    CoreSolver with, without;
-    CdclConfig off;
-    off.learning = false;
-    without.set_config(off);
-    std::vector<uint8_t> model_with, model_without;
-    SatResult a = with.CheckSat(ctx, constraints, &model_with);
-    SatResult b = without.CheckSat(ctx, constraints, &model_without);
-    ASSERT_EQ(a, b) << "round " << round;
-    if (a == SatResult::kSat) {
-      EXPECT_EQ(model_with, model_without) << "round " << round;
-    }
-  }
-}
-
-// The clause-store size is a performance knob only: every capacity,
-// including ones small enough to compact every few adds, returns the
-// default config's verdict and model.
-TEST_F(CdclTest, ClauseCapacityIsResultInvariant) {
-  Rng rng(0x1b9f00d5);
-  const size_t capacities[] = {4, 16, 64, 512};
-  for (int round = 0; round < 40; ++round) {
-    std::vector<const Expr*> constraints;
-    const size_t n = 1 + rng.NextBelow(4);
-    for (size_t i = 0; i < n; ++i) {
-      constraints.push_back(RandomConstraint2(ctx, rng));
-    }
-
-    CoreSolver reference;
-    std::vector<uint8_t> expected_model;
-    SatResult expected = reference.CheckSat(ctx, constraints, &expected_model);
-    for (size_t capacity : capacities) {
-      CdclConfig config;
-      config.clause_capacity = capacity;
-      CoreSolver solver;
-      solver.set_config(config);
-      std::vector<uint8_t> model;
-      ASSERT_EQ(solver.CheckSat(ctx, constraints, &model), expected)
-          << "round " << round << " capacity " << capacity;
-      if (expected == SatResult::kSat) {
-        EXPECT_EQ(model, expected_model) << "round " << round << " capacity " << capacity;
-      }
-    }
-  }
-}
-
-// The documented value order of a level whose seeded domain is the whole
-// interval [lo, hi]: both endpoints, then the global preference order
+// The documented value order of a level whose seeded domain is `domain`:
+// its lowest and highest values, then the global preference order
 // (docs/solver.md#determinism), restricted to the domain.
-std::vector<uint8_t> DocumentedOrder(uint8_t lo, uint8_t hi) {
-  std::vector<uint8_t> order = {lo};
+std::vector<uint8_t> DocumentedOrder(const std::bitset<256>& domain) {
+  std::vector<uint8_t> order;
+  if (domain.none()) {
+    return order;
+  }
+  unsigned lo = 0;
+  unsigned hi = 255;
+  while (!domain[lo]) {
+    ++lo;
+  }
+  while (!domain[hi]) {
+    --hi;
+  }
+  order.push_back(static_cast<uint8_t>(lo));
   if (hi != lo) {
-    order.push_back(hi);
+    order.push_back(static_cast<uint8_t>(hi));
   }
   const uint8_t preferred[] = {0, 'a', ' ', '0', 'z', 'A', '\n', '\t', 1, 255, '9', '-', '.'};
   std::vector<bool> seen(256, false);
   seen[lo] = seen[hi] = true;
   auto add = [&](uint8_t v) {
-    if (!seen[v] && v >= lo && v <= hi) {
+    if (!seen[v] && domain[v]) {
       order.push_back(v);
     }
     seen[v] = true;
@@ -198,11 +160,71 @@ std::vector<uint8_t> DocumentedOrder(uint8_t lo, uint8_t hi) {
   return order;
 }
 
-// A query long enough to switch on derived domains. Derived narrowing used
-// to rebuild the value lists, hoisting the narrowed endpoints to the front:
-// with learning on (whose single-literal nogoods narrow first) the core
-// returned (191, 146), with it off (146, 191). The lists are now built once
-// from the seeded domains and only filtered, so both agree with a reference
+std::vector<uint8_t> CdclTest::DocumentedFirstModel(const std::vector<const Expr*>& constraints) {
+  std::vector<uint8_t> orders[2];
+  for (unsigned sym = 0; sym < 2; ++sym) {
+    bool in_support = false;
+    std::bitset<256> domain;
+    domain.set();
+    for (const Expr* c : constraints) {
+      if (!c->Support().Contains(sym)) {
+        continue;
+      }
+      in_support = true;
+      if (c->Support().Size() != 1) {
+        continue;
+      }
+      for (unsigned v = 0; v < 256; ++v) {
+        std::vector<uint8_t> bytes(2, 0);
+        bytes[sym] = static_cast<uint8_t>(v);
+        if (!Satisfies({c}, bytes)) {
+          domain.reset(v);
+        }
+      }
+    }
+    orders[sym] = in_support ? DocumentedOrder(domain) : std::vector<uint8_t>{0};
+  }
+  for (uint8_t s0 : orders[0]) {
+    for (uint8_t s1 : orders[1]) {
+      if (Satisfies(constraints, {s0, s1})) {
+        return {s0, s1};
+      }
+    }
+  }
+  return {};
+}
+
+// The core returns exactly the reference's verdict and first model: every
+// pruning device — unary sweeps, unit nogoods, backjumping, interval
+// pruning — only skips assignments that cannot be models.
+TEST_F(CdclTest, RandomizedModelsAreTheDocumentedFirstModel) {
+  Rng rng(0xab1e5eed);
+  size_t sat = 0;
+  for (int round = 0; round < 80; ++round) {
+    std::vector<const Expr*> constraints;
+    const size_t n = 1 + rng.NextBelow(4);
+    for (size_t i = 0; i < n; ++i) {
+      constraints.push_back(RandomConstraint2(ctx, rng));
+    }
+    const std::vector<uint8_t> reference = DocumentedFirstModel(constraints);
+
+    CoreSolver core;
+    std::vector<uint8_t> model;
+    const SatResult got = core.CheckSat(ctx, constraints, &model);
+    ASSERT_EQ(got, reference.empty() ? SatResult::kUnsat : SatResult::kSat) << "round " << round;
+    if (got == SatResult::kSat) {
+      model.resize(2, 0);
+      EXPECT_EQ(model, reference) << "round " << round;
+      ++sat;
+    }
+  }
+  EXPECT_GT(sat, 0u);
+  EXPECT_LT(sat, 80u);
+}
+
+// A query long enough to switch on derived domains, whose narrowing must
+// only filter the value lists, never hoist the narrowed endpoints to the
+// front (which returned (191, 146)): the core agrees with a reference
 // enumeration in the documented order.
 TEST_F(CdclTest, DerivedDomainsKeepTheDocumentedFirstModel) {
   const std::vector<const Expr*> constraints = {
@@ -210,27 +232,15 @@ TEST_F(CdclTest, DerivedDomainsKeepTheDocumentedFirstModel) {
       ctx.Compare(ICmpPredicate::kULE, Sym(0), C(192)),
       ctx.Compare(ICmpPredicate::kULE, ctx.Binary(ExprKind::kXor, W(0), W(1)), C(199, 32)),
   };
-  std::vector<uint8_t> reference;
-  for (uint8_t s0 : DocumentedOrder(0, 192)) {
-    for (uint8_t s1 : DocumentedOrder(0, 255)) {
-      if (reference.empty() && Satisfies(constraints, {s0, s1})) {
-        reference = {s0, s1};
-      }
-    }
-  }
+  const std::vector<uint8_t> reference = DocumentedFirstModel(constraints);
   ASSERT_EQ(reference, (std::vector<uint8_t>{146, 191}));
 
-  CoreSolver with, without;
-  CdclConfig off;
-  off.learning = false;
-  without.set_config(off);
-  std::vector<uint8_t> model_with, model_without;
-  ASSERT_EQ(with.CheckSat(ctx, constraints, &model_with), SatResult::kSat);
-  ASSERT_EQ(without.CheckSat(ctx, constraints, &model_without), SatResult::kSat);
-  EXPECT_EQ(model_with, reference);
-  EXPECT_EQ(model_without, reference);
+  CoreSolver core;
+  std::vector<uint8_t> model;
+  ASSERT_EQ(core.CheckSat(ctx, constraints, &model), SatResult::kSat);
+  EXPECT_EQ(model, reference);
   // One unary sweep (256) plus the derived-domains trigger (4096).
-  EXPECT_GE(with.candidates_tried(), 256u + 4096u) << "derived domains never switched on";
+  EXPECT_GE(core.candidates_tried(), 256u + 4096u) << "derived domains never switched on";
 }
 
 // ---- The unary-domain memo keeps the core history-free.
@@ -297,12 +307,12 @@ TEST_F(CdclTest, BackjumpSkipsAnUnconstrainedMiddleLevel) {
   EXPECT_GT(core.backjumps(), 0u);
 }
 
-// ---- Golden search counters: the clause store's exact behaviour.
+// ---- Golden search counters: the search's exact behaviour.
 
 // 4-6 byte symbols, each bounded by a unary constraint (the domain sweep
 // keeps the enumeration small), tied by product / sum / xor relations over
-// arbitrary symbol pairs: conflicts learn multi-literal clauses whose
-// deepest literals spread over many (level, value) buckets.
+// arbitrary symbol pairs: conflicts carry multi-level blame masks, so
+// backjumps and unit nogoods both fire.
 std::vector<const Expr*> GoldenQuery(ExprContext& ctx, Rng& rng) {
   const unsigned n = 4 + static_cast<unsigned>(rng.NextBelow(3));
   auto wide = [&](unsigned i) { return ctx.ZExt(ctx.Symbol(i), 32); };
@@ -334,52 +344,30 @@ std::vector<const Expr*> GoldenQuery(ExprContext& ctx, Rng& rng) {
   return q;
 }
 
-// Which stored clause fires first decides whose hit count grows and the
-// blame mask it contributes, and hit counts decide what compaction keeps,
-// so every counter below moves if the store ever consults clauses in a
-// different order or compacts them in a different one. Capacities 4 and 8
-// compact every few adds. One solver per configuration answers all six
-// queries, so the store's buffers are reused across queries too, and the
-// unary-domain memo spares the repeated bounds their sweeps (candidates
-// only: the memo is never charged to a budget and changes no result).
-TEST_F(CdclTest, GoldenSearchCountersAcrossClauseCapacities) {
-  struct Golden {
-    size_t capacity;
-    uint64_t candidates, conflicts, learned, learned_hits, backjumps;
-  };
-  const Golden goldens[] = {
-      {512, 30171, 12588, 8535, 5561, 4},
-      {4, 29512, 11743, 13158, 0, 12},
-      {8, 29512, 11743, 13158, 0, 12},
-  };
-  // Verdicts and the one model: identical at every capacity.
+// Every counter below moves if the search ever tries values in another
+// order, blames a conflict on other levels, or keeps other nogoods. One
+// solver answers all six queries, so its buffers are reused across queries
+// too, and the unary-domain memo spares the repeated bounds their sweeps
+// (candidates only: the memo is never charged to a budget and changes no
+// result).
+TEST_F(CdclTest, GoldenSearchCounters) {
   const SatResult verdicts[] = {SatResult::kUnsat, SatResult::kUnsat, SatResult::kUnsat,
                                 SatResult::kUnsat, SatResult::kSat, SatResult::kUnsat};
   const std::vector<uint8_t> sat_model = {0, 0, 0, 7, 10};
   Rng rng(6);
-  std::vector<std::vector<const Expr*>> queries;
-  for (int i = 0; i < 6; ++i) {
-    queries.push_back(GoldenQuery(ctx, rng));
-  }
-  for (const Golden& g : goldens) {
-    CdclConfig config;
-    config.clause_capacity = g.capacity;
-    CoreSolver core;
-    core.set_config(config);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      std::vector<uint8_t> model;
-      ASSERT_EQ(core.CheckSat(ctx, queries[i], &model), verdicts[i])
-          << "capacity " << g.capacity << " query " << i;
-      if (verdicts[i] == SatResult::kSat) {
-        EXPECT_EQ(model, sat_model) << "capacity " << g.capacity;
-      }
+  CoreSolver core;
+  for (size_t i = 0; i < 6; ++i) {
+    const std::vector<const Expr*> query = GoldenQuery(ctx, rng);
+    std::vector<uint8_t> model;
+    ASSERT_EQ(core.CheckSat(ctx, query, &model), verdicts[i]) << "query " << i;
+    if (verdicts[i] == SatResult::kSat) {
+      EXPECT_EQ(model, sat_model);
     }
-    EXPECT_EQ(core.candidates_tried(), g.candidates) << "capacity " << g.capacity;
-    EXPECT_EQ(core.conflicts(), g.conflicts) << "capacity " << g.capacity;
-    EXPECT_EQ(core.learned(), g.learned) << "capacity " << g.capacity;
-    EXPECT_EQ(core.learned_hits(), g.learned_hits) << "capacity " << g.capacity;
-    EXPECT_EQ(core.backjumps(), g.backjumps) << "capacity " << g.capacity;
   }
+  EXPECT_EQ(core.candidates_tried(), 29512u);
+  EXPECT_EQ(core.conflicts(), 11743u);
+  EXPECT_EQ(core.learned(), 56u);
+  EXPECT_EQ(core.backjumps(), 12u);
 }
 
 // ---- Caller-supplied domain facts (docs/solver.md#domains).
@@ -427,45 +415,18 @@ TEST_F(CdclTest, UnaryConstraintSweepNarrowsDomainsBeforeSearch) {
   EXPECT_LT(core.candidates_tried(), 600u) << "unary sweep failed to narrow s0";
 }
 
-// ---- Learning through the chain.
+// ---- Engine-level determinism.
 
-// A chain with learning on and one with it off return the same verdicts
-// and the same model, and only the learning chain stores clauses.
-TEST_F(CdclTest, ChainLearningToggleKeepsVerdicts) {
-  const Expr* product =
-      ctx.Compare(ICmpPredicate::kEq, ctx.Binary(ExprKind::kMul, W(0), W(1)), C(391, 32));
-  const Expr* cap = ctx.Compare(ICmpPredicate::kULT, Sym(0), C(17));  // kills 17 * 23
-
-  SolverChain learning(ctx), frozen(ctx);
-  frozen.set_learning(false);
-
-  std::vector<const Expr*> q1 = {product};
-  std::vector<const Expr*> q2 = {product, cap};
-  std::vector<uint8_t> m1, m2;
-  ASSERT_EQ(learning.CheckSat(q1, &m1), SatResult::kSat);
-  ASSERT_EQ(frozen.CheckSat(q1, &m2), SatResult::kSat);
-  EXPECT_EQ(m1, m2);
-  EXPECT_EQ(learning.CheckSat(q2, nullptr), SatResult::kUnsat);
-  EXPECT_EQ(frozen.CheckSat(q2, nullptr), SatResult::kUnsat);
-
-  EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreConflicts), 0u);
-  EXPECT_GT(learning.metrics().Get(Counter::kSolverCoreLearned), 0u);
-  EXPECT_EQ(frozen.metrics().Get(Counter::kSolverCoreLearned), 0u);
-}
-
-// ---- Engine-level determinism with learning enabled.
-
-// 1-vs-4-worker runs must be bit-identical with learning on: which queries
-// reach a worker's core is schedule-dependent, so this holds only because
-// pruning cannot change verdicts and bug-report models come from
-// CheckSatCanonical (no ranges). The full lattice
-// sweeps this axis suite-wide; this is the focused solver-level slice.
+// 1-vs-4-worker runs must be bit-identical: which queries reach a worker's
+// core is schedule-dependent, so this holds only because pruning cannot
+// change verdicts and bug-report models come from CheckSatCanonical (no
+// ranges). The full lattice sweeps this axis suite-wide; this is the
+// focused solver-level slice.
 TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1, 4};
   options.preprocess = {true};
-  options.learning = {true};
   options.limits.max_seconds = 60;
   difftest::DiffReport report = difftest::RunDifferential("cdcl_workers", R"(
     int umain(unsigned char *in, int n) {
@@ -575,13 +536,13 @@ TEST_F(RunningSumCostTest, ReadyAtEvaluationIsConstantPerCandidate) {
 
 // The solver-hostile workload that motivated the CDCL core: factor at its
 // full default width runs trial-division srem queries whose UNSAT cores
-// span several bytes. The run must exhaust under a wall ceiling — a
-// regression in learning, backjumping or domain seeding shows up here
-// as a blown deadline long before the full lattice job notices. Since
-// -OVERIFY keeps atoi's sign branch (no select-indexed digit loads), a
-// Release build exhausts in about 1 s and still learns about 1.1M clauses;
-// the core-search assertions keep a cheaper pipeline from turning this into
-// a test that never reaches the learning core.
+// span several bytes. The run must exhaust within a core-candidate bound
+// equal to today's count (1,545,809), so a regression in unit nogoods,
+// backjumping or domain seeding fails on a counter on any host, long
+// before the full lattice job notices; the wall ceiling is only a safety
+// net. A Release build exhausts in about 1 s and learns about 2k unit
+// nogoods; the core-search assertions keep a cheaper pipeline from turning
+// this into a test that never reaches the learning core.
 TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   const Workload* workload = FindWorkload("factor");
   ASSERT_NE(workload, nullptr);
@@ -589,14 +550,14 @@ TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   options.levels = {OptLevel::kOverify};
   options.jobs = {1};
   options.preprocess = {true};
-  options.learning = {true};
   options.limits.max_paths = 400000;
-  options.limits.max_seconds = 300;  // wall ceiling; Release exhausts far under
+  options.limits.max_seconds = 300;  // safety net; Release exhausts far under
   difftest::DiffReport report = difftest::RunDifferential(*workload, /*sym_bytes=*/0, options);
   EXPECT_TRUE(report.ok) << report.diff;
   for (const auto& cell : report.cells) {
     EXPECT_TRUE(cell.signature.exhausted) << cell.cell.Name();
     EXPECT_GT(cell.metrics.Get(Counter::kSolverCoreConflicts), 0u) << cell.cell.Name();
+    EXPECT_LE(cell.metrics.Get(Counter::kSolverCoreCandidates), 1545809u) << cell.cell.Name();
     EXPECT_GT(cell.metrics.Get(Counter::kSolverCoreLearned), 0u) << cell.cell.Name();
   }
 }
