@@ -208,12 +208,23 @@ void BM_SolverSelectChainUnaryQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverSelectChainUnaryQuery);
 
+// Compile work, gated exactly: the output's instruction count and how many
+// functions it still defines (the inliner's emptied callees are dropped).
 void BM_CompileWcAtOverify(benchmark::State& state) {
+  size_t ir_instrs = 0;
+  size_t defined_functions = 0;
   for (auto _ : state) {
     Compiler compiler;
     CompileResult compiled = compiler.Compile(WcListing1(), OptLevel::kOverify);
     benchmark::DoNotOptimize(compiled.instruction_count);
+    ir_instrs = compiled.instruction_count;
+    defined_functions = 0;
+    for (const auto& fn : compiled.module->functions()) {
+      defined_functions += fn->IsDeclaration() ? 0 : 1;
+    }
   }
+  state.counters["ir_instrs"] = static_cast<double>(ir_instrs);
+  state.counters["defined_functions"] = static_cast<double>(defined_functions);
 }
 BENCHMARK(BM_CompileWcAtOverify);
 

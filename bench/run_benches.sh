@@ -11,7 +11,8 @@
 # the hardware-independent `paths` / core-search counters (`core_candidates`,
 # `core_conflicts`, `core_learned`, `core_backjumps`) and
 # evaluation-program work counts (`eval_computes`, `lane_computes`,
-# `interval_computes`) — the CI regression gate. The thread_scaling section is gated the same way, but
+# `interval_computes`), and on the compile work counts (`ir_instrs`,
+# `defined_functions`) — the CI regression gate. The thread_scaling section is gated the same way, but
 # only when this host has at least as many cores as the one that produced
 # the committed snapshot (fewer cores means the numbers measure overhead,
 # not scaling — the gate prints a loud warning and skips instead of
@@ -55,7 +56,7 @@ MICRO_JSON="$(mktemp)"
 trap 'rm -f "$MICRO_JSON"' EXIT
 
 "$BUILD_DIR/bench_micro" \
-  --benchmark_filter='BM_ExprInterning|BM_SolverSingleByteQuery|BM_SolverMultiByteRelation|BM_SolverChain72Query|BM_SolverSelectChainUnaryQuery|BM_FilterIndependent|BM_ExploreWcAtOverify|BM_ExploreWcAtO3|BM_ExploreCksumWideAtOverify|BM_ExploreSumBlockAtOverify|BM_ExploreCksumWideSliceAtOverify|BM_ExploreSumBlockSliceAtOverify|BM_ExploreWcWarmPersist|BM_ParallelExploreWc' \
+  --benchmark_filter='BM_ExprInterning|BM_SolverSingleByteQuery|BM_SolverMultiByteRelation|BM_SolverChain72Query|BM_SolverSelectChainUnaryQuery|BM_FilterIndependent|BM_ExploreWcAtOverify|BM_ExploreWcAtO3|BM_ExploreCksumWideAtOverify|BM_ExploreSumBlockAtOverify|BM_ExploreCksumWideSliceAtOverify|BM_ExploreSumBlockSliceAtOverify|BM_ExploreWcWarmPersist|BM_CompileWcAtOverify|BM_ParallelExploreWc' \
   --benchmark_format=json --benchmark_min_time=0.5 >"$MICRO_JSON"
 
 python3 - "$MICRO_JSON" "$OUT" <<'PY'
@@ -85,7 +86,8 @@ for b in micro.get("benchmarks", []):
                 "slice_checks_found", "slices_built", "slice_fallbacks",
                 "slice_cone_pct_max", "persist_seeded", "persist_hits",
                 "persist_validations", "persist_rejects", "core_queries",
-                "eval_computes", "lane_computes", "interval_computes"):
+                "eval_computes", "lane_computes", "interval_computes",
+                "ir_instrs", "defined_functions"):
         if key in b:
             entry[key] = int(b[key])
     # Latency percentiles and hit rates from the metrics registry
@@ -158,16 +160,16 @@ for name in sorted(committed):
     ratio = new / old
     flag = " FAIL" if ratio > THRESHOLD else ""
     # The path count, the learning core's search counters (candidates,
-    # conflicts, unit nogoods, backjumps) and the evaluation program's work
-    # counts are deterministic and hardware-independent on
-    # these single-threaded benches: any drift is an engine behavior change,
-    # flagged at any magnitude.
+    # conflicts, unit nogoods, backjumps), the evaluation program's work
+    # counts and the compile work counts are deterministic and
+    # hardware-independent on these single-threaded benches: any drift is an
+    # engine or pipeline behavior change, flagged at any magnitude.
     drift = []
     for counter in ("paths", "core_candidates", "core_conflicts",
                     "core_learned", "core_backjumps",
                     "slice_checks_found", "slices_built", "slice_fallbacks",
                     "slice_cone_pct_max", "eval_computes", "lane_computes",
-                    "interval_computes"):
+                    "interval_computes", "ir_instrs", "defined_functions"):
         if committed[name].get(counter) != fresh[name].get(counter):
             drift.append(f"{counter} {committed[name].get(counter)} -> "
                          f"{fresh[name].get(counter)}")

@@ -1,7 +1,10 @@
 #include "src/passes/cse.h"
 
-#include <map>
-#include <tuple>
+#include <algorithm>
+#include <cstddef>
+#include <functional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/alias_analysis.h"
@@ -18,9 +21,20 @@ struct ExprKey {
   const Type* type;
   std::vector<const Value*> operands;
 
-  bool operator<(const ExprKey& other) const {
-    return std::tie(opcode, extra, type, operands) <
-           std::tie(other.opcode, other.extra, other.type, other.operands);
+  bool operator==(const ExprKey& other) const {
+    return opcode == other.opcode && extra == other.extra && type == other.type &&
+           operands == other.operands;
+  }
+};
+
+struct ExprKeyHash {
+  size_t operator()(const ExprKey& key) const {
+    size_t h = std::hash<int>()(static_cast<int>(key.opcode)) * 31 + std::hash<int>()(key.extra);
+    h = h * 31 + std::hash<const Type*>()(key.type);
+    for (const Value* op : key.operands) {
+      h = h * 31 + std::hash<const Value*>()(op);
+    }
+    return h;
   }
 };
 
@@ -52,9 +66,7 @@ std::optional<ExprKey> KeyFor(Instruction* inst) {
         // Distinguish geps by source type as well.
         key.extra = static_cast<int>(gep->source_type()->SizeInBytes());
       }
-      for (const Value* op : inst->operands()) {
-        key.operands.push_back(op);
-      }
+      key.operands.assign(inst->operands().begin(), inst->operands().end());
       // Canonical order for commutative binaries.
       if (inst->opcode() == Opcode::kAdd || inst->opcode() == Opcode::kMul ||
           inst->opcode() == Opcode::kAnd || inst->opcode() == Opcode::kOr ||
@@ -92,8 +104,14 @@ class ScopedCse {
   // Pre-order dominator tree walk; available expressions accumulate down the
   // tree (a map snapshot per recursion level).
   void Visit(BasicBlock* block) {
-    std::vector<std::pair<ExprKey, Value*>> added;
-    std::map<const Value*, Value*> block_loads;  // pointer -> last value in this block
+    // Keys this block made available; map nodes keep their addresses.
+    std::vector<const ExprKey*> added;
+    // (pointer, last value loaded from or stored to it) in this block.
+    std::vector<std::pair<const Value*, Value*>> block_loads;
+    auto find_load = [&](const Value* pointer) {
+      return std::find_if(block_loads.begin(), block_loads.end(),
+                          [&](const auto& entry) { return entry.first == pointer; });
+    };
 
     std::vector<Instruction*> insts;
     for (auto& inst : *block) {
@@ -102,29 +120,37 @@ class ScopedCse {
     for (Instruction* inst : insts) {
       // Redundant load elimination, block-local.
       if (auto* load = DynCast<LoadInst>(inst)) {
-        auto it = block_loads.find(load->pointer());
+        auto it = find_load(load->pointer());
         if (it != block_loads.end() && it->second->type() == load->type()) {
           load->ReplaceAllUsesWith(it->second);
           load->EraseFromParent();
           ++eliminated_;
           continue;
         }
-        block_loads[load->pointer()] = load;
+        if (it != block_loads.end()) {
+          it->second = load;
+        } else {
+          block_loads.emplace_back(load->pointer(), load);
+        }
         continue;
       }
       if (auto* store = DynCast<StoreInst>(inst)) {
         // Forward the stored value to later loads of the same pointer and
         // invalidate anything the store may alias.
         uint64_t size = store->value()->type()->SizeInBytes();
-        for (auto it = block_loads.begin(); it != block_loads.end();) {
-          if (Alias(const_cast<Value*>(it->first), it->second->type()->SizeInBytes(),
-                    store->pointer(), size) != AliasResult::kNoAlias) {
-            it = block_loads.erase(it);
-          } else {
-            ++it;
-          }
+        block_loads.erase(
+            std::remove_if(block_loads.begin(), block_loads.end(),
+                           [&](const auto& entry) {
+                             return Alias(const_cast<Value*>(entry.first),
+                                          entry.second->type()->SizeInBytes(), store->pointer(),
+                                          size) != AliasResult::kNoAlias;
+                           }),
+            block_loads.end());
+        if (auto it = find_load(store->pointer()); it != block_loads.end()) {
+          it->second = store->value();
+        } else {
+          block_loads.emplace_back(store->pointer(), store->value());
         }
-        block_loads[store->pointer()] = store->value();
         continue;
       }
       if (Isa<CallInst>(inst)) {
@@ -135,28 +161,27 @@ class ScopedCse {
       if (!key.has_value()) {
         continue;
       }
-      auto it = available_.find(*key);
-      if (it != available_.end()) {
+      auto [it, inserted] = available_.try_emplace(std::move(*key), inst);
+      if (!inserted) {
         inst->ReplaceAllUsesWith(it->second);
         inst->EraseFromParent();
         ++eliminated_;
         continue;
       }
-      available_[*key] = inst;
-      added.push_back({*key, inst});
+      added.push_back(&it->first);
     }
 
     for (BasicBlock* child : dom_.Children(block)) {
       Visit(child);
     }
-    for (auto& [key, value] : added) {
-      available_.erase(key);
+    for (const ExprKey* key : added) {
+      available_.erase(available_.find(*key));
     }
   }
 
   Function& fn_;
   DominatorTree dom_;
-  std::map<ExprKey, Value*> available_;
+  std::unordered_map<ExprKey, Value*, ExprKeyHash> available_;  // lookup only
   uint64_t eliminated_ = 0;
 };
 

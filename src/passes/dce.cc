@@ -1,6 +1,5 @@
 #include "src/passes/dce.h"
 
-#include <set>
 #include <vector>
 
 
@@ -17,14 +16,21 @@ bool IsTriviallyLive(const Instruction* inst) {
 
 bool DcePass::RunOnFunction(Function& fn) {
   // Mark-and-sweep over the whole function so dead phi cycles collapse too.
-  std::set<const Instruction*> live;
+  // The marks are indexed by each instruction's dense local slot.
+  std::vector<char> live(fn.AssignLocalSlots(), 0);
   std::vector<const Instruction*> worklist;
+  auto mark = [&](const Instruction* inst) {
+    char& flag = live[inst->local_slot()];
+    if (flag == 0) {
+      flag = 1;
+      worklist.push_back(inst);
+    }
+  };
 
   for (BasicBlock& block : fn) {
     for (auto& inst : block) {
       if (IsTriviallyLive(inst.get())) {
-        live.insert(inst.get());
-        worklist.push_back(inst.get());
+        mark(inst.get());
       }
     }
   }
@@ -32,9 +38,8 @@ bool DcePass::RunOnFunction(Function& fn) {
     const Instruction* inst = worklist.back();
     worklist.pop_back();
     for (const Value* op : inst->operands()) {
-      const auto* def = DynCast<Instruction>(op);
-      if (def != nullptr && live.insert(def).second) {
-        worklist.push_back(def);
+      if (const auto* def = DynCast<Instruction>(op)) {
+        mark(def);
       }
     }
   }
@@ -42,7 +47,7 @@ bool DcePass::RunOnFunction(Function& fn) {
   std::vector<Instruction*> dead;
   for (BasicBlock& block : fn) {
     for (auto& inst : block) {
-      if (live.count(inst.get()) == 0) {
+      if (live[inst->local_slot()] == 0) {
         dead.push_back(inst.get());
       }
     }

@@ -1,6 +1,6 @@
 #include "src/passes/global_dce.h"
 
-#include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "src/analysis/call_graph.h"
@@ -21,7 +21,7 @@ bool GlobalDcePass::Run(Module& module) {
   }
 
   CallGraph call_graph(module);
-  std::set<Function*> reachable;
+  std::unordered_set<const Function*> reachable;  // membership only
   std::vector<Function*> worklist = roots;
   while (!worklist.empty()) {
     Function* fn = worklist.back();

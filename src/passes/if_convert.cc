@@ -1,7 +1,7 @@
 #include "src/passes/if_convert.h"
 
 #include <optional>
-#include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "src/ir/cfg.h"
@@ -77,7 +77,7 @@ bool IsSpeculatableBlock(BasicBlock* block, BasicBlock* head, DominatorTree& dom
 // order uses are visited in.
 bool ReachesAddress(Value* value) {
   std::vector<Value*> worklist = {value};
-  std::set<Value*> seen = {value};
+  std::unordered_set<const Value*> seen = {value};  // membership only
   while (!worklist.empty()) {
     Value* current = worklist.back();
     worklist.pop_back();
@@ -273,12 +273,12 @@ Decision ConvertShape(Function& fn, const Shape& shape, DominatorTree& dom,
 bool IfConvertPass::RunOnFunction(Function& fn) {
   bool changed = false;
   bool progress = true;
-  // Heads refused so far: the scan restarts after every conversion, and each
-  // refused branch counts once per run. Heads are never erased here (only
-  // side blocks are), so the set holds no dangling pointers.
-  std::set<BasicBlock*> refused;
+  // Heads refused so far, indexed by block id: the scan restarts after every
+  // conversion, and each refused branch counts once per run.
+  std::vector<char> refused;
   while (progress) {
     progress = false;
+    refused.resize(fn.BlockIdBound(), 0);
     auto preds = PredecessorMap(fn);
     DominatorTree dom(fn);
     for (BasicBlock& block : fn) {
@@ -287,7 +287,8 @@ bool IfConvertPass::RunOnFunction(Function& fn) {
         continue;
       }
       Decision decision = ConvertShape(fn, *shape, dom, options_);
-      if (decision == Decision::kAddressRefused && refused.insert(&block).second) {
+      if (decision == Decision::kAddressRefused && refused[block.id()] == 0) {
+        refused[block.id()] = 1;
         Count(Counter::kIfConvertAddressSelectsRefused);
       }
       if (decision == Decision::kConverted) {

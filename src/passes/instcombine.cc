@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/ir/fold.h"
@@ -26,7 +25,8 @@ bool IsCommutative(Opcode opcode) {
 
 class Combiner {
  public:
-  explicit Combiner(Function& fn) : fn_(fn), ctx_(fn.parent()->context()) {}
+  explicit Combiner(Function& fn)
+      : fn_(fn), ctx_(fn.parent()->context()), in_worklist_(fn.AssignLocalSlots(), 0) {}
 
   bool Run() {
     for (BasicBlock& block : fn_) {
@@ -38,8 +38,8 @@ class Combiner {
     while (!worklist_.empty()) {
       Instruction* inst = worklist_.front();
       worklist_.pop_front();
-      in_worklist_.erase(inst);
-      if (erased_.count(inst) != 0) {
+      in_worklist_[inst->local_slot()] = 0;
+      if (IsErased(inst)) {
         continue;
       }
       changed |= Visit(inst);
@@ -50,8 +50,22 @@ class Combiner {
   uint64_t simplified() const { return simplified_; }
 
  private:
+  // Every instruction the combiner erases stays allocated in dead_ with no
+  // parent, and everything it enqueues was in the function when enqueued.
+  static bool IsErased(const Instruction* inst) { return inst->parent() == nullptr; }
+
   void Enqueue(Instruction* inst) {
-    if (erased_.count(inst) == 0 && in_worklist_.insert(inst).second) {
+    if (IsErased(inst)) {
+      return;
+    }
+    if (inst->local_slot() == Value::kNoLocalSlot) {
+      // Created by the combiner, after the function's slots were assigned.
+      inst->set_local_slot(static_cast<uint32_t>(in_worklist_.size()));
+      in_worklist_.push_back(0);
+    }
+    char& queued = in_worklist_[inst->local_slot()];
+    if (queued == 0) {
+      queued = 1;
       worklist_.push_back(inst);
     }
   }
@@ -75,12 +89,10 @@ class Combiner {
   }
 
   // Detaches a dead instruction, dropping its operand uses now (as erasing
-  // would) but keeping it allocated until the combiner is done: a freed
-  // address could be reused by an instruction created later, which would
-  // then read as erased and never be visited.
+  // would) but keeping it allocated until the combiner is done: the worklist
+  // may still hold it, and IsErased reads its parent.
   void Erase(Instruction* inst) {
     OVERIFY_ASSERT(!inst->HasUses(), "erasing an instruction that still has uses");
-    erased_.insert(inst);
     dead_.push_back(inst->RemoveFromParent());
     dead_.back()->DropAllOperands();
   }
@@ -412,9 +424,8 @@ class Combiner {
   Function& fn_;
   IRContext& ctx_;
   std::deque<Instruction*> worklist_;
-  std::set<Instruction*> in_worklist_;
-  std::set<Instruction*> erased_;
-  std::vector<std::unique_ptr<Instruction>> dead_;  // erased_, kept allocated
+  std::vector<char> in_worklist_;  // indexed by local slot
+  std::vector<std::unique_ptr<Instruction>> dead_;  // erased, kept allocated
   uint64_t simplified_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "src/passes/licm.h"
 
+#include <optional>
+#include <unordered_set>
 #include <vector>
 
 #include "src/analysis/alias_analysis.h"
@@ -12,7 +14,7 @@ namespace {
 
 // All operands available outside the loop?
 bool OperandsInvariant(const Instruction* inst, const Loop* loop,
-                       const std::set<const Instruction*>& hoisted) {
+                       const std::unordered_set<const Instruction*>& hoisted) {
   for (const Value* op : inst->operands()) {
     const auto* def = DynCast<Instruction>(op);
     if (def == nullptr) {
@@ -55,7 +57,7 @@ size_t RunOnLoop(Loop* loop, DominatorTree& dom) {
   BasicBlock* preheader = EnsurePreheader(loop);
   BasicBlock* latch = loop->Latch();
   Instruction* anchor = preheader->Terminator();
-  std::set<const Instruction*> hoisted;
+  std::unordered_set<const Instruction*> hoisted;  // membership only
 
   // Iterate to a fixpoint: hoisting one instruction can make its users
   // hoistable.
@@ -96,15 +98,22 @@ size_t RunOnLoop(Loop* loop, DominatorTree& dom) {
 
 bool LicmPass::RunOnFunction(Function& fn) {
   bool changed = false;
-  // EnsurePreheader mutates the CFG, which invalidates LoopInfo; process one
-  // loop per analysis round.
-  std::set<BasicBlock*> processed_headers;
+  // One loop per round. A preheader EnsurePreheader adds changes the CFG and
+  // invalidates the analyses; hoisting alone changes no block, so they carry
+  // over to the next round.
+  std::optional<DominatorTree> dom;
+  std::optional<LoopInfo> loops;
+  // Indexed by block id; preheaders created along the way grow the table.
+  std::vector<char> processed_headers;
   while (true) {
-    DominatorTree dom(fn);
-    LoopInfo loops(fn, dom);
+    if (!loops.has_value()) {
+      dom.emplace(fn);
+      loops.emplace(fn, *dom);
+      processed_headers.resize(fn.BlockIdBound(), 0);
+    }
     Loop* next = nullptr;
-    for (Loop* loop : loops.LoopsInnermostFirst()) {
-      if (processed_headers.count(loop->header()) == 0) {
+    for (Loop* loop : loops->LoopsInnermostFirst()) {
+      if (processed_headers[loop->header()->id()] == 0) {
         next = loop;
         break;
       }
@@ -112,8 +121,13 @@ bool LicmPass::RunOnFunction(Function& fn) {
     if (next == nullptr) {
       break;
     }
-    processed_headers.insert(next->header());
-    const size_t hoisted = RunOnLoop(next, dom);
+    processed_headers[next->header()->id()] = 1;
+    const uint32_t block_bound = fn.BlockIdBound();
+    const size_t hoisted = RunOnLoop(next, *dom);
+    if (fn.BlockIdBound() != block_bound) {
+      loops.reset();
+      dom.reset();
+    }
     Count(Counter::kLicmHoisted, hoisted);
     changed |= hoisted > 0;
   }

@@ -1,6 +1,6 @@
 #include "src/passes/loop_utils.h"
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/ir/cfg.h"
@@ -140,7 +140,7 @@ bool FormLCSSA(Function& fn, Loop* loop) {
         continue;
       }
       // Insert an LCSSA phi in every exit block the def dominates.
-      std::map<BasicBlock*, PhiInst*> exit_phis;
+      std::vector<std::pair<BasicBlock*, PhiInst*>> exit_phis;  // in `exits` order
       for (BasicBlock* exit : exits) {
         if (!dom.Dominates(block, exit)) {
           continue;
@@ -152,7 +152,7 @@ bool FormLCSSA(Function& fn, Loop* loop) {
         }
         PhiInst* raw = phi.get();
         exit->InsertBefore(exit->begin(), std::move(phi));
-        exit_phis[exit] = raw;
+        exit_phis.emplace_back(exit, raw);
       }
       if (exit_phis.empty()) {
         return false;

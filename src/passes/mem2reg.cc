@@ -1,7 +1,7 @@
 #include "src/passes/mem2reg.h"
 
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/ir/cfg.h"
@@ -49,33 +49,39 @@ class Promoter {
   // store blocks (pruned: only where the variable is live-in, approximated
   // by "has any load").
   void PlacePhis() {
-    for (AllocaInst* alloca : allocas_) {
-      std::set<BasicBlock*> store_blocks;
+    // Per-block stamps, indexed by block id: the index of the last alloca
+    // that queued the block as a store block, and that placed a phi in it.
+    std::vector<size_t> queued(fn_.BlockIdBound(), allocas_.size());
+    std::vector<size_t> has_phi(fn_.BlockIdBound(), allocas_.size());
+    for (size_t i = 0; i < allocas_.size(); ++i) {
+      AllocaInst* alloca = allocas_[i];
+      std::vector<BasicBlock*> worklist;
       bool has_load = false;
       for (const Use& use : alloca->uses()) {
-        if (use.user->opcode() == Opcode::kStore) {
-          store_blocks.insert(use.user->parent());
-        } else {
+        if (use.user->opcode() != Opcode::kStore) {
           has_load = true;
+        } else if (queued[use.user->parent()->id()] != i) {
+          queued[use.user->parent()->id()] = i;
+          worklist.push_back(use.user->parent());
         }
       }
       if (!has_load) {
         continue;  // stores only: phis unnecessary, loads never happen
       }
-      std::vector<BasicBlock*> worklist(store_blocks.begin(), store_blocks.end());
-      std::set<BasicBlock*> has_phi;
       while (!worklist.empty()) {
         BasicBlock* block = worklist.back();
         worklist.pop_back();
         for (BasicBlock* frontier : dom_.DominanceFrontier(block)) {
-          if (!has_phi.insert(frontier).second) {
+          if (has_phi[frontier->id()] == i) {
             continue;
           }
+          has_phi[frontier->id()] = i;
           auto phi = std::make_unique<PhiInst>(alloca->allocated_type());
           phi->set_name(alloca->HasName() ? alloca->name() + ".phi" : "m2r.phi");
           PhiInst* raw = phi.get();
           frontier->InsertBefore(frontier->begin(), std::move(phi));
-          phi_alloca_[raw] = index_of_[alloca];
+          phi_alloca_[raw] = i;
+          placed_.push_back(raw);
           worklist.push_back(frontier);
         }
       }
@@ -92,15 +98,16 @@ class Promoter {
     };
     std::vector<WorkItem> worklist;
     worklist.push_back(WorkItem{fn_.entry(), std::move(initial)});
-    std::set<BasicBlock*> visited;
+    std::vector<char> visited(fn_.BlockIdBound(), 0);
 
     while (!worklist.empty()) {
       WorkItem item = std::move(worklist.back());
       worklist.pop_back();
       BasicBlock* block = item.block;
-      if (!visited.insert(block).second) {
+      if (visited[block->id()] != 0) {
         continue;
       }
+      visited[block->id()] = 1;
       std::vector<Value*>& values = item.values;
 
       std::vector<Instruction*> to_erase;
@@ -175,16 +182,12 @@ class Promoter {
     // Remove placed phis that ended up dead. Liveness must be computed as a
     // closure because loop-carried phis can form use cycles among
     // themselves (phi A feeding phi B feeding phi A) with no real consumer.
-    std::set<PhiInst*> placed;
-    for (const auto& [phi, index] : phi_alloca_) {
-      placed.insert(const_cast<PhiInst*>(phi));
-    }
-    std::set<PhiInst*> live;
+    std::unordered_set<const PhiInst*> live;  // membership only
     std::vector<PhiInst*> worklist;
-    for (PhiInst* phi : placed) {
+    for (PhiInst* phi : placed_) {
       for (const Use& use : phi->uses()) {
         auto* user_phi = DynCast<PhiInst>(use.user);
-        if (user_phi == nullptr || placed.count(user_phi) == 0) {
+        if (user_phi == nullptr || phi_alloca_.count(user_phi) == 0) {
           if (live.insert(phi).second) {
             worklist.push_back(phi);
           }
@@ -197,13 +200,13 @@ class Promoter {
       worklist.pop_back();
       for (Value* op : phi->operands()) {
         auto* op_phi = DynCast<PhiInst>(op);
-        if (op_phi != nullptr && placed.count(op_phi) != 0 && live.insert(op_phi).second) {
+        if (op_phi != nullptr && phi_alloca_.count(op_phi) != 0 && live.insert(op_phi).second) {
           worklist.push_back(op_phi);
         }
       }
     }
     std::vector<PhiInst*> dead;
-    for (PhiInst* phi : placed) {
+    for (PhiInst* phi : placed_) {
       if (live.count(phi) == 0) {
         dead.push_back(phi);
       }
@@ -222,8 +225,10 @@ class Promoter {
   const std::vector<AllocaInst*>& allocas_;
   DominatorTree& dom_;
   IRContext& ctx_;
-  std::map<const AllocaInst*, size_t> index_of_;
-  std::map<const PhiInst*, size_t> phi_alloca_;
+  // Lookup only: never iterated, so their address order cannot leak.
+  std::unordered_map<const AllocaInst*, size_t> index_of_;
+  std::unordered_map<const PhiInst*, size_t> phi_alloca_;
+  std::vector<PhiInst*> placed_;  // phi_alloca_'s keys, in placement order
 };
 
 }  // namespace

@@ -137,6 +137,9 @@ void BuildPipeline(PassManager& pm, const PipelineOptions& options,
 
   if (o.inline_functions) {
     pm.Add(std::make_unique<InlinerPass>(o.inliner));
+    // A callee inlined at every call site is dead; drop it before any later
+    // pass pays for it.
+    pm.Add(std::make_unique<GlobalDcePass>());
     // Inlining exposes allocas (from inlined bodies) and constants.
     if (o.sroa) {
       pm.Add(std::make_unique<SroaPass>());

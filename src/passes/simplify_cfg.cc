@@ -1,6 +1,7 @@
 #include "src/passes/simplify_cfg.h"
 
-#include <set>
+#include <algorithm>
+#include <vector>
 
 #include "src/ir/cfg.h"
 
@@ -55,41 +56,47 @@ bool SimplifyTrivialPhis(BasicBlock* block) {
   return changed;
 }
 
-// Merges `succ` into `pred` when pred's only successor is succ and succ's
-// only predecessor is pred.
-bool MergeChain(Function& fn) {
-  auto preds = PredecessorMap(fn);
+// Merges `succ` into `pred` wherever pred's only successor is succ and
+// succ's only predecessor is pred, following each chain to its end. Returns
+// the number of blocks merged away. One predecessor map serves the whole
+// sweep: a merge hands succ's out-edges to pred, so the lists go stale, but
+// no surviving block's predecessor count changes, and the counts are all the
+// sweep reads. The layout walk survives the merges because it never erases
+// the block it stands on.
+size_t MergeChains(Function& fn, const PredecessorMap& preds) {
+  size_t merged = 0;
   for (BasicBlock& block : fn) {
-    auto* br = DynCast<BranchInst>(block.Terminator());
-    if (br == nullptr || br->IsConditional()) {
-      continue;
+    while (true) {
+      auto* br = DynCast<BranchInst>(block.Terminator());
+      if (br == nullptr || br->IsConditional()) {
+        break;
+      }
+      BasicBlock* succ = br->SingleDest();
+      if (succ == &block || preds[succ].size() != 1) {
+        break;
+      }
+      // Phis in succ have a single incoming; resolve them first.
+      SimplifyTrivialPhis(succ);
+      // Move instructions.
+      br->EraseFromParent();
+      while (!succ->empty()) {
+        block.Append(succ->Remove(succ->front()));
+      }
+      // succ's successors now see `block` as predecessor.
+      for (BasicBlock* after : block.Successors()) {
+        RedirectPhiIncoming(after, succ, &block);
+      }
+      fn.EraseBlock(succ);
+      ++merged;
     }
-    BasicBlock* succ = br->SingleDest();
-    if (succ == &block || preds[succ].size() != 1) {
-      continue;
-    }
-    // Phis in succ have a single incoming; resolve them first.
-    SimplifyTrivialPhis(succ);
-    // Move instructions.
-    br->EraseFromParent();
-    while (!succ->empty()) {
-      std::unique_ptr<Instruction> inst = succ->Remove(succ->front());
-      block.Append(std::move(inst));
-    }
-    // succ's successors now see `block` as predecessor.
-    for (BasicBlock* after : block.Successors()) {
-      RedirectPhiIncoming(after, succ, &block);
-    }
-    fn.EraseBlock(succ);
-    return true;  // predecessor map invalidated; caller loops
   }
-  return false;
+  return merged;
 }
 
 // Redirects predecessors of empty forwarding blocks (single unconditional
-// branch, no phis) directly to their target when phi-safe.
-bool ForwardEmptyBlocks(Function& fn) {
-  auto preds = PredecessorMap(fn);
+// branch, no phis) directly to their target when phi-safe. `preds` must be
+// current; one forward makes it stale, so at most one block is forwarded.
+bool ForwardEmptyBlocks(Function& fn, const PredecessorMap& preds) {
   for (BasicBlock& block : fn) {
     if (&block == fn.entry() || block.size() != 1) {
       continue;
@@ -110,15 +117,11 @@ bool ForwardEmptyBlocks(Function& fn) {
     // phis would need two different values for P; require either no phis in
     // target or P not already a predecessor of target.
     std::vector<PhiInst*> target_phis = target->Phis();
-    bool safe = true;
-    std::set<BasicBlock*> target_preds(preds[target].begin(), preds[target].end());
-    for (BasicBlock* p : block_preds) {
-      if (!target_phis.empty() && target_preds.count(p) != 0) {
-        safe = false;
-        break;
-      }
-    }
-    if (!safe) {
+    const BlockSpan target_preds = preds[target];
+    if (!target_phis.empty() &&
+        std::any_of(block_preds.begin(), block_preds.end(), [&](BasicBlock* p) {
+          return std::find(target_preds.begin(), target_preds.end(), p) != target_preds.end();
+        })) {
       continue;
     }
     // Rewrite each predecessor's branch and fix target's phis: the value that
@@ -155,21 +158,28 @@ bool SimplifyCfgPass::RunOnFunction(Function& fn) {
   while (local_change) {
     local_change = false;
     local_change |= RemoveUnreachableBlocks(fn) > 0;
+    bool folded = false;
     for (BasicBlock& block : fn) {
       if (FoldBranch(&block)) {
         Count(Counter::kSimplifyCfgBranchesFolded);
-        local_change = true;
+        folded = true;
       }
     }
-    local_change |= RemoveUnreachableBlocks(fn) > 0;
+    if (folded) {
+      // Only a folded branch can strand a block after the sweep above.
+      local_change = true;
+      RemoveUnreachableBlocks(fn);
+    }
     for (BasicBlock& block : fn) {
       local_change |= SimplifyTrivialPhis(&block);
     }
-    if (MergeChain(fn)) {
-      Count(Counter::kSimplifyCfgBlocksMerged);
+    PredecessorMap preds(fn);
+    if (const size_t merged = MergeChains(fn, preds); merged > 0) {
+      Count(Counter::kSimplifyCfgBlocksMerged, merged);
       local_change = true;
+      preds = PredecessorMap(fn);
     }
-    if (ForwardEmptyBlocks(fn)) {
+    if (ForwardEmptyBlocks(fn, preds)) {
       Count(Counter::kSimplifyCfgBlocksForwarded);
       local_change = true;
     }

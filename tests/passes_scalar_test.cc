@@ -2,6 +2,10 @@
 // cse, sroa, runtime checks.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/analysis/path_count.h"
 #include "src/ir/parser.h"
 #include "src/ir/printer.h"
@@ -320,6 +324,34 @@ TEST(SimplifyCfgTest, MergesChains) {
   EXPECT_TRUE(SimplifyCfgPass().RunOnFunction(*f));
   ExpectValid(*m);
   EXPECT_EQ(f->NumBlocks(), 1u);
+}
+
+TEST(SimplifyCfgTest, MergesALongChainInOnePassRun) {
+  // A 64-block straight chain, laid out back to front: one run of the pass
+  // merges all of it into the entry block.
+  constexpr int kBlocks = 64;
+  std::string blocks;
+  for (int i = 1; i < kBlocks; ++i) {
+    std::string block = "b" + std::to_string(i) + ":\n  %v" + std::to_string(i) + " = add %v" +
+                        std::to_string(i - 1) + ", i32 1\n";
+    block += i + 1 < kBlocks ? "  br label %b" + std::to_string(i + 1) + "\n"
+                             : "  ret %v" + std::to_string(i) + "\n";
+    blocks += block;
+  }
+  auto m = ParseModuleOrDie("func @f(%x: i32) -> i32 {\nentry:\n  %v0 = add %x, i32 1\n"
+                            "  br label %b1\n" + blocks + "}\n");
+  Function* f = m->GetFunction("f");
+  std::vector<BasicBlock*> layout = f->BlockList();
+  for (size_t i = layout.size() - 1; i > 0; --i) {
+    f->MoveBlockToEnd(layout[i]);
+  }
+  PassManager pm;
+  pm.Add(std::make_unique<SimplifyCfgPass>());
+  EXPECT_TRUE(pm.Run(*m));
+  ExpectValid(*m);
+  EXPECT_EQ(f->NumBlocks(), 1u);
+  EXPECT_EQ(f->InstructionCount(), static_cast<size_t>(kBlocks) + 1);
+  EXPECT_EQ(pm.metrics().Get(Counter::kSimplifyCfgBlocksMerged), 63u);
 }
 
 TEST(SimplifyCfgTest, ForwardsEmptyBlocksWithPhiFixup) {

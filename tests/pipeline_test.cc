@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
+#include "src/analysis/call_graph.h"
 #include "src/cache/persist.h"
 #include "src/driver/compiler.h"
 #include "src/frontend/codegen.h"
@@ -117,6 +119,38 @@ TEST(PipelineTest, LevelOptionsEncodeThePapersFourDifferences) {
   EXPECT_FALSE(o3.use_verify_libc);
 }
 
+TEST(PipelineTest, InliningLeavesNoUncalledFunctionBehind) {
+  // Every level that inlines drops the functions the inliner emptied of
+  // callers before any later pass runs, so what is left is what umain
+  // reaches.
+  for (OptLevel level : {OptLevel::kO2, OptLevel::kO3, OptLevel::kOverify}) {
+    for (const Workload& workload : CoreutilsSuite()) {
+      CompileResult compiled = Compiler().Compile(workload.source, level, workload.name);
+      ASSERT_TRUE(compiled.ok) << workload.name << ": " << compiled.errors;
+      CallGraph call_graph(*compiled.module);
+      for (const auto& fn : compiled.module->functions()) {
+        if (!fn->IsDeclaration() && fn->name() != "umain") {
+          EXPECT_FALSE(call_graph.Callers(fn.get()).empty())
+              << fn->name() << " in " << workload.name << " at " << OptLevelName(level);
+        }
+      }
+    }
+  }
+}
+
+TEST(PipelineTest, ListingOneWcCompilesToOneFunctionAtOverify) {
+  // wc and the libc it calls are all inlined into umain, and then dropped.
+  CompileResult compiled = Compiler().Compile(bench::WcListing1(), OptLevel::kOverify);
+  ASSERT_TRUE(compiled.ok) << compiled.errors;
+  std::vector<std::string> defined;
+  for (const auto& fn : compiled.module->functions()) {
+    if (!fn->IsDeclaration()) {
+      defined.push_back(fn->name());
+    }
+  }
+  EXPECT_EQ(defined, std::vector<std::string>{"umain"});
+}
+
 TEST(PassManagerTest, InterPassVerificationFollowsTheBuildDefault) {
   // Debug builds and -DOVERIFY_VERIFY_IR=ON verify the IR between pipeline
   // passes; plain release builds skip it (src/passes/pass.h).
@@ -206,7 +240,7 @@ TEST(PassManagerTest, PassOutcomesDoNotDependOnHeapHistory) {
   // blocks held live, which reshuffles which freed addresses come back.
   // Both compiles must count the same work, report the same per-pass changed
   // flags and produce the same module.
-  for (OptLevel level : {OptLevel::kO3, OptLevel::kOverify}) {
+  for (OptLevel level : {OptLevel::kO1, OptLevel::kO2, OptLevel::kO3, OptLevel::kOverify}) {
     for (const Workload& workload : CoreutilsSuite()) {
       const PassOutcome first = CompileOutcome(workload, level);
       std::vector<std::unique_ptr<char[]>> held;
