@@ -54,7 +54,6 @@ int main() {
          o.inliner.always_inline_libc = false;
        }},
       {"without verify libc", [](PipelineOptions& o) { o.use_verify_libc = false; }},
-      {"without annotations", [](PipelineOptions& o) { o.annotate = false; }},
       {"without runtime checks", [](PipelineOptions& o) { o.runtime_checks = false; }},
   };
 

@@ -114,21 +114,6 @@ int main() {
        },
        "+/-", "+/-"},
 
-      {"Program annotations (ranges, trip counts)",
-       R"(
-         int umain(unsigned char *in, int n) {
-           int x = in[0] & 31;
-           int sum = 0;
-           /* putchar blocks speculation, so these branches survive to the
-              engine; their conditions are decidable only via ranges. */
-           if (x < 40) { putchar('a'); sum++; }
-           if (x + (in[1] & 15) < 300) { putchar('b'); sum++; }
-           if (in[1] > 5) { putchar('c'); sum++; }
-           return sum;
-         }
-       )",
-       2, [](PipelineOptions& o) { o.annotate = false; }, "+", "-"},
-
       {"Generate runtime checks",
        R"(
          int umain(unsigned char *in, int n) {
@@ -175,7 +160,11 @@ int main() {
                             static_cast<unsigned long long>(exec_off)),
                   row.paper_verify, row.paper_exec});
   }
-  // The machine-specific row cannot be modeled without a hardware backend.
+  // The compiler emits no annotations (docs/compiler.md, "Why -OVERIFY emits
+  // no annotations"); the machine-specific row cannot be modeled without a
+  // hardware backend.
+  table.AddRow({"Program annotations (ranges, trip counts)",
+                "n/a (not built here; docs/compiler.md)", "n/a", "+", "-"});
   table.AddRow({"Improve cache behavior / regalloc / scheduling", "n/a (no machine backend)",
                 "n/a", "-", "+"});
   std::printf("%s\n", table.ToString().c_str());

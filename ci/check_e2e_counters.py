@@ -10,7 +10,7 @@ suite-o3, explore-o0) through `e2ebench/run.py --seed 1 --seconds 2
 e2ebench/baseline.json. The daemon's counters depend on request order and
 are skipped; a key missing on either side reads as 0. These counters are
 deterministic work (instructions, forks, queries, candidates, conflicts,
-learned clauses), so any difference means the change altered what the
+learned unit nogoods), so any difference means the change altered what the
 toolkit does, not just how fast it does it. Exits non-zero on a failed run,
 a failed correctness check, or any difference.
 

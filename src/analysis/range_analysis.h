@@ -1,9 +1,9 @@
 // Forward interval analysis for integer SSA values.
 //
-// Used by the annotation pass (the paper's "Program annotations" row in
-// Table 2: variable ranges are priceless for verification tools and cheap
-// for the compiler to emit) and by the check-elimination logic in
-// instcombine (a bounds check whose index range fits the object is dropped).
+// Built once per function, by the runtime-check pass, its only user in the
+// pipeline: a division whose divisor's range excludes zero, a shift whose
+// amount's range fits the width, or an array index whose range fits the
+// array gets no check.
 #pragma once
 
 #include <cstdint>

@@ -108,7 +108,9 @@ uint64_t OptionsFingerprint(const SymexOptions& options) {
   // always-on value so stored run blobs keep resolving.
   hasher.Fold(static_cast<uint8_t>(1));
   hasher.Fold(static_cast<uint8_t>(options.slice_checks ? 1 : 0));
-  hasher.Fold(static_cast<uint8_t>(options.annotations != nullptr ? 1 : 0));
+  // Once whether compiler annotations were handed to the engine; annotations
+  // are no longer emitted, and the constant keeps every key without them.
+  hasher.Fold(static_cast<uint8_t>(0));
   hasher.Fold(static_cast<uint8_t>(options.faults.enabled() ? 1 : 0));
   if (options.faults.enabled()) {
     hasher.Fold(options.faults.seed);

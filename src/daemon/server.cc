@@ -76,14 +76,9 @@ std::vector<uint8_t> DaemonServer::HandleAnalyze(const std::vector<uint8_t>& req
 
   // The run-memo key. The module hash is taken on the *freshly compiled*
   // module — every request compiles fresh, so the pre-run hash is the
-  // stable one. The fingerprint mirrors what the driver hands the pool
-  // (annotations are injected there when the compile produced any).
-  SymexOptions fp_opts = opts;
-  if (compiled.annotations != nullptr && compiled.annotations->size() > 0) {
-    fp_opts.annotations = compiled.annotations.get();
-  }
+  // stable one.
   const uint64_t module_hash = ModuleContentHash(*compiled.module);
-  const uint64_t options_fp = OptionsFingerprint(fp_opts);
+  const uint64_t options_fp = OptionsFingerprint(opts);
 
   AnalyzeReply reply;
   if (req.force_run == 0) {

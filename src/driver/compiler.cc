@@ -124,12 +124,10 @@ CompileResult Compiler::CompileWithOptions(const std::string& program_source,
     return result;
   }
 
-  result.annotations = std::make_unique<ProgramAnnotations>();
-
   // Inter-pass IR verification follows the build-level default
   // (kVerifyIRAfterEachPass: debug builds and -DOVERIFY_VERIFY_IR=ON).
   PassManager pm;
-  BuildPipeline(pm, options, result.annotations.get());
+  BuildPipeline(pm, options);
   pm.Run(*result.module);
 
   result.metrics = pm.metrics();
@@ -153,7 +151,7 @@ SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned 
 }
 
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,
-                    const SymexLimits& limits, const SymexOptions& base_options) {
+                    const SymexLimits& limits, const SymexOptions& options) {
   if (!compiled.ok || compiled.module == nullptr) {
     // Malformed MiniC reaches the driver as a structured error, not an
     // assertion: the compile diagnostics ride along so callers can surface
@@ -164,10 +162,6 @@ SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned 
                         ? "analyzing a failed compilation"
                         : "analyzing a failed compilation: " + compiled.errors;
     return invalid;
-  }
-  SymexOptions options = base_options;
-  if (compiled.annotations != nullptr && compiled.annotations->size() > 0) {
-    options.annotations = compiled.annotations.get();
   }
   if (options.slice_checks) {
     Function* entry_fn = compiled.module->GetFunction(entry);

@@ -1,6 +1,5 @@
 // The compiler driver: MiniC source + a C library flavor + an optimization
-// level -> an optimized module with compile-phase counters, timing, and
-// (under -OVERIFY) the annotation side table.
+// level -> an optimized module with compile-phase counters and timing.
 //
 // This is the toolkit's equivalent of invoking `clang -O<level>`; Figure 3 of
 // the paper shows -OVERIFY as a third build configuration next to the debug
@@ -20,8 +19,7 @@ struct CompileResult {
   bool ok = false;
   std::string errors;
   std::unique_ptr<Module> module;
-  // Annotation side table (populated when the pipeline annotates). Must stay
-  // alive while the module is analyzed.
+  // Always null. e2ebench/ names it; it goes with the benchmark's next change.
   std::unique_ptr<ProgramAnnotations> annotations;
   // The compile-phase counters of this compilation (Table 3's rows): the
   // pipeline's PassManager shard, e.g. Counter::kInlineFunctionsInlined.
@@ -45,17 +43,15 @@ class Compiler {
                                    bool link_libc = true);
 };
 
-// Convenience: symbolic analysis of a compiled module, consuming the
-// annotations when present. `jobs` worker threads explore in parallel
-// (0 = one per hardware thread); results are identical across worker
-// counts on exhausted runs (docs/scheduler.md).
+// Convenience: symbolic analysis of a compiled module. `jobs` worker
+// threads explore in parallel (0 = one per hardware thread); results are
+// identical across worker counts on exhausted runs (docs/scheduler.md).
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,
                     const SymexLimits& limits, unsigned jobs = 1);
 
 // Full-options overload (solver A/B configurations such as
 // solver_preprocess, slicing, persistence, tracing).
-// The compiled module's annotations are still injected when present.
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,
-                    const SymexLimits& limits, const SymexOptions& base_options);
+                    const SymexLimits& limits, const SymexOptions& options);
 
 }  // namespace overify

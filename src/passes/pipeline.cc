@@ -95,17 +95,15 @@ PipelineOptions PipelineOptions::For(OptLevel level) {
       o.if_converter.verifier_cost = true;
       o.if_converter.max_speculated = 256;
       o.if_converter.speculate_loads = true;
-      // (3) metadata and (4) library flavor.
+      // (1) runtime checks and (4) the library flavor.
       o.runtime_checks = true;
-      o.annotate = true;
       o.use_verify_libc = true;
       return o;
   }
   return o;
 }
 
-void BuildPipeline(PassManager& pm, const PipelineOptions& options,
-                   ProgramAnnotations* annotations) {
+void BuildPipeline(PassManager& pm, const PipelineOptions& options, ProgramAnnotations*) {
   const PipelineOptions& o = options;
   auto add_cleanup_round = [&] {
     if (o.instcombine) {
@@ -195,9 +193,6 @@ void BuildPipeline(PassManager& pm, const PipelineOptions& options,
 
   if (o.runtime_checks) {
     pm.Add(std::make_unique<RuntimeCheckPass>(o.checker));
-  }
-  if (o.annotate && annotations != nullptr) {
-    pm.Add(std::make_unique<AnnotatePass>(annotations));
   }
 }
 

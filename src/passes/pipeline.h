@@ -1,16 +1,19 @@
 // Optimization pipelines: the concrete meaning of -O0/-O1/-O2/-O3 and
 // -OVERIFY in this toolkit.
 //
-// Per §3 of the paper, -OVERIFY differs from -O3 in four ways, all visible
-// below: (1) pass selection (adds if-conversion, runtime checks,
-// annotations; drops nothing that helps verification), (2) cost parameters
-// (if-conversion priced by the verifier's cost instead of the CPU's, inline
-// threshold and unroll budget enlarged), (3) preserved metadata (the
-// annotations side table), and (4) the C library flavor (chosen by the
-// driver via `use_verify_libc`).
+// Per §3 of the paper, -OVERIFY differs from -O3 in four ways: (1) pass
+// selection (adds if-conversion and runtime checks; drops nothing that helps
+// verification), (2) cost parameters (if-conversion priced by the verifier's
+// cost instead of the CPU's, inline threshold and unroll budget enlarged),
+// (3) preserved metadata, and (4) the C library flavor (chosen by the driver
+// via `use_verify_libc`). All but (3) are visible below. The paper's
+// metadata is annotations (value ranges, trip counts) for the verifier; they
+// are not emitted here, because they decided no branch of any e2e workload
+// (docs/compiler.md, "Why -OVERIFY emits no annotations").
 #pragma once
 
-#include "src/passes/annotate.h"
+#include <cstddef>
+
 #include "src/passes/if_convert.h"
 #include "src/passes/inliner.h"
 #include "src/passes/loop_unroll.h"
@@ -46,7 +49,6 @@ struct PipelineOptions {
   bool unroll = false;
   bool if_convert = false;
   bool runtime_checks = false;
-  bool annotate = false;
 
   InlinerOptions inliner;
   UnswitchOptions unswitcher;
@@ -61,10 +63,14 @@ struct PipelineOptions {
   static PipelineOptions For(OptLevel level);
 };
 
-// Populates `pm` with the passes for `options`. `annotations` receives the
-// annotation side table when options.annotate is set (it must then outlive
-// the module's use; pass null to skip).
+// Always empty. e2ebench/ names it; it goes with the benchmark's next change.
+struct ProgramAnnotations {
+  size_t size() const { return 0; }
+};
+
+// Populates `pm` with the passes for `options`. The last argument is ignored;
+// e2ebench/ passes it, and it goes with the benchmark's next change.
 void BuildPipeline(PassManager& pm, const PipelineOptions& options,
-                   ProgramAnnotations* annotations);
+                   ProgramAnnotations* = nullptr);
 
 }  // namespace overify

@@ -45,8 +45,7 @@ namespace overify {
 // paths.limit (running when a limit stopped the search), paths.unexplored
 // (still queued then) or paths.unknown (the solver gave up on a decisive
 // query; never explored past, and always the sum of the three
-// paths.unknown_* causes, docs/robustness.md). engine.annotation_hits
-// counts branch decisions settled by annotations; steal.states and
+// paths.unknown_* causes, docs/robustness.md). steal.states and
 // steal.batches count migrated states and steals that yielded work.
 //
 // Retired counters are always 0: nothing counts them any more, and they
@@ -64,7 +63,7 @@ namespace overify {
   X(kPathsUnknownInjected, "paths.unknown_injected", true)    \
   X(kInstructions, "engine.instructions", true)               \
   X(kForks, "engine.forks", true)                             \
-  X(kAnnotationHits, "engine.annotation_hits", true)          \
+  X(kAnnotationHits, "engine.annotation_hits", true) /* retired */ \
   X(kSolverQueries, "solver.queries", false)                  \
   X(kSolverCacheHits, "solver.cache_hits", false)             \
   X(kSolverReuseHits, "solver.reuse_hits", false)             \
@@ -116,7 +115,6 @@ namespace overify {
   X(kSliceFallbacks, "slice.fallbacks", true)                 \
   X(kSliceReplayConfirmed, "slice.replay_confirmed", true)    \
   X(kSliceReplayFailed, "slice.replay_failed", true)                  \
-  X(kAnnotateValuesAnnotated, "annotate.values_annotated", true)     \
   X(kChecksInserted, "checks.inserted", true)                         \
   X(kCseEliminated, "cse.eliminated", true)                           \
   X(kDceRemoved, "dce.removed", true)                                 \

@@ -381,17 +381,9 @@ class EngineCore::Impl {
   // (true branch) and queues the false sibling.
   enum class CondOutcome { kTrue, kFalse, kBoth, kNeither, kUnknown };
 
-  CondOutcome DecideCondition(ExecState& state, const Expr* cond, const Value* ir_cond) {
+  CondOutcome DecideCondition(ExecState& state, const Expr* cond) {
     if (cond->IsConstant()) {
       return cond->IsTrue() ? CondOutcome::kTrue : CondOutcome::kFalse;
-    }
-    // Compiler annotations can settle the branch without the solver.
-    if (options_.annotations != nullptr && ir_cond != nullptr) {
-      auto it = options_.annotations->value_ranges.find(ir_cond);
-      if (it != options_.annotations->value_ranges.end() && it->second.IsSingleValue()) {
-        metrics_.Inc(Counter::kAnnotationHits);
-        return it->second.lo != 0 ? CondOutcome::kTrue : CondOutcome::kFalse;
-      }
     }
     // Path-membership fast path. A forked sibling resumes *at* its branch
     // instruction with the decided direction already appended to its
@@ -450,15 +442,14 @@ class EngineCore::Impl {
   // sibling (negated) state goes to the sink.
   enum class ForkDecision { kOk, kInfeasible, kUnknown };
 
-  ForkDecision ConstrainOrFork(ExecState& state, const Expr* cond, const Value* ir_cond,
-                               bool* took_true) {
+  ForkDecision ConstrainOrFork(ExecState& state, const Expr* cond, bool* took_true) {
     // The fork-decide span is trace-only: most decisions settle on a
-    // constant / annotation / path-membership fast path costing less than a
+    // constant / path-membership fast path costing less than a
     // clock-read pair, so timing them in metrics mode would dominate what it
     // measures. The engine.forks counter stays exact either way.
     const bool traced = trace_ != nullptr;
     const uint64_t t0 = traced ? MetricsNowNs() : 0;
-    CondOutcome outcome = DecideCondition(state, cond, ir_cond);
+    CondOutcome outcome = DecideCondition(state, cond);
     if (traced) {
       const uint64_t t1 = MetricsNowNs();
       metrics_.Record(Hist::kForkDecideNs, t1 - t0);
@@ -929,7 +920,7 @@ class EngineCore::Impl {
         if (tv.kind == RuntimeValue::Kind::kPointer) {
           // Pointer select requires a decided condition (fork if needed).
           bool took_true;
-          ForkDecision decision = ConstrainOrFork(state, cond, inst->Operand(0), &took_true);
+          ForkDecision decision = ConstrainOrFork(state, cond, &took_true);
           if (decision != ForkDecision::kOk) {
             return ForkDeadOutcome(decision);
           }
@@ -1021,7 +1012,7 @@ class EngineCore::Impl {
         }
         const Expr* cond = ResolveInt(state, br->condition());
         bool took_true;
-        ForkDecision decision = ConstrainOrFork(state, cond, br->condition(), &took_true);
+        ForkDecision decision = ConstrainOrFork(state, cond, &took_true);
         if (decision != ForkDecision::kOk) {
           return ForkDeadOutcome(decision);
         }

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/ir/module.h"
-#include "src/passes/annotate.h"
 #include "src/support/fault.h"
 #include "src/support/metrics.h"
 #include "src/symex/solver.h"
@@ -89,7 +88,7 @@ struct SymexResult {
   unsigned workers = 1;  // worker threads that ran the search
   std::vector<BugReport> bugs;
   // The merged metrics registry for the run and the only store of its
-  // counts: paths by cause, instructions, forks, annotation hits, solver,
+  // counts: paths by cause, instructions, forks, solver,
   // steal and fault counters, plus the latency histograms. Read a count as
   // metrics.Get(Counter::kPathsCompleted) (src/support/metrics.h,
   // docs/observability.md).
@@ -112,9 +111,6 @@ struct SymexResult {
 };
 
 struct SymexOptions {
-  // Compiler-produced annotations; branch conditions they decide skip the
-  // solver entirely (§3 "Program annotations").
-  const ProgramAnnotations* annotations = nullptr;
   // Worker threads exploring in parallel; 0 = one per hardware thread.
   unsigned jobs = 1;
   // Constraint preprocessing + prefix-aware counterexample caching ahead of

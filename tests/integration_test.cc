@@ -258,9 +258,10 @@ TEST(BugReproTest, ReportedInputsActuallyTriggerTheBug) {
   }
 }
 
-TEST(AnnotationTest, AnnotationsDecideBranchesWithoutSolver) {
+TEST(RangeProvableBranchTest, OnlyTheFeasibleArmIsExplored) {
   // (x & 7) < 10 is always true but survives instcombine (no range logic
-  // there); the annotation pass proves it and the engine skips the solver.
+  // there), so the branch reaches the engine; the solver refutes the false
+  // arm, and the run exhausts with one path and no fork.
   const char* source = R"(
     int umain(unsigned char *in, int n) {
       int x = in[0];
@@ -269,13 +270,14 @@ TEST(AnnotationTest, AnnotationsDecideBranchesWithoutSolver) {
       return 0;
     }
   )";
-  auto compiled = CompileLevel(source, OptLevel::kOverify);
-  ASSERT_NE(compiled.annotations, nullptr);
-  auto result = AnalyzeLevel(compiled, 1);
-  EXPECT_TRUE(result.exhausted);
-  // Either the branch was folded outright (paths == 1) or annotations
-  // short-circuited it; in no case may both arms survive.
-  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 1u);
+  for (OptLevel level : {OptLevel::kO3, OptLevel::kOverify}) {
+    SCOPED_TRACE(OptLevelName(level));
+    auto compiled = CompileLevel(source, level);
+    auto result = AnalyzeLevel(compiled, 1);
+    EXPECT_TRUE(result.exhausted);
+    EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 1u);
+    EXPECT_EQ(result.metrics.Get(Counter::kForks), 0u);
+  }
 }
 
 TEST(PipelineStatsTest, OverifyPerformsMoreTransformationsThanO3) {

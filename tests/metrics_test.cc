@@ -151,9 +151,9 @@ TEST(MetricsShardTest, CounterAndHistNamesAreUniqueAndNonEmpty) {
 }
 
 TEST(MetricsShardTest, DeterministicFlagsMatchContract) {
-  // The determinism contract (docs/scheduler.md): path counts, instruction
-  // and fork totals, and annotation hits merge identically across worker
-  // counts on exhausted runs; solver/steal/fault counters are
+  // The determinism contract (docs/scheduler.md): path counts and
+  // instruction and fork totals merge identically across worker counts on
+  // exhausted runs; solver/steal/fault counters are
   // schedule-dependent.
   EXPECT_TRUE(CounterIsDeterministic(Counter::kPathsCompleted));
   EXPECT_TRUE(CounterIsDeterministic(Counter::kInstructions));

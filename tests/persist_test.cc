@@ -545,13 +545,8 @@ void ExpectOldStoreRejectedAndRunStaysCold(uint32_t version) {
   ASSERT_TRUE(cold.exhausted) << cold.ToString();
   ASSERT_EQ(harvest.runs(), 1u);
   ASSERT_GT(harvest.TotalEntries(), 0u);
-  // The run's key, as Analyze forms it: the compile's annotations join the
-  // options fingerprint.
-  SymexOptions keyed = options;
-  if (compiled.annotations != nullptr && compiled.annotations->size() > 0) {
-    keyed.annotations = compiled.annotations.get();
-  }
-  RunBlob* blob = harvest.FindRun(ModuleContentHash(*compiled.module), OptionsFingerprint(keyed));
+  RunBlob* blob =
+      harvest.FindRun(ModuleContentHash(*compiled.module), OptionsFingerprint(options));
   ASSERT_NE(blob, nullptr);
 
   CacheStore old;

@@ -24,8 +24,7 @@ namespace {
 
 std::vector<std::string> PassNames(const PipelineOptions& options) {
   PassManager pm(/*verify_after_each=*/false);
-  ProgramAnnotations annotations;
-  BuildPipeline(pm, options, &annotations);
+  BuildPipeline(pm, options);
   // Run on an empty module to collect timings (and thus names).
   Module m("empty");
   pm.Run(m);
@@ -77,13 +76,11 @@ TEST(PipelineTest, O3AddsRestructuring) {
   EXPECT_TRUE(Contains(names, "ifconvert"));
   EXPECT_TRUE(Contains(names, "jumpthread"));
   EXPECT_FALSE(Contains(names, "checks"));
-  EXPECT_FALSE(Contains(names, "annotate"));
 }
 
 TEST(PipelineTest, OverifyAddsVerificationExtras) {
   auto names = PassNames(PipelineOptions::For(OptLevel::kOverify));
   EXPECT_TRUE(Contains(names, "checks"));
-  EXPECT_TRUE(Contains(names, "annotate"));
   EXPECT_TRUE(Contains(names, "ifconvert"));
   // If-conversion must precede jump threading (see pipeline.cc).
   size_t ifconvert_pos = 0;
@@ -111,9 +108,8 @@ TEST(PipelineTest, LevelOptionsEncodeThePapersFourDifferences) {
   EXPECT_LT(o3.if_converter.branch_cost, 10);
   EXPECT_GT(ov.inliner.callee_size_threshold, o3.inliner.callee_size_threshold);
   EXPECT_GT(ov.unroller.max_trip_count, o3.unroller.max_trip_count);
-  // (3) metadata
-  EXPECT_TRUE(ov.annotate);
-  EXPECT_FALSE(o3.annotate);
+  // (3) metadata: not emitted (docs/compiler.md, "Why -OVERIFY emits no
+  // annotations")
   // (4) library flavor
   EXPECT_TRUE(ov.use_verify_libc);
   EXPECT_FALSE(o3.use_verify_libc);
@@ -169,8 +165,7 @@ TEST(PassManagerTest, ReportsTimingsAndChangeFlags) {
     }
   )");
   PassManager pm;
-  ProgramAnnotations annotations;
-  BuildPipeline(pm, PipelineOptions::For(OptLevel::kO1), &annotations);
+  BuildPipeline(pm, PipelineOptions::For(OptLevel::kO1));
   EXPECT_TRUE(pm.Run(*m));
   bool any_changed = false;
   for (const auto& timing : pm.timings()) {
@@ -202,9 +197,8 @@ PassOutcome CompileOutcome(const Workload& workload, OptLevel level) {
   if (module == nullptr) {
     return outcome;
   }
-  ProgramAnnotations annotations;
   PassManager pm;
-  BuildPipeline(pm, options, &annotations);
+  BuildPipeline(pm, options);
   pm.Run(*module);
   outcome.counters.assign(pm.metrics().counters, pm.metrics().counters + kNumCounters);
   for (const PassManager::Timing& timing : pm.timings()) {
