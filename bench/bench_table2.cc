@@ -66,7 +66,7 @@ int main() {
        )",
        3, [](PipelineOptions& o) { o.instcombine = false; o.cse = false; }, "+", "+"},
 
-      {"Remove/split memory accesses (mem2reg + SROA)",
+      {"Remove/split memory accesses (mem2reg)",
        R"(
          int umain(unsigned char *in, int n) {
            int parts[4];
@@ -76,7 +76,7 @@ int main() {
            return sum + parts[2] * parts[3];
          }
        )",
-       3, [](PipelineOptions& o) { o.mem2reg = false; o.sroa = false; }, "+", "+"},
+       3, [](PipelineOptions& o) { o.mem2reg = false; }, "+", "+"},
 
       {"Simplify control flow (unswitch + jump threading + if-convert)",
        R"(

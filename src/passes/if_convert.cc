@@ -217,8 +217,7 @@ Decision ConvertShape(Function& fn, const Shape& shape, DominatorTree& dom,
   } else {
     // CPU cost model: speculation executes both sides plus one select per
     // phi, instead of one branch.
-    int speculation_cost = static_cast<int>(true_cost + false_cost + phis.size()) *
-                           options.instruction_cost;
+    int speculation_cost = static_cast<int>(true_cost + false_cost + phis.size());
     if (speculation_cost > options.branch_cost) {
       return Decision::kDeclined;
     }

@@ -22,14 +22,13 @@ namespace overify {
 
 struct IfConvertOptions {
   // Price conversions by the verifier's cost instead of the CPU's: ignore
-  // branch_cost/instruction_cost and convert every safe branch unless a
-  // select it would create reaches a memory address (GEP operand, load or
-  // store pointer). -OVERIFY only.
+  // branch_cost and convert every safe branch unless a select it would
+  // create reaches a memory address (GEP operand, load or store pointer).
+  // -OVERIFY only.
   bool verifier_cost = false;
-  // CPU cost model: cost of a conditional branch (~4)...
+  // CPU cost model: cost of a conditional branch (~4), against a cost of 1
+  // per speculated instruction and created select.
   int branch_cost = 4;
-  // ...against this cost per speculated instruction and created select.
-  int instruction_cost = 1;
   // Never speculate more than this many instructions per side.
   size_t max_speculated = 64;
   // Allow speculating loads (safe under the dominating-access discipline the

@@ -8,7 +8,6 @@
 #include "src/passes/licm.h"
 #include "src/passes/mem2reg.h"
 #include "src/passes/simplify_cfg.h"
-#include "src/passes/sroa.h"
 
 namespace overify {
 
@@ -41,7 +40,6 @@ PipelineOptions PipelineOptions::For(OptLevel level) {
       return o;
     case OptLevel::kO2:
       o.mem2reg = true;
-      o.sroa = true;
       o.instcombine = true;
       o.cse = true;
       o.licm = true;
@@ -70,7 +68,6 @@ PipelineOptions PipelineOptions::For(OptLevel level) {
       return o;
     case OptLevel::kOverify:
       o.mem2reg = true;
-      o.sroa = true;
       o.instcombine = true;
       o.cse = true;
       o.licm = true;
@@ -119,32 +116,20 @@ void BuildPipeline(PassManager& pm, const PipelineOptions& options, ProgramAnnot
     return;  // a non-optimizing build: exactly what the frontend emitted
   }
 
-  // Strip what the entry does not reach first, so later passes (and their
-  // statistics) see only what the program runs. The frontend already links
-  // only the libc functions some program function calls; what is left here
-  // is program functions the entry never calls and the libc only they use.
-  pm.Add(std::make_unique<GlobalDcePass>());
-
-  if (o.sroa) {
-    pm.Add(std::make_unique<SroaPass>());
-  }
+  // The frontend links only the libc functions some program function calls,
+  // so before inlining GlobalDCE could drop only program functions the entry
+  // never calls; no suite program or generated kernel has one.
   if (o.mem2reg) {
     pm.Add(std::make_unique<Mem2RegPass>());
   }
   add_cleanup_round();
 
   if (o.inline_functions) {
+    // Callees are already promoted, so inlined bodies bring no new allocas.
     pm.Add(std::make_unique<InlinerPass>(o.inliner));
     // A callee inlined at every call site is dead; drop it before any later
     // pass pays for it.
     pm.Add(std::make_unique<GlobalDcePass>());
-    // Inlining exposes allocas (from inlined bodies) and constants.
-    if (o.sroa) {
-      pm.Add(std::make_unique<SroaPass>());
-    }
-    if (o.mem2reg) {
-      pm.Add(std::make_unique<Mem2RegPass>());
-    }
     add_cleanup_round();
   }
 
@@ -165,10 +150,6 @@ void BuildPipeline(PassManager& pm, const PipelineOptions& options, ProgramAnnot
   if (o.unroll) {
     pm.Add(std::make_unique<LoopUnrollPass>(o.unroller));
     add_cleanup_round();
-    if (o.cse) {
-      pm.Add(std::make_unique<CsePass>());
-      pm.Add(std::make_unique<DcePass>());
-    }
   }
 
   if (o.if_convert) {
@@ -192,7 +173,7 @@ void BuildPipeline(PassManager& pm, const PipelineOptions& options, ProgramAnnot
   }
 
   if (o.runtime_checks) {
-    pm.Add(std::make_unique<RuntimeCheckPass>(o.checker));
+    pm.Add(std::make_unique<RuntimeCheckPass>());
   }
 }
 

@@ -1,5 +1,6 @@
 #include "src/passes/runtime_checks.h"
 
+#include <optional>
 #include <vector>
 
 #include "src/analysis/range_analysis.h"
@@ -9,7 +10,16 @@ namespace overify {
 
 bool RuntimeCheckPass::RunOnFunction(Function& fn) {
   IRContext& ctx = fn.parent()->context();
-  RangeAnalysis ranges(fn);
+  // Built on the first divisor, shift amount or array index that is not a
+  // constant, which is always before the first check goes in. A function
+  // with none never pays for the analysis.
+  std::optional<RangeAnalysis> ranges;
+  auto range_of = [&](Value* value) {
+    if (!ranges) {
+      ranges.emplace(fn);
+    }
+    return ranges->RangeOf(value);
+  };
   bool changed = false;
 
   std::vector<Instruction*> worklist;
@@ -25,9 +35,6 @@ bool RuntimeCheckPass::RunOnFunction(Function& fn) {
       case Opcode::kSDiv:
       case Opcode::kURem:
       case Opcode::kSRem: {
-        if (!options_.division) {
-          break;
-        }
         Value* divisor = inst->Operand(1);
         if (const auto* c = DynCast<ConstantInt>(divisor)) {
           if (!c->IsZero()) {
@@ -35,7 +42,7 @@ bool RuntimeCheckPass::RunOnFunction(Function& fn) {
           }
         }
         // Elide when range analysis proves the divisor non-zero.
-        ValueRange r = ranges.RangeOf(divisor);
+        ValueRange r = range_of(divisor);
         if (r.lo > 0 || r.hi < 0) {
           break;
         }
@@ -52,9 +59,6 @@ bool RuntimeCheckPass::RunOnFunction(Function& fn) {
       case Opcode::kShl:
       case Opcode::kLShr:
       case Opcode::kAShr: {
-        if (!options_.shifts) {
-          break;
-        }
         Value* amount = inst->Operand(1);
         unsigned bits = inst->type()->bits();
         if (const auto* c = DynCast<ConstantInt>(amount)) {
@@ -62,7 +66,7 @@ bool RuntimeCheckPass::RunOnFunction(Function& fn) {
             break;
           }
         }
-        ValueRange r = ranges.RangeOf(amount);
+        ValueRange r = range_of(amount);
         if (r.lo >= 0 && r.hi < static_cast<int64_t>(bits)) {
           break;
         }
@@ -77,9 +81,6 @@ bool RuntimeCheckPass::RunOnFunction(Function& fn) {
         break;
       }
       case Opcode::kGep: {
-        if (!options_.array_bounds) {
-          break;
-        }
         auto* gep = Cast<GepInst>(inst);
         // Guard variable indices stepping inside a sized array.
         Type* current = gep->source_type();
@@ -91,7 +92,7 @@ bool RuntimeCheckPass::RunOnFunction(Function& fn) {
             if (Isa<ConstantInt>(index)) {
               continue;
             }
-            ValueRange r = ranges.RangeOf(index);
+            ValueRange r = range_of(index);
             if (r.lo >= 0 && r.hi < static_cast<int64_t>(count)) {
               continue;  // provably in range
             }

@@ -9,21 +9,12 @@
 
 namespace overify {
 
-struct RuntimeCheckOptions {
-  bool division = true;       // divisor != 0
-  bool shifts = true;         // shift amount < width
-  bool array_bounds = true;   // variable gep index within the array
-};
-
+// Guards divisors (!= 0), shift amounts (< width) and variable array
+// indices (< the array's length), unless range analysis proves them safe.
 class RuntimeCheckPass : public FunctionPass {
  public:
-  explicit RuntimeCheckPass(RuntimeCheckOptions options) : options_(options) {}
-
   const char* name() const override { return "checks"; }
   bool RunOnFunction(Function& fn) override;
-
- private:
-  RuntimeCheckOptions options_;
 };
 
 }  // namespace overify

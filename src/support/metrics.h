@@ -129,7 +129,6 @@ namespace overify {
   X(kSimplifyCfgBranchesFolded, "simplifycfg.branches_folded", true)  \
   X(kSimplifyCfgBlocksMerged, "simplifycfg.blocks_merged", true)      \
   X(kSimplifyCfgBlocksForwarded, "simplifycfg.blocks_forwarded", true) \
-  X(kSroaSplitAllocas, "sroa.split_allocas", true)                    \
   X(kUnrollLoopsUnrolled, "unroll.loops_unrolled", true)              \
   X(kUnswitchLoopsUnswitched, "unswitch.loops_unswitched", true)
 

@@ -26,8 +26,7 @@ const KindInfo kKinds[] = {
 // UnknownCause in src/symex/solver.h, PathOutcome in src/symex/engine_core.h)
 // so this file needs no dependency on the symex layer.
 const char* const kVerdictNames[] = {"sat", "unsat", "unknown"};
-const char* const kCauseNames[] = {"none",     "budget",    "query_timeout",
-                                   "deadline", "cancelled", "injected"};
+const char* const kCauseNames[] = {"none", "budget", "deadline", "cancelled", "injected"};
 const char* const kHitNames[] = {"exact", "reuse", "miss"};
 const char* const kForkNames[] = {"true", "false", "fork", "infeasible", "unknown"};
 const char* const kPathNames[] = {"completed", "infeasible", "bug",

@@ -65,7 +65,7 @@ class EngineCore::Impl {
     // Cooperative query controls: the run deadline (stamped by the pool; a
     // default-constructed SharedCounters leaves it unset, so direct engine
     // users never get spurious deadline unknowns), the stop latch, this
-    // worker's fault injector, and the per-query budgets.
+    // worker's fault injector, and the per-query candidate budget.
     QueryControl control;
     if (shared_.deadline != std::chrono::steady_clock::time_point{}) {
       control.has_deadline = true;
@@ -74,7 +74,6 @@ class EngineCore::Impl {
     control.cancel = &shared_.stop;
     control.faults = injector_.enabled() ? &injector_ : nullptr;
     control.query_candidates = shared_.limits.query_candidates;
-    control.query_seconds = shared_.limits.query_seconds;
     solver_.set_control(control);
     // Global object ids are deterministic — the initial state allocates
     // them first, in module order, starting at 1 — so every worker can

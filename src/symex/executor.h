@@ -54,10 +54,9 @@ struct SymexLimits {
   uint64_t max_forks = 1 << 20;
   double max_seconds = 3600.0;
   uint64_t max_live_states = 1 << 16;  // queued + running, across all workers
-  // Per-query solver budgets (run-level max_seconds is enforced inside the
-  // solver's candidate loop regardless; see docs/robustness.md).
+  // Per-query solver budget, deterministic (run-level max_seconds is
+  // enforced inside the solver's candidate loop too; see docs/robustness.md).
   uint64_t query_candidates = 1ull << 22;  // core-search candidates per query
-  double query_seconds = 0;                // wall budget per query; 0 = none
 };
 
 // Which limit latched the run's stop flag first (kNone on runs that drained

@@ -155,14 +155,7 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
   using Clock = std::chrono::steady_clock;
   const bool has_run_deadline = control != nullptr && control->has_deadline;
   const std::atomic<bool>* cancel = control != nullptr ? control->cancel : nullptr;
-  bool has_query_deadline = false;
-  Clock::time_point query_deadline{};
-  if (control != nullptr && control->query_seconds > 0) {
-    has_query_deadline = true;
-    query_deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                        std::chrono::duration<double>(control->query_seconds));
-  }
-  const bool polled = has_run_deadline || has_query_deadline || cancel != nullptr;
+  const bool polled = has_run_deadline || cancel != nullptr;
 
   // Trivial screening and support collection (bitmask union per constraint).
   SupportSet support;
@@ -267,14 +260,8 @@ SatResult CoreSolver::CheckSat(ExprContext& ctx, const std::vector<const Expr*>&
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       return UnknownCause::kCancelled;
     }
-    if (has_run_deadline || has_query_deadline) {
-      const Clock::time_point now = Clock::now();
-      if (has_run_deadline && now >= control->deadline) {
-        return UnknownCause::kDeadline;
-      }
-      if (has_query_deadline && now >= query_deadline) {
-        return UnknownCause::kQueryTimeout;
-      }
+    if (has_run_deadline && Clock::now() >= control->deadline) {
+      return UnknownCause::kDeadline;
     }
     return UnknownCause::kNone;
   };
@@ -1031,7 +1018,6 @@ SatResult SolverChain::Unknown(UnknownCause cause) {
   last_unknown_cause_ = cause;
   switch (cause) {
     case UnknownCause::kCandidateBudget:
-    case UnknownCause::kQueryTimeout:
       metrics_->Inc(Counter::kSolverUnknownBudget);
       break;
     case UnknownCause::kDeadline:

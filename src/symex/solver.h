@@ -47,7 +47,6 @@ enum class SatResult {
 enum class UnknownCause {
   kNone,
   kCandidateBudget,  // per-query candidate budget exhausted
-  kQueryTimeout,     // per-query wall budget exhausted
   kDeadline,         // the run deadline expired mid-search
   kCancelled,        // the run's stop latch tripped mid-search
   kInjected,         // FaultInjector kSolverUnknown fired
@@ -64,7 +63,6 @@ struct QueryControl {
   const std::atomic<bool>* cancel = nullptr;         // the run's stop latch
   FaultInjector* faults = nullptr;                   // injected kUnknowns
   uint64_t query_candidates = 1ull << 22;            // core candidates per query
-  double query_seconds = 0;                          // wall budget per query; 0 = none
 };
 
 // Core backtracking solver with CDCL machinery: per-symbol domain pruning
@@ -88,9 +86,9 @@ class CoreSolver {
   // `model`, when non-null and the result is kSat, receives one value per
   // symbol index (indexes absent from the constraints' support default to 0).
   // `candidate_budget` bounds the search. `control`, when non-null, is
-  // polled every 4096 candidates for the run deadline / per-query wall
-  // budget / cancel latch. `cause`, when non-null, receives why a kUnknown
-  // happened (kNone otherwise).
+  // polled every 4096 candidates for the run deadline / cancel latch.
+  // `cause`, when non-null, receives why a kUnknown happened (kNone
+  // otherwise).
   SatResult CheckSat(ExprContext& ctx, const std::vector<const Expr*>& constraints,
                      std::vector<uint8_t>* model, uint64_t candidate_budget = 1 << 22,
                      const QueryControl* control = nullptr, UnknownCause* cause = nullptr,
@@ -241,7 +239,7 @@ class SolverChain {
   void set_preprocessing(bool on) { preprocess_enabled_ = on; }
 
   // Installs the run's cooperative controls (deadline, cancel latch, fault
-  // injector, per-query budgets). The engine calls this once per run; the
+  // injector, per-query candidate budget). The engine calls this once per run; the
   // default control never interrupts, so chain users without one (tests,
   // tools) are unaffected.
   void set_control(const QueryControl& control) {

@@ -151,20 +151,6 @@ TEST(DeadlineGranularityTest, CoreSearchHonorsRunDeadlineMidQuery) {
   EXPECT_LT(elapsed, 5.0);
 }
 
-TEST(DeadlineGranularityTest, PerQueryWallBudgetAlsoInterrupts) {
-  ExprContext ctx;
-  CoreSolver core;
-  std::vector<const Expr*> constraints = WideUnsatXor(ctx, 8);
-
-  QueryControl control;
-  control.query_seconds = 0.05;
-
-  UnknownCause cause = UnknownCause::kNone;
-  SatResult result = core.CheckSat(ctx, constraints, nullptr, 1ull << 40, &control, &cause);
-  EXPECT_EQ(result, SatResult::kUnknown);
-  EXPECT_EQ(cause, UnknownCause::kQueryTimeout);
-}
-
 // The engine-level regression: cksum_wide's 72-byte additive checksum used
 // to blow way past a tight max_seconds inside one solver query. The run
 // must now come back promptly, non-exhausted, with the deadline attributed.

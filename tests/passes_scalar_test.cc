@@ -1,5 +1,5 @@
 // Tests for scalar/local passes: mem2reg, instcombine, dce, simplifycfg,
-// cse, sroa, runtime checks.
+// cse, runtime checks.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +16,6 @@
 #include "src/passes/mem2reg.h"
 #include "src/passes/runtime_checks.h"
 #include "src/passes/simplify_cfg.h"
-#include "src/passes/sroa.h"
 
 namespace overify {
 namespace {
@@ -480,67 +479,6 @@ TEST(CseTest, StoreForwardsToLoad) {
   EXPECT_EQ(ret->value(), f->Arg(1));
 }
 
-TEST(SroaTest, SplitsConstantIndexedArray) {
-  auto m = ParseModuleOrDie(R"(
-    func @f(%x: i32) -> i32 {
-    entry:
-      %buf = alloca [4 x i32]
-      %p0 = gep [4 x i32], %buf, i64 0, i64 0
-      %p2 = gep [4 x i32], %buf, i64 0, i64 2
-      store %x, %p0
-      store i32 7, %p2
-      %v0 = load %p0
-      %v2 = load %p2
-      %s = add %v0, %v2
-      ret %s
-    }
-  )");
-  Function* f = m->GetFunction("f");
-  EXPECT_TRUE(SroaPass().RunOnFunction(*f));
-  ExpectValid(*m);
-  EXPECT_EQ(CountOpcode(*f, Opcode::kGep), 0u);
-  EXPECT_EQ(CountOpcode(*f, Opcode::kAlloca), 2u);
-  // And now mem2reg can promote both.
-  EXPECT_TRUE(Mem2RegPass().RunOnFunction(*f));
-  EXPECT_EQ(CountOpcode(*f, Opcode::kAlloca), 0u);
-}
-
-TEST(SroaTest, SkipsVariableIndexAccess) {
-  auto m = ParseModuleOrDie(R"(
-    func @f(%i: i64) -> i32 {
-    entry:
-      %buf = alloca [4 x i32]
-      %p = gep [4 x i32], %buf, i64 0, %i
-      %v = load %p
-      ret %v
-    }
-  )");
-  Function* f = m->GetFunction("f");
-  EXPECT_FALSE(SroaPass().RunOnFunction(*f));
-  EXPECT_EQ(CountOpcode(*f, Opcode::kAlloca), 1u);
-}
-
-TEST(SroaTest, SplitsStructFields) {
-  auto m = ParseModuleOrDie(R"(
-    func @f(%x: i32) -> i32 {
-    entry:
-      %s = alloca {i32, i8, i32}
-      %f0 = gep {i32, i8, i32}, %s, i64 0, i64 0
-      %f2 = gep {i32, i8, i32}, %s, i64 0, i64 2
-      store %x, %f0
-      store i32 3, %f2
-      %a = load %f0
-      %b = load %f2
-      %r = add %a, %b
-      ret %r
-    }
-  )");
-  Function* f = m->GetFunction("f");
-  EXPECT_TRUE(SroaPass().RunOnFunction(*f));
-  ExpectValid(*m);
-  EXPECT_EQ(CountOpcode(*f, Opcode::kAlloca), 2u);
-}
-
 TEST(RuntimeChecksTest, GuardsDivisionAndShift) {
   auto m = ParseModuleOrDie(R"(
     func @f(%a: i32, %b: i32) -> i32 {
@@ -552,7 +490,7 @@ TEST(RuntimeChecksTest, GuardsDivisionAndShift) {
     }
   )");
   Function* f = m->GetFunction("f");
-  EXPECT_TRUE(RuntimeCheckPass(RuntimeCheckOptions{}).RunOnFunction(*f));
+  EXPECT_TRUE(RuntimeCheckPass().RunOnFunction(*f));
   ExpectValid(*m);
   EXPECT_EQ(CountOpcode(*f, Opcode::kCheck), 2u);  // div by %b, shift by %b; const div skipped
 }
@@ -570,7 +508,7 @@ TEST(RuntimeChecksTest, ElidesWhenRangeProvesSafe) {
   )");
   Function* f = m->GetFunction("f");
   // nonzero in [1,7]: no div check; masked in [0,7] < 32: no shift check.
-  EXPECT_FALSE(RuntimeCheckPass(RuntimeCheckOptions{}).RunOnFunction(*f));
+  EXPECT_FALSE(RuntimeCheckPass().RunOnFunction(*f));
   EXPECT_EQ(CountOpcode(*f, Opcode::kCheck), 0u);
 }
 
@@ -585,7 +523,7 @@ TEST(RuntimeChecksTest, GuardsVariableArrayIndex) {
     }
   )");
   Function* f = m->GetFunction("f");
-  EXPECT_TRUE(RuntimeCheckPass(RuntimeCheckOptions{}).RunOnFunction(*f));
+  EXPECT_TRUE(RuntimeCheckPass().RunOnFunction(*f));
   ExpectValid(*m);
   EXPECT_EQ(CountOpcode(*f, Opcode::kCheck), 1u);
 }

@@ -1,6 +1,7 @@
 // Tests for pipeline construction, the pass manager, and global DCE.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include "src/passes/global_dce.h"
 #include "src/passes/pipeline.h"
 #include "src/support/diagnostics.h"
+#include "src/symex/expr_hash.h"
 #include "src/vlibc/vlibc.h"
 #include "src/workloads/workloads.h"
 
@@ -35,13 +37,12 @@ std::vector<std::string> PassNames(const PipelineOptions& options) {
   return names;
 }
 
+size_t Occurrences(const std::vector<std::string>& names, const std::string& name) {
+  return static_cast<size_t>(std::count(names.begin(), names.end(), name));
+}
+
 bool Contains(const std::vector<std::string>& names, const std::string& name) {
-  for (const auto& n : names) {
-    if (n == name) {
-      return true;
-    }
-  }
-  return false;
+  return Occurrences(names, name) > 0;
 }
 
 TEST(PipelineTest, O0IsEmpty) {
@@ -94,6 +95,50 @@ TEST(PipelineTest, OverifyAddsVerificationExtras) {
     }
   }
   EXPECT_LT(ifconvert_pos, jumpthread_pos);
+}
+
+TEST(PipelineTest, EveryLevelRunsOnlyPassesThatDoWork) {
+  // No SROA, one mem2reg, and one GlobalDCE, right after the inliner: no
+  // other run of them changes a suite program or a generated kernel at any
+  // level (docs/compiler.md, "Pass runs that do work").
+  const struct {
+    OptLevel level;
+    size_t runs;
+  } kLevels[] = {{OptLevel::kO1, 4}, {OptLevel::kO2, 14}, {OptLevel::kO3, 35},
+                 {OptLevel::kOverify, 36}};
+  for (const auto& [level, runs] : kLevels) {
+    auto names = PassNames(PipelineOptions::For(level));
+    SCOPED_TRACE(OptLevelName(level));
+    EXPECT_EQ(names.size(), runs);
+    EXPECT_FALSE(Contains(names, "sroa"));
+    EXPECT_EQ(Occurrences(names, "mem2reg"), 1u);
+    EXPECT_EQ(Occurrences(names, "globaldce"), level == OptLevel::kO1 ? 0u : 1u);
+  }
+}
+
+TEST(PipelineTest, SuiteModulesMatchTheirGoldenHashes) {
+  // Per level, one fold of ModuleContentHash over the suite's programs in
+  // suite order. Any change to what a level emits for some program moves
+  // its value; a change meant to keep every module byte-identical leaves
+  // all five alone.
+  const struct {
+    OptLevel level;
+    uint64_t hash;
+  } kGolden[] = {{OptLevel::kO0, 0xcae3d141db04b526ULL},
+                 {OptLevel::kO1, 0x32a81cdf54732061ULL},
+                 {OptLevel::kO2, 0xf89b4ff970da473aULL},
+                 {OptLevel::kO3, 0xca286344becd3303ULL},
+                 {OptLevel::kOverify, 0xa8ae71465ce39343ULL}};
+  ASSERT_EQ(CoreutilsSuite().size(), 57u);
+  for (const auto& [level, hash] : kGolden) {
+    PortableHasher fold;
+    for (const Workload& workload : CoreutilsSuite()) {
+      CompileResult compiled = Compiler().Compile(workload.source, level, workload.name);
+      ASSERT_TRUE(compiled.ok) << workload.name << ": " << compiled.errors;
+      fold.Fold(ModuleContentHash(*compiled.module));
+    }
+    EXPECT_EQ(fold.hash(), hash) << OptLevelName(level);
+  }
 }
 
 TEST(PipelineTest, LevelOptionsEncodeThePapersFourDifferences) {

@@ -70,6 +70,29 @@ TEST_F(TraceTest, TraceBufferRecordsSpansAndInstants) {
   EXPECT_NE(text.find("thread_name"), std::string::npos) << text;
 }
 
+TEST_F(TraceTest, SolverQueryCausesAreNamedInEnumOrder) {
+  // trace.cc names UnknownCause values by position in a table of its own.
+  const struct {
+    UnknownCause cause;
+    const char* name;
+  } kCauses[] = {{UnknownCause::kNone, "none"},
+                 {UnknownCause::kCandidateBudget, "budget"},
+                 {UnknownCause::kDeadline, "deadline"},
+                 {UnknownCause::kCancelled, "cancelled"},
+                 {UnknownCause::kInjected, "injected"}};
+  TraceSink sink(path_, 1);
+  uint64_t t = sink.epoch_ns();
+  for (const auto& [cause, name] : kCauses) {
+    sink.buffer(0)->Span(TraceKind::kSolverQuery, t, t + 1,
+                         static_cast<uint64_t>(SatResult::kUnknown), static_cast<uint64_t>(cause));
+  }
+  ASSERT_TRUE(sink.Write());
+  std::string text = ReadFile(path_);
+  for (const auto& [cause, name] : kCauses) {
+    EXPECT_NE(text.find(std::string("\"cause\":\"") + name + "\""), std::string::npos) << name;
+  }
+}
+
 TEST_F(TraceTest, TracedRunWritesHotPhaseSpans) {
   CompileResult m = CompileWc();
   SymexOptions options;
