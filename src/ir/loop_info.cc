@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/ir/cfg.h"
-
 namespace overify {
 
 bool Loop::Contains(const Loop* other) const {
@@ -16,17 +14,34 @@ bool Loop::Contains(const Loop* other) const {
   return false;
 }
 
-BasicBlock* Loop::Preheader() const {
+namespace {
+
+template <typename Blocks>
+BasicBlock* UniqueMember(const Loop& loop, const Blocks& blocks, bool inside) {
   BasicBlock* candidate = nullptr;
-  for (BasicBlock* pred : header_->Predecessors()) {
-    if (Contains(pred)) {
+  for (BasicBlock* block : blocks) {
+    if (loop.Contains(block) != inside) {
       continue;
     }
     if (candidate != nullptr) {
-      return nullptr;  // multiple outside predecessors
+      return nullptr;
     }
-    candidate = pred;
+    candidate = block;
   }
+  return candidate;
+}
+
+}  // namespace
+
+BasicBlock* Loop::UniqueHeaderPredecessor(bool inside) const {
+  if (info_->fn_.BlockIdBound() == info_->block_bound_) {
+    return UniqueMember(*this, info_->preds_[header_], inside);
+  }
+  return UniqueMember(*this, header_->Predecessors(), inside);
+}
+
+BasicBlock* Loop::Preheader() const {
+  BasicBlock* candidate = UniqueHeaderPredecessor(false);
   if (candidate == nullptr) {
     return nullptr;
   }
@@ -38,19 +53,7 @@ BasicBlock* Loop::Preheader() const {
   return candidate;
 }
 
-BasicBlock* Loop::Latch() const {
-  BasicBlock* candidate = nullptr;
-  for (BasicBlock* pred : header_->Predecessors()) {
-    if (!Contains(pred)) {
-      continue;
-    }
-    if (candidate != nullptr) {
-      return nullptr;
-    }
-    candidate = pred;
-  }
-  return candidate;
-}
+BasicBlock* Loop::Latch() const { return UniqueHeaderPredecessor(true); }
 
 std::vector<BasicBlock*> Loop::ExitingBlocks() const {
   std::vector<BasicBlock*> result;
@@ -86,8 +89,9 @@ bool Loop::IsInvariant(const Value* value) const {
   return !Contains(inst->parent());
 }
 
-LoopInfo::LoopInfo(Function& fn, DominatorTree& dom) {
-  auto preds = PredecessorMap(fn);
+LoopInfo::LoopInfo(Function& fn, DominatorTree& dom)
+    : fn_(fn), preds_(fn), block_bound_(fn.BlockIdBound()) {
+  const PredecessorMap& preds = preds_;
 
   // Discover loops headers in post-order of the dominator relation by
   // scanning RPO backwards: inner loops get created before outer ones merge
@@ -112,6 +116,7 @@ LoopInfo::LoopInfo(Function& fn, DominatorTree& dom) {
     }
 
     auto loop = std::make_unique<Loop>();
+    loop->info_ = this;
     loop->header_ = header;
     loop->block_set_.insert(header);
 

@@ -6,10 +6,13 @@
 #include <set>
 #include <vector>
 
+#include "src/ir/cfg.h"
 #include "src/ir/dominators.h"
 #include "src/ir/function.h"
 
 namespace overify {
+
+class LoopInfo;
 
 class Loop {
  public:
@@ -43,6 +46,11 @@ class Loop {
 
  private:
   friend class LoopInfo;
+  // The header's only predecessor inside (`inside`) or outside the loop,
+  // or null when there are none or several.
+  BasicBlock* UniqueHeaderPredecessor(bool inside) const;
+
+  const LoopInfo* info_ = nullptr;
   BasicBlock* header_ = nullptr;
   std::vector<BasicBlock*> blocks_;   // reverse postorder
   std::set<BasicBlock*> block_set_;   // same blocks, for O(log n) Contains
@@ -54,6 +62,9 @@ class Loop {
 class LoopInfo {
  public:
   LoopInfo(Function& fn, DominatorTree& dom);
+  // Loops point back at their analysis.
+  LoopInfo(const LoopInfo&) = delete;
+  LoopInfo& operator=(const LoopInfo&) = delete;
 
   // Outermost loops, in header reverse-postorder.
   const std::vector<Loop*>& TopLevelLoops() const { return top_level_; }
@@ -65,6 +76,14 @@ class LoopInfo {
   size_t NumLoops() const { return loops_.size(); }
 
  private:
+  friend class Loop;
+  Function& fn_;
+  // The function's predecessor lists at analysis time. They stay exact
+  // while the function has gained no block: every loop transformation
+  // creates a block before it redirects an edge (the rule LICM's analysis
+  // reuse rests on too), and after that Loop reads scan the function.
+  PredecessorMap preds_;
+  uint32_t block_bound_;
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<Loop*> top_level_;
   std::map<BasicBlock*, Loop*> innermost_;

@@ -375,9 +375,21 @@ class EngineCore::Impl {
 
   // ---- Branch feasibility ----
 
+  // Does `e` hold under the state's path model? The model is first
+  // zero-extended to every input symbol: a symbol no constraint mentions
+  // yet can take any value, so 0 keeps the invariant.
+  bool ModelSatisfies(ExecState& state, const Expr* e) {
+    if (state.model.size() < num_symbols_) {
+      state.model.resize(num_symbols_, 0);
+    }
+    ctx_.NewEvaluation();
+    return ctx_.Evaluate(e, state.model) != 0;
+  }
+
   // Decides a boolean expr against the path constraints; forks when both
   // directions are possible. Returns the value for the current state
-  // (true branch) and queues the false sibling.
+  // (true branch) and queues the false sibling. On kBoth, state.model
+  // witnesses the true side and side_model_ the false side.
   enum class CondOutcome { kTrue, kFalse, kBoth, kNeither, kUnknown };
 
   CondOutcome DecideCondition(ExecState& state, const Expr* cond) {
@@ -403,34 +415,25 @@ class EngineCore::Impl {
         return CondOutcome::kFalse;
       }
     }
-    SatResult can_true = solver_.MayBeTrue(state.constraints, cond, nullptr,
-                                           &state.solver_prefix);
-    SatResult can_false = solver_.MayBeTrue(state.constraints, not_cond, nullptr,
-                                            &state.solver_prefix);
-    if (can_true == SatResult::kSat && can_false == SatResult::kSat) {
-      return CondOutcome::kBoth;
-    }
-    if (can_true == SatResult::kSat && can_false == SatResult::kUnsat) {
-      return CondOutcome::kTrue;
-    }
-    if (can_true == SatResult::kUnsat && can_false == SatResult::kSat) {
-      return CondOutcome::kFalse;
-    }
-    if (can_true == SatResult::kUnsat && can_false == SatResult::kUnsat) {
-      return CondOutcome::kNeither;
-    }
-    // One side unknown. The path invariant — the constraints alone are
-    // satisfiable — decides the branch when the other side is refuted:
-    // constraints SAT and constraints ∧ ¬cond UNSAT imply constraints ∧ cond
-    // SAT. This is what lets a run absorb injected or budget unknowns on
-    // one-sided branches and still match the clean run bit for bit; only a
-    // genuinely undecidable branch (SAT/unknown or unknown/unknown) kills
-    // the path as unknown.
-    if (can_false == SatResult::kUnsat) {
-      return CondOutcome::kTrue;
-    }
-    if (can_true == SatResult::kUnsat) {
-      return CondOutcome::kFalse;
+    // The path model witnesses the side it satisfies, so that side is SAT
+    // with no query; only the side it leaves open goes to the solver, which
+    // on SAT extends a copy of the model into that side's witness. A
+    // budget-bound open side is kUnknown and kills the path: the branch is
+    // undecidable. The witnessed side makes kNeither unreachable.
+    const bool model_true = ModelSatisfies(state, cond);
+    side_model_ = state.model;
+    SatResult open = solver_.MayBeTrue(state.constraints, model_true ? not_cond : cond,
+                                       &side_model_, &state.solver_prefix);
+    switch (open) {
+      case SatResult::kSat:
+        if (!model_true) {
+          state.model.swap(side_model_);
+        }
+        return CondOutcome::kBoth;
+      case SatResult::kUnsat:
+        return model_true ? CondOutcome::kTrue : CondOutcome::kFalse;
+      case SatResult::kUnknown:
+        break;
     }
     return CondOutcome::kUnknown;
   }
@@ -473,6 +476,7 @@ class EngineCore::Impl {
         metrics_.Inc(Counter::kForks);
         shared_.forks.fetch_add(1, std::memory_order_relaxed);
         auto sibling = state.Clone();
+        sibling->model.swap(side_model_);
         sibling->id = NextStateId();
         sibling->depth = state.depth + 1;
         sibling->path_id = HashMix64(state.path_id ^ kFalseSideSalt);
@@ -523,31 +527,36 @@ class EngineCore::Impl {
       return ReportBug(state, site, kind, message) ? GuardResult::kDiedBug
                                                    : GuardResult::kDiedUnknown;
     }
-    SatResult bad_sat =
-        solver_.MayBeTrue(state.constraints, bad, nullptr, &state.solver_prefix);
+    // The path model decides one side with no query, as in DecideCondition:
+    // a model under which `bad` holds witnesses the bad side, and one under
+    // which it fails witnesses the safe side. The path never continues on
+    // the bad side, so its model is not asked for.
+    const bool model_bad = ModelSatisfies(state, bad);
+    SatResult bad_sat = SatResult::kSat;
+    if (!model_bad) {
+      bad_sat = solver_.MayBeTrue(state.constraints, bad, nullptr, &state.solver_prefix);
+    }
     if (bad_sat == SatResult::kUnknown) {
       return GuardResult::kDiedUnknown;
     }
-    bool reported = false;
     if (bad_sat == SatResult::kSat) {
       // Report with the bad branch's model: ReportBug reads only the
       // constraints and the path id, so extend the constraints in place.
       state.constraints.push_back(bad);
-      reported = ReportBug(state, site, kind, message);
+      const bool reported = ReportBug(state, site, kind, message);
       state.constraints.pop_back();
       if (!reported) {
         return GuardResult::kDiedUnknown;
       }
     }
     const Expr* safe = ctx_.Not(bad);
-    if (bad_sat == SatResult::kUnsat) {
-      // Path invariant: the constraints alone are satisfiable, and the bad
-      // side is refuted, so the safe side must be satisfiable — no query.
+    if (!model_bad) {
+      // The path model satisfies the safe side.
       state.AddConstraint(safe);
       return GuardResult::kOk;
     }
     SatResult safe_sat =
-        solver_.MayBeTrue(state.constraints, safe, nullptr, &state.solver_prefix);
+        solver_.MayBeTrue(state.constraints, safe, &state.model, &state.solver_prefix);
     if (safe_sat == SatResult::kUnknown) {
       // A clean run would have decided this query and either continued or
       // died at the bug; terminating as anything but unknown here would
@@ -555,7 +564,7 @@ class EngineCore::Impl {
       return GuardResult::kDiedUnknown;
     }
     if (safe_sat != SatResult::kSat) {
-      return reported ? GuardResult::kDiedBug : GuardResult::kDiedInfeasible;
+      return GuardResult::kDiedBug;
     }
     state.AddConstraint(safe);
     return GuardResult::kOk;
@@ -563,35 +572,44 @@ class EngineCore::Impl {
 
   // ---- Memory access ----
 
-  // Computes the byte offset expression of a GEP.
+  // Computes the byte offset expression of a GEP. The leading constant
+  // indices fold in `folded` (wrapping like the 64-bit expression
+  // arithmetic); the expression is built from the first symbolic index on,
+  // so an all-constant GEP interns one Constant.
   const Expr* GepOffset(ExecState& state, const GepInst* gep) {
-    const Expr* offset = ctx_.Constant(0, 64);
-    Type* current = gep->source_type();
-    for (unsigned i = 0; i < gep->NumIndices(); ++i) {
-      const Expr* index = ResolveInt(state, gep->Index(i));
+    uint64_t folded = 0;
+    const Expr* offset = nullptr;
+    auto add = [&](const Expr* index, uint64_t scale) {
+      if (offset == nullptr && index->IsConstant()) {
+        folded += static_cast<uint64_t>(SignExtend(index->constant_value(), index->width())) *
+                  scale;
+        return;
+      }
+      if (offset == nullptr) {
+        offset = ctx_.Constant(folded, 64);
+      }
       if (index->width() < 64) {
         index = ctx_.SExt(index, 64);
       }
-      uint64_t scale;
+      offset = ctx_.Binary(ExprKind::kAdd, offset,
+                           ctx_.Binary(ExprKind::kMul, index, ctx_.Constant(scale, 64)));
+    };
+    Type* current = gep->source_type();
+    for (unsigned i = 0; i < gep->NumIndices(); ++i) {
+      const Expr* index = ResolveInt(state, gep->Index(i));
       if (i == 0) {
-        scale = current->SizeInBytes();
+        add(index, current->SizeInBytes());
       } else if (current->IsArray()) {
         current = current->element();
-        scale = current->SizeInBytes();
+        add(index, current->SizeInBytes());
       } else {
         // Struct index: constant by construction.
-        uint64_t field = Cast<ConstantInt>(gep->Index(i))->value();
-        offset = ctx_.Binary(ExprKind::kAdd, offset,
-                             ctx_.Constant(current->FieldOffset(
-                                               static_cast<unsigned>(field)), 64));
-        current = current->fields()[static_cast<unsigned>(field)];
-        continue;
+        unsigned field = static_cast<unsigned>(Cast<ConstantInt>(gep->Index(i))->value());
+        add(ctx_.Constant(current->FieldOffset(field), 64), 1);
+        current = current->fields()[field];
       }
-      offset = ctx_.Binary(
-          ExprKind::kAdd, offset,
-          ctx_.Binary(ExprKind::kMul, index, ctx_.Constant(scale, 64)));
     }
-    return offset;
+    return offset != nullptr ? offset : ctx_.Constant(folded, 64);
   }
 
   // Validates an access of `width_bytes` at pointer `ptr`; reports bugs and
@@ -624,12 +642,21 @@ class EngineCore::Impl {
                  : GuardResult::kDiedUnknown;
     }
     // In-bounds: offset <= size - width.
-    const Expr* in_bounds =
-        ctx_.Compare(ICmpPredicate::kULE, ptr.offset, ctx_.Constant(size - width_bytes, 64));
-    return GuardAgainst(state, ctx_.Not(in_bounds), site, BugKind::kOutOfBounds, [&] {
+    auto beyond = [&] {
       return StrFormat("access beyond object '%.*s' (%llu bytes)", static_cast<int>(name.size()),
                        name.data(), static_cast<unsigned long long>(size));
-    });
+    };
+    if (ptr.offset->IsConstant()) {
+      // Decided by integer compare, without building the guard expressions.
+      if (ptr.offset->constant_value() <= size - width_bytes) {
+        return GuardResult::kOk;
+      }
+      return ReportBug(state, site, BugKind::kOutOfBounds, beyond) ? GuardResult::kDiedBug
+                                                                   : GuardResult::kDiedUnknown;
+    }
+    const Expr* in_bounds =
+        ctx_.Compare(ICmpPredicate::kULE, ptr.offset, ctx_.Constant(size - width_bytes, 64));
+    return GuardAgainst(state, ctx_.Not(in_bounds), site, BugKind::kOutOfBounds, beyond);
   }
 
   // The offset's feasible window, bounded by interval analysis over the
@@ -1176,6 +1203,9 @@ class EngineCore::Impl {
   std::unordered_map<const GlobalVariable*, uint64_t> global_objects_;
   // Phi resolution's (phi, value) pairs, reused across steps.
   std::vector<std::pair<Instruction*, RuntimeValue>> phi_scratch_;
+  // The model of the side a decision asked the solver about (a copy of the
+  // path model, extended by the query), reused across decisions.
+  std::vector<uint8_t> side_model_;
 };
 
 EngineCore::EngineCore(Module& module, const SymexOptions& options, SharedCounters& shared,

@@ -765,6 +765,18 @@ unsigned ExprContext::ToBytes(const Expr* e, const Expr* out[kMaxBytes]) {
 
 const Expr* ExprContext::FromBytes(const Expr* const* bytes, unsigned count) {
   OVERIFY_ASSERT(count >= 1 && count <= kMaxBytes, "bad byte count");
+  // All-constant bytes (concrete memory) assemble as an integer: one
+  // Constant instead of a folded Concat per byte.
+  uint64_t folded = 0;
+  unsigned width = 0;
+  unsigned constant_bytes = 0;
+  for (; constant_bytes < count && bytes[constant_bytes]->IsConstant(); ++constant_bytes) {
+    folded |= bytes[constant_bytes]->constant_value() << width;
+    width += bytes[constant_bytes]->width();
+  }
+  if (constant_bytes == count) {
+    return count == 1 ? bytes[0] : Constant(folded, width);
+  }
   const Expr* value = bytes[0];
   for (unsigned i = 1; i < count; ++i) {
     value = Concat(bytes[i], value);

@@ -1372,7 +1372,7 @@ SatResult SolverChain::MayBeTrueImpl(const std::vector<const Expr*>& constraints
     FilterIndependentInto(constraints, cond, filtered_scratch_);
     metrics_->Add(Counter::kSolverIndependenceDrops, constraints.size() - filtered_scratch_.size());
     filtered_scratch_.push_back(cond);
-    return Solve(filtered_scratch_, model);
+    return SolveComponent(model, nullptr);
   }
   PathPrefix* p = EffectivePrefix(prefix, constraints);
   if (p == nullptr) {
@@ -1383,7 +1383,9 @@ SatResult SolverChain::MayBeTrueImpl(const std::vector<const Expr*>& constraints
     return SatResult::kUnsat;
   }
   // Substitution can settle the branch outright (the condition folds to a
-  // constant once bound bytes are rewritten in)...
+  // constant once bound bytes are rewritten in)... A SAT shortcut means the
+  // path implies `cond`, so the caller's path model already satisfies it and
+  // nothing is written.
   const Expr* simplified = preprocessor_.Apply(*p, cond);
   if (simplified->IsTrue()) {
     metrics_->Inc(Counter::kPresolveShortcuts);
@@ -1414,7 +1416,32 @@ SatResult SolverChain::MayBeTrueImpl(const std::vector<const Expr*>& constraints
   // filtered set itself (any range-bearing constraint on such a symbol
   // shares its support and survives FilterIndependent), and the core never
   // consults facts about symbols outside its search order.
-  return Solve(filtered_scratch_, model, p);
+  return SolveComponent(model, p);
+}
+
+SatResult SolverChain::SolveComponent(std::vector<uint8_t>* model, const PathPrefix* prefix) {
+  if (model == nullptr) {
+    return Solve(filtered_scratch_, nullptr, prefix);
+  }
+  SatResult result = Solve(filtered_scratch_, &component_model_, prefix);
+  if (result != SatResult::kSat) {
+    return result;
+  }
+  // Merge: only the component's symbols take the solver's values. The
+  // component shares no symbol with the constraints it dropped, so the
+  // caller's other bytes still satisfy those, and the preprocessed set has
+  // the same models as the path constraints.
+  SupportSet component;
+  for (const Expr* c : filtered_scratch_) {
+    component.UnionWith(c->Support());
+  }
+  if (!component.Empty() && component.MaxSymbol() >= model->size()) {
+    model->resize(component.MaxSymbol() + 1, 0);
+  }
+  component.ForEach([&](unsigned sym) {
+    (*model)[sym] = sym < component_model_.size() ? component_model_[sym] : 0;
+  });
+  return result;
 }
 
 }  // namespace overify

@@ -231,6 +231,14 @@ class SolverChain {
   // Branch feasibility: given an already-satisfiable path `constraints`, can
   // `cond` additionally hold? Only the constraints sharing symbols
   // (transitively) with `cond` are sent to the solver. `prefix` as above.
+  //
+  // `model`, when non-null, is the caller's path model, read and written:
+  // on entry it satisfies `constraints` (bytes beyond its end count as 0).
+  // On kSat it is extended to satisfy `cond` too, by writing only the
+  // symbols of the queried independent component (the filtered set plus
+  // the condition); every other byte is left as it was. A SAT answered by
+  // presolve means the path implies `cond` and writes nothing. Any other
+  // result leaves it untouched.
   SatResult MayBeTrue(const std::vector<const Expr*>& constraints, const Expr* cond,
                       std::vector<uint8_t>* model, PathPrefix* prefix = nullptr);
 
@@ -306,6 +314,9 @@ class SolverChain {
   // uses for domain pruning (implied by `filtered`, see docs/solver.md).
   SatResult Solve(const std::vector<const Expr*>& filtered, std::vector<uint8_t>* model,
                   const PathPrefix* prefix = nullptr);
+  // Solves filtered_scratch_ (one independent component) and, on kSat,
+  // writes the component's symbols into the path model `model`.
+  SatResult SolveComponent(std::vector<uint8_t>* model, const PathPrefix* prefix);
   // Flushes the core's cumulative CDCL counters into the shard.
   void SyncCoreCounters() const;
   // Records `cause` into last_unknown_cause_ and the per-cause stats.
@@ -346,6 +357,7 @@ class SolverChain {
   std::vector<const Expr*> filtered_scratch_;
   std::vector<const Expr*> canonical_scratch_;
   std::vector<const Expr*> preprocessed_scratch_;
+  std::vector<uint8_t> component_model_;  // MayBeTrue's model before the merge
   PathPrefix scratch_prefix_;  // for callers without a per-path handle
   // The constraint sequence scratch_prefix_ summarizes; reused while a
   // handle-less caller keeps querying the same path.

@@ -69,6 +69,11 @@ struct ExecState {
   std::vector<StackFrame> stack;
   AddressSpace memory;
   std::vector<const Expr*> constraints;
+  // The path model: one byte per input symbol (bytes beyond the end count
+  // as 0) under which every member of `constraints` evaluates to 1. Each
+  // branch decision reads one side's feasibility off it and asks the
+  // solver only about the other (docs/engine.md).
+  std::vector<uint8_t> model;
   std::vector<const Expr*> output;  // bytes written via putchar
   // Pointer-typed memory slots: pointers carry an object id and are not
   // byte-serializable, so they live beside the byte memory, keyed by

@@ -1,15 +1,20 @@
 // Engine behaviours beyond the happy path: search order, fork isolation,
-// limits, the memory model's copy-on-write discipline, and output capture.
+// limits, the memory model's copy-on-write discipline, output capture, and
+// the path model every branch decision reads one side off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "src/driver/compiler.h"
 #include "src/frontend/codegen.h"
 #include "src/ir/parser.h"
+#include "src/symex/engine_core.h"
 #include "src/symex/executor.h"
 #include "src/symex/memory.h"
+#include "src/testing/diff_harness.h"
+#include "src/workloads/workloads.h"
 
 namespace overify {
 namespace {
@@ -365,6 +370,117 @@ TEST(OutputCaptureTest, SymbolicOutputBytesAreTracked) {
   SymexResult result = SymbolicExecutor(*m).Run("umain", 1, limits);
   EXPECT_TRUE(result.exhausted);
   EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 1u);  // output does not fork
+}
+
+// Collects the siblings an engine forks.
+class RecordingSink : public sched::ForkSink {
+ public:
+  void PushFork(std::unique_ptr<ExecState> state) override { forks.push_back(std::move(state)); }
+  std::vector<std::unique_ptr<ExecState>> forks;
+};
+
+// Runs `module` to exhaustion on one engine, depth first, and checks the
+// path-model invariant on every state twice: as it was forked (or made)
+// and as it ended. Returns how many checks failed; `checks` counts them all.
+unsigned CountModelViolations(Module& module, unsigned bytes, uint64_t* checks) {
+  ExprInterner interner;  // shared with `eval`, so neither uses inline memos
+  LocalSlotCache slots;
+  for (const auto& fn : module.functions()) {
+    if (!fn->IsDeclaration()) {
+      slots.Count(fn.get());
+    }
+  }
+  sched::SharedCounters shared;
+  sched::EngineCore engine(module, SymexOptions(), shared, slots, bytes, 0, &interner);
+  ExprContext eval(interner);
+  unsigned violations = 0;
+  auto check = [&](const ExecState& state) {
+    std::vector<uint8_t> model = state.model;
+    model.resize(bytes, 0);  // bytes beyond the model count as 0
+    eval.NewEvaluation();
+    for (const Expr* constraint : state.constraints) {
+      if (eval.Evaluate(constraint, model) != 1) {
+        ++violations;
+        break;
+      }
+    }
+    ++*checks;
+  };
+  RecordingSink sink;
+  std::vector<std::unique_ptr<ExecState>> work;
+  work.push_back(engine.MakeInitialState(module.GetFunction("umain")));
+  while (!work.empty()) {
+    std::unique_ptr<ExecState> state = std::move(work.back());
+    work.pop_back();
+    check(*state);
+    EXPECT_EQ(engine.RunState(*state, sink), sched::PathOutcome::kCompleted);
+    check(*state);
+    for (auto& fork : sink.forks) {
+      work.push_back(std::move(fork));
+    }
+    sink.forks.clear();
+  }
+  return violations;
+}
+
+TEST(PathModelTest, EveryConstraintHoldsUnderItsPathModel) {
+  const struct {
+    const char* name;
+    unsigned bytes;
+  } kPrograms[] = {{"wc", 4}, {"trim", 4}, {"tr_flex", 3}, {"factor", 2}, {"wc_any", 3}};
+  for (const auto& program : kPrograms) {
+    const Workload* workload = FindWorkload(program.name);
+    ASSERT_NE(workload, nullptr) << program.name;
+    for (OptLevel level : {OptLevel::kO0, OptLevel::kO3, OptLevel::kOverify}) {
+      CompileResult compiled = Compiler().Compile(workload->source, level, program.name);
+      ASSERT_TRUE(compiled.ok) << program.name << ": " << compiled.errors;
+      uint64_t checks = 0;
+      EXPECT_EQ(CountModelViolations(*compiled.module, program.bytes, &checks), 0u)
+          << program.name << " at " << OptLevelName(level);
+      EXPECT_GT(checks, 2u) << program.name << " at " << OptLevelName(level);
+    }
+  }
+}
+
+TEST(PathModelTest, EachDecisionPosesOneQuery) {
+  // Four branches on one symbolic byte, thresholds rising. The root path
+  // takes every true side and forks four times; sibling i (x in (t(i-1),
+  // t(i)]) re-decides branch i by path membership, then meets the 4 - i
+  // branches below it. Every decision that reaches the solver reads one
+  // side off the path model and queries the other: 4 + (3 + 2 + 1 + 0).
+  auto m = CompileOrDie(R"(
+    int umain(unsigned char *in, int n) {
+      int c = 0;
+      if (in[0] > 10) { c++; }
+      if (in[0] > 20) { c++; }
+      if (in[0] > 30) { c++; }
+      if (in[0] > 40) { c++; }
+      return c;
+    }
+  )");
+  SymexLimits limits;
+  SymexResult result = SymbolicExecutor(*m).Run("umain", 1, limits);
+  EXPECT_TRUE(result.exhausted);
+  EXPECT_EQ(result.metrics.Get(Counter::kForks), 4u);
+  EXPECT_EQ(result.metrics.Get(Counter::kPathsCompleted), 5u);
+  EXPECT_EQ(result.metrics.Get(Counter::kSolverQueries), 10u);
+}
+
+TEST(PathModelTest, FourWorkersMatchOneWorker) {
+  const Workload* wc = FindWorkload("wc");
+  ASSERT_NE(wc, nullptr);
+  CompileResult compiled = Compiler().Compile(wc->source, OptLevel::kO0, "wc");
+  ASSERT_TRUE(compiled.ok) << compiled.errors;
+  SymexLimits limits;
+  SymexOptions one_opts;
+  one_opts.jobs = 1;
+  SymexResult one = SymbolicExecutor(*compiled.module, one_opts).Run("umain", 4, limits);
+  ASSERT_TRUE(one.exhausted);
+  SymexOptions four_opts;
+  four_opts.jobs = 4;
+  SymexResult four = SymbolicExecutor(*compiled.module, four_opts).Run("umain", 4, limits);
+  EXPECT_EQ(difftest::SignatureOf(one, *compiled.module, "umain", true),
+            difftest::SignatureOf(four, *compiled.module, "umain", true));
 }
 
 }  // namespace
