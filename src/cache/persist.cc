@@ -103,9 +103,9 @@ uint64_t OptionsFingerprint(const SymexOptions& options) {
   // excluded: the scheduler contract makes results worker-count-invariant,
   // so a 1-job warm run may reuse a 8-job cold harvest.
   PortableHasher hasher;
-  hasher.Fold(static_cast<uint8_t>(options.solver_preprocess ? 1 : 0));
-  // Once a learning switch that never changed an answer; kept as its
-  // always-on value so stored run blobs keep resolving.
+  // Once the constraint-preprocessing and learning switches; both are
+  // always on now, and their constants keep stored run blobs resolving.
+  hasher.Fold(static_cast<uint8_t>(1));
   hasher.Fold(static_cast<uint8_t>(1));
   hasher.Fold(static_cast<uint8_t>(options.slice_checks ? 1 : 0));
   // Once whether compiler annotations were handed to the engine; annotations

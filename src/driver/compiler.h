@@ -49,8 +49,8 @@ class Compiler {
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,
                     const SymexLimits& limits, unsigned jobs = 1);
 
-// Full-options overload (solver A/B configurations such as
-// solver_preprocess, slicing, persistence, tracing).
+// Full-options overload (worker count, slicing, fault injection,
+// persistence, tracing).
 SymexResult Analyze(CompileResult& compiled, const std::string& entry, unsigned input_bytes,
                     const SymexLimits& limits, const SymexOptions& options);
 

@@ -40,12 +40,12 @@ namespace overify {
 // each optimization pass did, Table 3's rows) are counted by a PassManager,
 // never by the engine; one compile is single-threaded and deterministic.
 //
-// A terminated path counts under exactly one cause: paths.infeasible (no
-// feasible branch direction remained), paths.bug (died at a bug site),
-// paths.limit (running when a limit stopped the search), paths.unexplored
-// (still queued then) or paths.unknown (the solver gave up on a decisive
-// query; never explored past, and always the sum of the three
-// paths.unknown_* causes, docs/robustness.md). steal.states and
+// A terminated path counts under exactly one cause: paths.bug (died at a
+// bug site), paths.limit (running when a limit stopped the search),
+// paths.unexplored (still queued then) or paths.unknown (the solver gave up
+// on a decisive query; never explored past, and always the sum of the three
+// paths.unknown_* causes, docs/robustness.md). No path dies infeasible: its
+// model witnesses one side of every branch decision. steal.states and
 // steal.batches count migrated states and steals that yielded work.
 //
 // Retired counters are always 0: nothing counts them any more, and they
@@ -53,7 +53,7 @@ namespace overify {
 // the next benchmark change.
 #define OVERIFY_METRIC_COUNTERS(X)                            \
   X(kPathsCompleted, "paths.completed", true)                 \
-  X(kPathsInfeasible, "paths.infeasible", true)               \
+  X(kPathsInfeasible, "paths.infeasible", true) /* retired */ \
   X(kPathsBug, "paths.bug", true)                             \
   X(kPathsLimit, "paths.limit", true)                         \
   X(kPathsUnexplored, "paths.unexplored", true)               \

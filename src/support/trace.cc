@@ -28,9 +28,8 @@ const KindInfo kKinds[] = {
 const char* const kVerdictNames[] = {"sat", "unsat", "unknown"};
 const char* const kCauseNames[] = {"none", "budget", "deadline", "cancelled", "injected"};
 const char* const kHitNames[] = {"exact", "reuse", "miss"};
-const char* const kForkNames[] = {"true", "false", "fork", "infeasible", "unknown"};
-const char* const kPathNames[] = {"completed", "infeasible", "bug",
-                                  "limit",     "unknown",    "died"};
+const char* const kForkNames[] = {"true", "false", "fork", "unknown"};
+const char* const kPathNames[] = {"completed", "bug", "limit", "unknown", "died"};
 
 template <size_t N>
 const char* NameOrRaw(const char* const (&table)[N], uint64_t value) {

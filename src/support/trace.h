@@ -49,7 +49,6 @@ enum class ForkOutcome : uint8_t {
   kTrue,
   kFalse,
   kFork,
-  kInfeasible,
   kUnknown,
 };
 

@@ -61,7 +61,6 @@ class EngineCore::Impl {
     // The solver writes into this worker's shard directly; installed before
     // any query so no counts land in the chain's private fallback shard.
     solver_.set_metrics(&metrics_);
-    solver_.set_preprocessing(options_.solver_preprocess);
     // Cooperative query controls: the run deadline (stamped by the pool; a
     // default-constructed SharedCounters leaves it unset, so direct engine
     // users never get spurious deadline unknowns), the stop latch, this
@@ -167,9 +166,6 @@ class EngineCore::Impl {
           shared_.paths_completed.fetch_add(1, std::memory_order_relaxed);
           LatchExceededLimit();
           return PathOutcome::kCompleted;
-        case StepOutcome::kPathInfeasible:
-          metrics_.Inc(Counter::kPathsInfeasible);
-          return PathOutcome::kInfeasible;
         case StepOutcome::kPathUnknown:
           return RecordUnknown();
         default:
@@ -180,25 +176,17 @@ class EngineCore::Impl {
   }
 
   enum class StepOutcome {
-    kContinue,        // state advanced; keep running it
-    kPathComplete,    // main returned
-    kPathInfeasible,  // no feasible direction remained
-    kPathBug,         // died at a bug site (including engine errors)
-    kPathUnknown,     // the solver gave up on a decisive query
+    kContinue,      // state advanced; keep running it
+    kPathComplete,  // main returned
+    kPathBug,       // died at a bug site (including engine errors)
+    kPathUnknown,   // the solver gave up on a decisive query
   };
 
   // Guard/access outcomes: the state either survives or dies for a cause.
-  enum class GuardResult { kOk, kDiedBug, kDiedInfeasible, kDiedUnknown };
+  enum class GuardResult { kOk, kDiedBug, kDiedUnknown };
 
   static StepOutcome DeadOutcome(GuardResult result) {
-    switch (result) {
-      case GuardResult::kDiedBug:
-        return StepOutcome::kPathBug;
-      case GuardResult::kDiedUnknown:
-        return StepOutcome::kPathUnknown;
-      default:
-        return StepOutcome::kPathInfeasible;
-    }
+    return result == GuardResult::kDiedBug ? StepOutcome::kPathBug : StepOutcome::kPathUnknown;
   }
 
   void LatchExceededLimit() {
@@ -390,7 +378,7 @@ class EngineCore::Impl {
   // directions are possible. Returns the value for the current state
   // (true branch) and queues the false sibling. On kBoth, state.model
   // witnesses the true side and side_model_ the false side.
-  enum class CondOutcome { kTrue, kFalse, kBoth, kNeither, kUnknown };
+  enum class CondOutcome { kTrue, kFalse, kBoth, kUnknown };
 
   CondOutcome DecideCondition(ExecState& state, const Expr* cond) {
     if (cond->IsConstant()) {
@@ -419,7 +407,8 @@ class EngineCore::Impl {
     // with no query; only the side it leaves open goes to the solver, which
     // on SAT extends a copy of the model into that side's witness. A
     // budget-bound open side is kUnknown and kills the path: the branch is
-    // undecidable. The witnessed side makes kNeither unreachable.
+    // undecidable. The witnessed side means no decision is refuted on both
+    // sides.
     const bool model_true = ModelSatisfies(state, cond);
     side_model_ = state.model;
     SatResult open = solver_.MayBeTrue(state.constraints, model_true ? not_cond : cond,
@@ -439,10 +428,10 @@ class EngineCore::Impl {
   }
 
   // Adds `cond` (or its negation) to the state, forking if needed. The
-  // current state dies on kInfeasible (no feasible direction) and on
-  // kUnknown (the solver could not decide either direction). On a fork, the
-  // sibling (negated) state goes to the sink.
-  enum class ForkDecision { kOk, kInfeasible, kUnknown };
+  // current state dies on kUnknown (the solver could not decide the side
+  // the path model leaves open). On a fork, the sibling (negated) state
+  // goes to the sink.
+  enum class ForkDecision { kOk, kUnknown };
 
   ForkDecision ConstrainOrFork(ExecState& state, const Expr* cond, bool* took_true) {
     // The fork-decide span is trace-only: most decisions settle on a
@@ -489,17 +478,10 @@ class EngineCore::Impl {
         *took_true = true;
         return ForkDecision::kOk;
       }
-      case CondOutcome::kNeither:
-        return ForkDecision::kInfeasible;
       case CondOutcome::kUnknown:
-        return ForkDecision::kUnknown;
+        break;
     }
-    return ForkDecision::kInfeasible;
-  }
-
-  static StepOutcome ForkDeadOutcome(ForkDecision decision) {
-    return decision == ForkDecision::kUnknown ? StepOutcome::kPathUnknown
-                                              : StepOutcome::kPathInfeasible;
+    return ForkDecision::kUnknown;
   }
 
   // Definite bug sites die as bugs only when the report was witnessed; a
@@ -510,8 +492,8 @@ class EngineCore::Impl {
 
   // Guard for a potentially trapping condition: if `bad` is feasible, report
   // a bug, then continue on the safe side (constraining !bad). The state
-  // dies when the safe side is infeasible — as a bug death when a report
-  // was filed, otherwise as an infeasible one.
+  // dies as a bug death when the safe side is infeasible: the path model
+  // then witnesses the bad side, so the report was filed first.
   //
   // Soundness never degrades under unknowns: when the bad-side query cannot
   // be decided, the state dies unknown instead of silently skipping a
@@ -948,7 +930,7 @@ class EngineCore::Impl {
           bool took_true;
           ForkDecision decision = ConstrainOrFork(state, cond, &took_true);
           if (decision != ForkDecision::kOk) {
-            return ForkDeadOutcome(decision);
+            return StepOutcome::kPathUnknown;
           }
           state.SetLocal(inst, took_true ? tv : fv);
         } else {
@@ -1040,7 +1022,7 @@ class EngineCore::Impl {
         bool took_true;
         ForkDecision decision = ConstrainOrFork(state, cond, &took_true);
         if (decision != ForkDecision::kOk) {
-          return ForkDeadOutcome(decision);
+          return StepOutcome::kPathUnknown;
         }
         state.JumpTo(took_true ? br->true_dest() : br->false_dest());
         return StepOutcome::kContinue;

@@ -106,13 +106,12 @@ struct SharedCounters {
 
 // How a path ended.
 enum class PathOutcome {
-  kCompleted,   // main returned
-  kInfeasible,  // no feasible direction remained
-  kBug,         // died at a bug site (including engine errors)
-  kLimitStop,   // the global stop latch tripped while it was running
-  kUnknown,     // the solver gave up on a decisive query (budget/deadline/fault)
-  kDied,        // injected worker death: the state is still live and must be
-                // requeued by the pool, and this worker runs nothing further
+  kCompleted,  // main returned
+  kBug,        // died at a bug site (including engine errors)
+  kLimitStop,  // the global stop latch tripped while it was running
+  kUnknown,    // the solver gave up on a decisive query (budget/deadline/fault)
+  kDied,       // injected worker death: the state is still live and must be
+               // requeued by the pool, and this worker runs nothing further
 };
 
 // Receives forked sibling states. Implemented by the pool's worker queues;

@@ -112,11 +112,6 @@ struct SymexResult {
 struct SymexOptions {
   // Worker threads exploring in parallel; 0 = one per hardware thread.
   unsigned jobs = 1;
-  // Constraint preprocessing + prefix-aware counterexample caching ahead of
-  // the core search (docs/engine.md). Off is for A/B comparisons and the
-  // preprocessing regression tests; verdicts and bug reports are identical
-  // either way.
-  bool solver_preprocess = true;
   // Deterministic fault injection (src/support/fault.h). Disabled by
   // default (seed 0); tests and the robustness differential harness enable
   // it to exercise the graceful-degradation contract (docs/robustness.md).

@@ -1036,7 +1036,7 @@ SatResult SolverChain::Unknown(UnknownCause cause) {
 }
 
 SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
-                             std::vector<uint8_t>* model, const PathPrefix* prefix) {
+                             std::vector<uint8_t>* model, const PathPrefix& prefix) {
   std::vector<const Expr*>& canonical = canonical_scratch_;
   if (!Canonicalize(filtered, canonical)) {
     return SatResult::kUnsat;
@@ -1172,8 +1172,8 @@ SatResult SolverChain::Solve(const std::vector<const Expr*>& filtered,
   const uint64_t candidates_before = core_.candidates_tried();
   const uint64_t core_t0 = timed ? MetricsNowNs() : 0;
   CoreSolver::SearchExtras extras;
-  if (prefix != nullptr && !prefix->range.empty()) {
-    extras.ranges = &prefix->range;
+  if (!prefix.range.empty()) {
+    extras.ranges = &prefix.range;
   }
   extras.metrics = metrics_;
   SatResult result = core_.CheckSat(ctx_, canonical, &core_model, control_.query_candidates,
@@ -1277,9 +1277,6 @@ SatResult SolverChain::CheckSat(const std::vector<const Expr*>& constraints,
 
 SatResult SolverChain::CheckSatImpl(const std::vector<const Expr*>& constraints,
                                     std::vector<uint8_t>* model, PathPrefix* prefix) {
-  if (!preprocess_enabled_) {
-    return Solve(constraints, model);
-  }
   PathPrefix* p = EffectivePrefix(prefix, constraints);
   if (p == nullptr) {
     return Unknown(UnknownCause::kDeadline);
@@ -1288,7 +1285,7 @@ SatResult SolverChain::CheckSatImpl(const std::vector<const Expr*>& constraints,
     return SatResult::kUnsat;
   }
   AssemblePreprocessed(*p, preprocessed_scratch_);
-  return Solve(preprocessed_scratch_, model, p);
+  return Solve(preprocessed_scratch_, model, *p);
 }
 
 SatResult SolverChain::CheckSatCanonical(const std::vector<const Expr*>& constraints,
@@ -1368,12 +1365,6 @@ SatResult SolverChain::MayBeTrueImpl(const std::vector<const Expr*>& constraints
   if (cond->IsFalse()) {
     return SatResult::kUnsat;
   }
-  if (!preprocess_enabled_) {
-    FilterIndependentInto(constraints, cond, filtered_scratch_);
-    metrics_->Add(Counter::kSolverIndependenceDrops, constraints.size() - filtered_scratch_.size());
-    filtered_scratch_.push_back(cond);
-    return SolveComponent(model, nullptr);
-  }
   PathPrefix* p = EffectivePrefix(prefix, constraints);
   if (p == nullptr) {
     return Unknown(UnknownCause::kDeadline);
@@ -1416,10 +1407,10 @@ SatResult SolverChain::MayBeTrueImpl(const std::vector<const Expr*>& constraints
   // filtered set itself (any range-bearing constraint on such a symbol
   // shares its support and survives FilterIndependent), and the core never
   // consults facts about symbols outside its search order.
-  return SolveComponent(model, p);
+  return SolveComponent(model, *p);
 }
 
-SatResult SolverChain::SolveComponent(std::vector<uint8_t>* model, const PathPrefix* prefix) {
+SatResult SolverChain::SolveComponent(std::vector<uint8_t>* model, const PathPrefix& prefix) {
   if (model == nullptr) {
     return Solve(filtered_scratch_, nullptr, prefix);
   }

@@ -242,10 +242,6 @@ class SolverChain {
   SatResult MayBeTrue(const std::vector<const Expr*>& constraints, const Expr* cond,
                       std::vector<uint8_t>* model, PathPrefix* prefix = nullptr);
 
-  // Disables the preprocessing pipeline (A/B comparisons and regression
-  // tests; queries then flow straight to canonicalization + caching).
-  void set_preprocessing(bool on) { preprocess_enabled_ = on; }
-
   // Installs the run's cooperative controls (deadline, cancel latch, fault
   // injector, per-query candidate budget). The engine calls this once per run; the
   // default control never interrupts, so chain users without one (tests,
@@ -310,13 +306,13 @@ class SolverChain {
   bool Timed() const { return metrics_->timing || trace_ != nullptr; }
   // Records the query span that started at `t0` (histogram + trace).
   void FinishQuery(uint64_t t0, SatResult result);
-  // `prefix`, when non-null, supplies the per-symbol range facts the core
-  // uses for domain pruning (implied by `filtered`, see docs/solver.md).
+  // `prefix` supplies the per-symbol range facts the core uses for domain
+  // pruning (implied by `filtered`, see docs/solver.md).
   SatResult Solve(const std::vector<const Expr*>& filtered, std::vector<uint8_t>* model,
-                  const PathPrefix* prefix = nullptr);
+                  const PathPrefix& prefix);
   // Solves filtered_scratch_ (one independent component) and, on kSat,
   // writes the component's symbols into the path model `model`.
-  SatResult SolveComponent(std::vector<uint8_t>* model, const PathPrefix* prefix);
+  SatResult SolveComponent(std::vector<uint8_t>* model, const PathPrefix& prefix);
   // Flushes the core's cumulative CDCL counters into the shard.
   void SyncCoreCounters() const;
   // Records `cause` into last_unknown_cause_ and the per-cause stats.
@@ -332,7 +328,6 @@ class SolverChain {
   ExprContext& ctx_;
   CoreSolver core_;
   ConstraintPreprocessor preprocessor_;
-  bool preprocess_enabled_ = true;
   QueryControl control_;
   UnknownCause last_unknown_cause_ = UnknownCause::kNone;
   // Where every counter/histogram lands: the engine's per-worker shard, or

@@ -24,8 +24,7 @@ void AppendBytes(std::ostringstream& out, const std::vector<uint8_t>& bytes) {
 
 std::string LatticeCell::Name() const {
   std::ostringstream out;
-  out << OptLevelName(level) << "/j" << jobs << "/"
-      << (solver_preprocess ? "prep" : "noprep");
+  out << OptLevelName(level) << "/j" << jobs;
   if (slice_checks) {
     out << "/slice";
   }
@@ -35,7 +34,6 @@ std::string LatticeCell::Name() const {
 SymexOptions LatticeCell::ToOptions() const {
   SymexOptions options;
   options.jobs = jobs;
-  options.solver_preprocess = solver_preprocess;
   options.slice_checks = slice_checks;
   return options;
 }
@@ -55,8 +53,8 @@ bool BugSignature::operator<(const BugSignature& other) const {
 
 bool RunSignature::operator==(const RunSignature& other) const {
   return exhausted == other.exhausted && paths_completed == other.paths_completed &&
-         paths_infeasible == other.paths_infeasible && paths_bug == other.paths_bug &&
-         paths_limit == other.paths_limit && paths_unexplored == other.paths_unexplored &&
+         paths_bug == other.paths_bug && paths_limit == other.paths_limit &&
+         paths_unexplored == other.paths_unexplored &&
          paths_unknown == other.paths_unknown &&
          paths_unknown_budget == other.paths_unknown_budget &&
          paths_unknown_deadline == other.paths_unknown_deadline &&
@@ -68,8 +66,7 @@ bool RunSignature::operator==(const RunSignature& other) const {
 std::string RunSignature::ToString() const {
   std::ostringstream out;
   out << (exhausted ? "exhausted" : "CAPPED") << " paths=" << paths_completed
-      << " infeasible=" << paths_infeasible << " bug=" << paths_bug
-      << " limit=" << paths_limit << " unexplored=" << paths_unexplored
+      << " bug=" << paths_bug << " limit=" << paths_limit << " unexplored=" << paths_unexplored
       << " unknown=" << paths_unknown << " (budget=" << paths_unknown_budget
       << " deadline=" << paths_unknown_deadline << " injected=" << paths_unknown_injected
       << ")" << " instructions=" << instructions << " forks=" << forks
@@ -109,15 +106,12 @@ std::vector<LatticeCell> FullLattice(const DiffOptions& options) {
   std::vector<LatticeCell> cells;
   for (OptLevel level : options.levels) {
     for (unsigned jobs : options.jobs) {
-      for (bool preprocess : options.preprocess) {
-        for (bool slice : options.slicing) {
-          LatticeCell cell;
-          cell.level = level;
-          cell.jobs = jobs;
-          cell.solver_preprocess = preprocess;
-          cell.slice_checks = slice;
-          cells.push_back(cell);
-        }
+      for (bool slice : options.slicing) {
+        LatticeCell cell;
+        cell.level = level;
+        cell.jobs = jobs;
+        cell.slice_checks = slice;
+        cells.push_back(cell);
       }
     }
   }
@@ -132,7 +126,6 @@ RunSignature SignatureOf(const SymexResult& result, Module& module, const std::s
   const MetricsShard& m = result.metrics;
   signature.exhausted = result.exhausted;
   signature.paths_completed = m.Get(Counter::kPathsCompleted);
-  signature.paths_infeasible = m.Get(Counter::kPathsInfeasible);
   signature.paths_bug = m.Get(Counter::kPathsBug);
   signature.paths_limit = m.Get(Counter::kPathsLimit);
   signature.paths_unexplored = m.Get(Counter::kPathsUnexplored);
@@ -193,7 +186,7 @@ DiffReport RunDifferential(const std::string& name, const std::string& source,
       continue;
     }
 
-    // Within one level every scheduler/solver cell must produce the same
+    // Within one level every scheduler cell must produce the same
     // canonical signature; the first cell is the reference. Slice-mode cells
     // form their own reference group — their path/fork counts are per-slice
     // sums, comparable only to other slice cells (the cross-level semantic

@@ -1,21 +1,19 @@
 // Differential verification harness: one workload, every configuration.
 //
-// The engine has independently-toggleable fast paths (constraint
-// preprocessing, prefix caching behind it, the multi-worker steal path) on
-// top of the optimization-level axis the paper studies. Each of them claims
-// "identical results either way" — this harness is the single oracle that
-// enforces the claim at suite scale instead of scattered per-feature
-// equivalence tests. It runs a program through the full configuration
-// lattice
+// The engine's multi-worker steal path and per-check slicing sit on top of
+// the optimization-level axis the paper studies. Each claims "identical
+// results either way" — this harness is the single oracle that enforces the
+// claim at suite scale instead of scattered per-feature equivalence tests.
+// It runs a program through the configuration lattice
 //
-//   {-O0, -OVERIFY, -O3} x {1, 4 workers} x {preprocess on, off}
+//   {-O0, -OVERIFY, -O3} x {1, 4 workers} [x {whole program, sliced}]
 //
 // and asserts a canonical RunSignature per cell:
 //
 //  - within one optimization level (same compiled module), the signature —
 //    per-cause terminated counters, path/fork/instruction counts, and the
 //    sorted bug reports with their confirmed models — must be bit-identical
-//    across every scheduler/solver configuration of an exhausted run;
+//    across every scheduler configuration of an exhausted run;
 //  - across levels the compiled programs differ, so counts are not
 //    comparable; the semantic signature (exhaustion, plus the sorted set of
 //    bug kinds with whether each confirmed) must still agree.
@@ -45,7 +43,6 @@ namespace difftest {
 struct LatticeCell {
   OptLevel level = OptLevel::kOverify;
   unsigned jobs = 1;
-  bool solver_preprocess = true;
   // Per-check slice verification (docs/slicing.md). Slice-mode path/fork
   // counts are per-slice sums, so slice cells form their own bit-identical
   // reference group within a level; the cross-level semantic comparison
@@ -53,8 +50,8 @@ struct LatticeCell {
   // cells.
   bool slice_checks = false;
 
-  // "O3/j4/prep" — stable, greppable cell id; slice-mode cells
-  // append "/slice".
+  // "-O3/j4" — stable, greppable cell id; slice-mode cells append
+  // "/slice".
   std::string Name() const;
   SymexOptions ToOptions() const;
 };
@@ -82,7 +79,6 @@ struct BugSignature {
 struct RunSignature {
   bool exhausted = false;
   uint64_t paths_completed = 0;
-  uint64_t paths_infeasible = 0;
   uint64_t paths_bug = 0;
   uint64_t paths_limit = 0;
   uint64_t paths_unexplored = 0;
@@ -131,11 +127,10 @@ RunSignature SignatureOf(const SymexResult& result, Module& module, const std::s
 struct DiffOptions {
   std::vector<OptLevel> levels = {OptLevel::kO0, OptLevel::kOverify, OptLevel::kO3};
   std::vector<unsigned> jobs = {1, 4};
-  std::vector<bool> preprocess = {true, false};  // solver_preprocess values
   // Slice-mode axis (docs/slicing.md). Default spans whole-program only so
   // the base lattice's cost is unchanged; slicing suites set {false, true}
   // to assert slice-vs-whole verdict equivalence on top of the scheduler
-  // and solver axes.
+  // axis.
   std::vector<bool> slicing = {false};
   std::string entry = "umain";
   SymexLimits limits;  // callers size this so every cell exhausts

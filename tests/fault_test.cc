@@ -207,9 +207,9 @@ SymexResult RunBranchy(CompileResult& compiled, unsigned jobs, const FaultConfig
 
 void ExpectIdenticalRuns(const SymexResult& a, const SymexResult& b, const std::string& label) {
   EXPECT_EQ(a.exhausted, b.exhausted) << label;
-  for (Counter c : {Counter::kPathsCompleted, Counter::kPathsInfeasible, Counter::kPathsBug,
-                    Counter::kPathsLimit, Counter::kPathsUnexplored, Counter::kPathsUnknown,
-                    Counter::kInstructions, Counter::kForks}) {
+  for (Counter c : {Counter::kPathsCompleted, Counter::kPathsBug, Counter::kPathsLimit,
+                    Counter::kPathsUnexplored, Counter::kPathsUnknown, Counter::kInstructions,
+                    Counter::kForks}) {
     EXPECT_EQ(a.metrics.Get(c), b.metrics.Get(c)) << label << " " << CounterName(c);
   }
   EXPECT_EQ(a.stop_cause, b.stop_cause) << label;

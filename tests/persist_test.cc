@@ -242,14 +242,16 @@ TEST(PrefixCacheCollision, ForcedSetHashCollisionDegradesToMiss) {
 class PersistSeedTest : public ::testing::Test {
  protected:
   // Builds the same query in any context (seeded chains live in their own
-  // interner, like a fresh process would).
+  // interner, like a fresh process would). Symbol-symbol relations are
+  // opaque to the preprocessor's range extraction, so both queries reach
+  // the counterexample cache.
   static std::vector<const Expr*> SatQuery(ExprContext& ctx) {
-    return {ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant(5, 8)),
-            ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(1), ctx.Constant(9, 8))};
+    return {ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(0), ctx.Symbol(1)),
+            ctx.Compare(ICmpPredicate::kULE, ctx.Symbol(2), ctx.Symbol(1))};
   }
   static std::vector<const Expr*> UnsatQuery(ExprContext& ctx) {
-    return {ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant(5, 8)),
-            ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant(6, 8))};
+    return {ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(0), ctx.Symbol(1)),
+            ctx.Compare(ICmpPredicate::kULT, ctx.Symbol(1), ctx.Symbol(0))};
   }
 
   static bool Satisfies(ExprContext& ctx, const std::vector<const Expr*>& constraints,
@@ -267,7 +269,6 @@ class PersistSeedTest : public ::testing::Test {
   RunBlob HarvestReferenceRun() {
     ExprContext ctx;
     SolverChain chain(ctx);
-    chain.set_preprocessing(false);
     std::vector<uint8_t> model;
     EXPECT_EQ(chain.CheckSat(SatQuery(ctx), &model), SatResult::kSat);
     EXPECT_EQ(chain.CheckSat(UnsatQuery(ctx), &model), SatResult::kUnsat);
@@ -283,7 +284,6 @@ TEST_F(PersistSeedTest, SeededChainAnswersFromStore) {
 
   ExprContext ctx;  // fresh interner: different Expr::id() space
   SolverChain chain(ctx);
-  chain.set_preprocessing(false);
   SeedChain(blob, chain);
   EXPECT_EQ(chain.metrics().Get(Counter::kPersistSeeded), blob.entries.size());
 
@@ -313,7 +313,6 @@ TEST_F(PersistSeedTest, TamperedModelDegradesToMissNeverWrongAnswer) {
 
   ExprContext ctx;
   SolverChain chain(ctx);
-  chain.set_preprocessing(false);
   SeedChain(blob, chain);
 
   std::vector<uint8_t> model;
@@ -329,7 +328,6 @@ TEST_F(PersistSeedTest, HarvestSkipsUnvalidatedEntries) {
   RunBlob blob = HarvestReferenceRun();
   ExprContext ctx;
   SolverChain chain(ctx);
-  chain.set_preprocessing(false);
   SeedChain(blob, chain);
   // No queries ran: the SAT models are still unvalidated and must not be
   // re-persisted (a lie would otherwise survive laundering through a warm
@@ -346,7 +344,6 @@ TEST_F(PersistSeedTest, HarvestAppendsWithoutDuplicates) {
   const size_t first = blob.entries.size();
   ExprContext ctx;
   SolverChain chain(ctx);
-  chain.set_preprocessing(false);
   SeedChain(blob, chain);
   std::vector<uint8_t> model;
   EXPECT_EQ(chain.CheckSat(SatQuery(ctx), &model), SatResult::kSat);

@@ -3,12 +3,14 @@
 //  - property tests that preprocessing preserves satisfiability and model
 //    validity against the unpreprocessed solver on randomized constraint
 //    sets,
-//  - the cache's exact and recent-model tiers, and regression tests that
-//    cache hits never change verdicts or bug reports.
+//  - the cache's exact and recent-model tiers, and a regression test that
+//    pins three programs' bug reports and path counts.
 #include <gtest/gtest.h>
 
 #include "src/driver/compiler.h"
 #include "src/frontend/codegen.h"
+#include "src/ir/basic_block.h"
+#include "src/ir/instruction.h"
 #include "src/support/rng.h"
 #include "src/symex/executor.h"
 #include "src/symex/solver.h"
@@ -183,7 +185,9 @@ TEST(PreprocessPropertyTest, IncrementalPrefixMatchesFromScratch) {
   }
 }
 
-TEST(PreprocessPropertyTest, MayBeTrueAgreesWithUnpreprocessedChain) {
+// The reference is the core alone over the raw constraints, with no
+// preprocessing, caching or independence filtering in front of it.
+TEST(PreprocessPropertyTest, MayBeTrueAgreesWithTheUnpreprocessedCore) {
   Rng rng(0x5eed5eed);
   const unsigned kNumSyms = 4;
   for (int round = 0; round < 200; ++round) {
@@ -193,17 +197,26 @@ TEST(PreprocessPropertyTest, MayBeTrueAgreesWithUnpreprocessedChain) {
     for (size_t i = 0; i < n; ++i) {
       path.push_back(RandomConstraint(ctx, rng, kNumSyms));
     }
-    // MayBeTrue's contract assumes a satisfiable path.
+    // MayBeTrue's contract assumes a satisfiable path and a model of it.
     CoreSolver core;
-    if (core.CheckSat(ctx, path, nullptr) != SatResult::kSat) {
+    std::vector<uint8_t> model;
+    if (core.CheckSat(ctx, path, &model) != SatResult::kSat) {
       continue;
     }
     const Expr* cond = RandomConstraint(ctx, rng, kNumSyms);
-    SolverChain with(ctx);
-    SolverChain without(ctx);
-    without.set_preprocessing(false);
-    EXPECT_EQ(with.MayBeTrue(path, cond, nullptr), without.MayBeTrue(path, cond, nullptr))
-        << "round " << round;
+    std::vector<const Expr*> extended = path;
+    extended.push_back(cond);
+    SolverChain chain(ctx);
+    const SatResult result = chain.MayBeTrue(path, cond, &model);
+    ASSERT_EQ(result, CoreSolver().CheckSat(ctx, extended, nullptr)) << "round " << round;
+    if (result == SatResult::kSat) {
+      // The extended path model satisfies the raw constraints and `cond`.
+      model.resize(kNumSyms, 0);
+      ctx.NewEvaluation();
+      for (const Expr* c : extended) {
+        EXPECT_NE(ctx.Evaluate(c, model), 0u) << "round " << round;
+      }
+    }
   }
 }
 
@@ -268,7 +281,7 @@ TEST(CexCacheTest, PaddedRecentModelThenCoreThenExactHit) {
   EXPECT_EQ(count(Counter::kSolverCoreQueries), 3u);
 }
 
-// ---- Regression: preprocessing never changes bug reports.
+// ---- Regression: bug reports and path counts stay as recorded.
 
 std::unique_ptr<Module> CompileOrDie(const std::string& source) {
   DiagnosticEngine diags;
@@ -277,9 +290,15 @@ std::unique_ptr<Module> CompileOrDie(const std::string& source) {
   return m;
 }
 
+// A report's site as "<opcode>@<block>" (the programs are not optimized,
+// so the frontend's block names are stable).
+std::string SiteName(const BugReport& bug) {
+  return std::string(OpcodeName(bug.site->opcode())) + "@" + bug.site->parent()->name();
+}
+
 void ExpectSameOutcome(const SymexResult& a, const SymexResult& b, const std::string& label) {
   EXPECT_EQ(a.exhausted, b.exhausted) << label;
-  for (Counter c : {Counter::kPathsCompleted, Counter::kPathsInfeasible, Counter::kPathsBug}) {
+  for (Counter c : {Counter::kPathsCompleted, Counter::kPathsBug}) {
     EXPECT_EQ(a.metrics.Get(c), b.metrics.Get(c)) << label << " " << CounterName(c);
   }
   ASSERT_EQ(a.bugs.size(), b.bugs.size()) << label;
@@ -291,18 +310,34 @@ void ExpectSameOutcome(const SymexResult& a, const SymexResult& b, const std::st
   }
 }
 
-TEST(PreprocessRegressionTest, BugReportsIdenticalWithAndWithoutPreprocessing) {
-  const char* kPrograms[] = {
+// The golden values were recorded while preprocessing could still be
+// switched off, from runs that agreed with it on and off: preprocessing
+// is an optimization, and these are the answers without it.
+TEST(PreprocessRegressionTest, BugReportsMatchTheUnpreprocessedGolden) {
+  struct GoldenBug {
+    BugKind kind;
+    const char* site;
+    const char* message;
+    std::vector<uint8_t> example_input;
+  };
+  struct Golden {
+    const char* source;
+    uint64_t paths_completed;
+    std::vector<GoldenBug> bugs;
+  };
+  const Golden kPrograms[] = {
       // Division guarded behind byte equalities (substitution territory).
-      R"(
+      {R"(
         int umain(unsigned char *in, int n) {
           int d = in[0] - 'a';
           if (in[1] == 'q') { return in[2] / d; }
           return 0;
         }
       )",
+       2,
+       {{BugKind::kDivByZero, "sdiv@if.then0", "division by zero", {'a', 'q', 0}}}},
       // Bounds bug reached through range-constrained loop walking.
-      R"(
+      {R"(
         int umain(unsigned char *in, int n) {
           unsigned char buf[4];
           int i = 0;
@@ -314,8 +349,11 @@ TEST(PreprocessRegressionTest, BugReportsIdenticalWithAndWithoutPreprocessing) {
           return buf[0] + i;
         }
       )",
+       7,
+       {{BugKind::kDivByZero, "sdiv@if.then4", "division by zero", {'d', 'x', 0}},
+        {BugKind::kCheckFailed, "check@if.end5", "assert: bang rejected", {1, 0, '!'}}}},
       // Deep comparisons: every branch is a range fact.
-      R"(
+      {R"(
         int umain(unsigned char *in, int n) {
           int score = 0;
           if (in[0] > 'm') { score += 1; }
@@ -326,21 +364,28 @@ TEST(PreprocessRegressionTest, BugReportsIdenticalWithAndWithoutPreprocessing) {
           return score;
         }
       )",
+       24,
+       {}},
   };
   SymexLimits limits;
-  for (const char* source : kPrograms) {
-    auto m = CompileOrDie(source);
-    SymexOptions on;
-    SymexOptions off;
-    off.solver_preprocess = false;
-    SymexResult with = SymbolicExecutor(*m, on).Run("umain", 3, limits);
-    SymexResult without = SymbolicExecutor(*m, off).Run("umain", 3, limits);
-    EXPECT_TRUE(with.exhausted);
-    ExpectSameOutcome(with, without, source);
-    // Rerunning with preprocessing (warm caches inside a fresh executor,
-    // same module) must also be stable.
-    SymexResult again = SymbolicExecutor(*m, on).Run("umain", 3, limits);
-    ExpectSameOutcome(with, again, "rerun");
+  for (const Golden& golden : kPrograms) {
+    SCOPED_TRACE(golden.source);
+    auto m = CompileOrDie(golden.source);
+    SymexResult run = SymbolicExecutor(*m).Run("umain", 3, limits);
+    EXPECT_TRUE(run.exhausted);
+    EXPECT_EQ(run.metrics.Get(Counter::kPathsCompleted), golden.paths_completed);
+    EXPECT_EQ(run.metrics.Get(Counter::kPathsBug), 0u);
+    ASSERT_EQ(run.bugs.size(), golden.bugs.size());
+    for (size_t i = 0; i < golden.bugs.size(); ++i) {
+      EXPECT_EQ(run.bugs[i].kind, golden.bugs[i].kind) << "bug " << i;
+      EXPECT_EQ(SiteName(run.bugs[i]), golden.bugs[i].site) << "bug " << i;
+      EXPECT_EQ(run.bugs[i].message, golden.bugs[i].message) << "bug " << i;
+      EXPECT_EQ(run.bugs[i].example_input, golden.bugs[i].example_input) << "bug " << i;
+    }
+    // Rerunning (warm caches inside a fresh executor, same module) must be
+    // stable.
+    SymexResult again = SymbolicExecutor(*m).Run("umain", 3, limits);
+    ExpectSameOutcome(run, again, "rerun");
   }
 }
 

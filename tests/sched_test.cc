@@ -29,8 +29,8 @@ SymexResult RunWith(Module& m, unsigned jobs, unsigned bytes, const SymexLimits&
 // Two results must agree on everything the determinism contract covers.
 void ExpectEquivalent(const SymexResult& a, const SymexResult& b, const std::string& label) {
   EXPECT_EQ(a.exhausted, b.exhausted) << label;
-  for (Counter c : {Counter::kPathsCompleted, Counter::kPathsInfeasible, Counter::kPathsBug,
-                    Counter::kInstructions, Counter::kForks}) {
+  for (Counter c : {Counter::kPathsCompleted, Counter::kPathsBug, Counter::kInstructions,
+                    Counter::kForks}) {
     EXPECT_EQ(a.metrics.Get(c), b.metrics.Get(c)) << label << " " << CounterName(c);
   }
   ASSERT_EQ(a.bugs.size(), b.bugs.size()) << label;

@@ -426,7 +426,6 @@ TEST(CdclEngineTest, WorkersAgreeBitIdenticalWithLearningEnabled) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1, 4};
-  options.preprocess = {true};
   options.limits.max_seconds = 60;
   difftest::DiffReport report = difftest::RunDifferential("cdcl_workers", R"(
     int umain(unsigned char *in, int n) {
@@ -532,6 +531,119 @@ TEST_F(RunningSumCostTest, ReadyAtEvaluationIsConstantPerCandidate) {
   EXPECT_LT(core.eval_work().computes, 4 * kBudget);
 }
 
+// ---- Queries only the preprocessor's byte binding settles.
+
+// seq_range at -O3 parses "<lo>:<hi>" with two inlined atoi calls over 5
+// symbolic bytes. These are its two branch queries "is the clamped hi below
+// lo?" on paths where strchr found the ':' at in[2], lo has one digit, and
+// hi has two digits (or one). Posed to the core over the raw path
+// constraints, each uses up the default 4.19M-candidate per-query budget.
+// The chain settles both: the byte binding in[2] == ':' substitutes symbol
+// 2 out of every other constraint, the binding then forms its own
+// independent component, and the core searches the other four bytes
+// (docs/solver.md, "What the preprocessor settles").
+class SeqRangeQueryTest : public CdclTest {
+ protected:
+  struct Query {
+    std::vector<const Expr*> path;
+    const Expr* cond;
+  };
+
+  const Expr* Eq(const Expr* a, const Expr* b) { return ctx.Compare(ICmpPredicate::kEq, a, b); }
+  const Expr* Ne(const Expr* a, const Expr* b) { return ctx.Compare(ICmpPredicate::kNe, a, b); }
+  const Expr* I32(uint64_t v) { return C(v, 32); }
+  const Expr* I64(uint64_t v) { return C(v, 64); }
+  const Expr* IsDigit(const Expr* c) {
+    return ctx.Binary(ExprKind::kAnd, ctx.Compare(ICmpPredicate::kSLE, I32('0'), c),
+                      ctx.Compare(ICmpPredicate::kSLE, c, I32('9')));
+  }
+  // atoi's sign skip at `c`: the digits start one byte later after a '+'.
+  const Expr* SignSkip(const Expr* c) { return ctx.Select(Eq(c, I32('+')), I64(1), I64(0)); }
+  const Expr* Add(const Expr* a, const Expr* b) { return ctx.Binary(ExprKind::kAdd, a, b); }
+  const Expr* Sub(const Expr* a, const Expr* b) { return ctx.Binary(ExprKind::kSub, a, b); }
+
+  Query Build(bool two_digit_hi) {
+    // strchr: in[0] and in[1] are neither NUL nor ':', in[2] is ':'.
+    const Expr* in0_set = Ne(Sym(0), C(0));
+    const Expr* in0_sep = Ne(Sym(0), C(':'));
+    const Expr* in1_set = Ne(Sym(1), C(0));
+    const Expr* in1_sep = Ne(Sym(1), C(':'));
+    const Expr* in2_set = Ne(Sym(2), C(0));
+    const Expr* in2_sep = Eq(Sym(2), C(':'));
+    // atoi(in): no leading blank or '-', one digit after the optional '+'.
+    const Expr* c0 = ctx.SExt(Sym(0), 32);
+    const Expr* lo_sign = SignSkip(c0);
+    const Expr* lo_start = ctx.Compare(ICmpPredicate::kULE, lo_sign, I64(5));
+    const Expr* lo_digit = ctx.ZExt(ctx.Select(Eq(lo_sign, I64(1)), Sym(1), Sym(0)), 32);
+    const Expr* lo_next_index = Add(lo_sign, I64(1));
+    const Expr* lo_next = ctx.Compare(ICmpPredicate::kULE, lo_next_index, I64(5));
+    const Expr* lo_end = ctx.Not(IsDigit(
+        ctx.ZExt(ctx.Select(Eq(lo_next_index, I64(2)), Sym(2), Sym(1)), 32)));
+    // atoi(in + 3): likewise, with the terminating NUL at in[5].
+    const Expr* c3 = ctx.SExt(Sym(3), 32);
+    const Expr* hi_sign = SignSkip(c3);
+    const Expr* hi_index = Add(hi_sign, I64(3));
+    const Expr* hi_start = ctx.Compare(ICmpPredicate::kULE, hi_index, I64(5));
+    const Expr* hi_digit0 = ctx.ZExt(ctx.Select(Eq(hi_index, I64(4)), Sym(4), Sym(3)), 32);
+    const Expr* hi_step = Add(hi_sign, I64(1));
+    const Expr* hi_index1 = Add(hi_step, I64(3));
+    const Expr* hi_next = ctx.Compare(ICmpPredicate::kULE, hi_index1, I64(5));
+    const Expr* hi_digit1 = ctx.ZExt(ctx.Select(Eq(hi_index1, I64(5)), C(0), Sym(4)), 32);
+    const Expr* hi_more = IsDigit(hi_digit1);
+
+    Query q;
+    q.path = {in0_set,      in0_sep,      in0_sep,      in1_set,      in1_sep,
+              in1_sep,      in2_set,      in2_sep,      Ne(c0, I32(' ')), Ne(c0, I32(' ')),
+              Ne(c0, I32('\t')), Ne(c0, I32('\t')), Ne(c0, I32('-')), Ne(c0, I32('-')),
+              lo_start,     IsDigit(lo_digit), lo_start, lo_next,     lo_end,
+              lo_end,       Ne(c3, I32(' ')), Ne(c3, I32(' ')), Ne(c3, I32('\t')),
+              Ne(c3, I32('\t')), Ne(c3, I32('-')), Ne(c3, I32('-')), hi_start,
+              IsDigit(hi_digit0), hi_start, hi_next};
+    const Expr* lo = Sub(lo_digit, I32('0'));
+    const Expr* hi = Sub(hi_digit0, I32('0'));
+    if (two_digit_hi) {
+      const Expr* hi_index2 = Add(Add(hi_step, I64(1)), I64(3));
+      q.path.insert(q.path.end(),
+                    {hi_more, hi_next, ctx.Compare(ICmpPredicate::kULE, hi_index2, I64(5))});
+      hi = Add(ctx.Binary(ExprKind::kMul, hi, I32(10)), Sub(hi_digit1, I32('0')));
+    } else {
+      q.path.insert(q.path.end(), {ctx.Not(hi_more), ctx.Not(hi_more)});
+    }
+    // if (hi - lo > 9) hi = lo + 9; then the loop's first test, negated.
+    const Expr* clamped = ctx.Select(ctx.Compare(ICmpPredicate::kSLT, I32(9), Sub(hi, lo)),
+                                     Add(lo, I32(9)), hi);
+    q.cond = ctx.Compare(ICmpPredicate::kSLT, clamped, lo);
+    return q;
+  }
+};
+
+TEST_F(SeqRangeQueryTest, ChainDecidesBothWithinTheDefaultBudget) {
+  for (bool two_digit_hi : {true, false}) {
+    SCOPED_TRACE(two_digit_hi ? "lo:hh" : "lo:h");
+    const Query q = Build(two_digit_hi);
+    // The fact that settles the query: the separator's byte binding.
+    ConstraintPreprocessor preprocessor(ctx);
+    PathPrefix prefix;
+    ASSERT_TRUE(preprocessor.Extend(prefix, q.path));
+    ASSERT_GT(prefix.binding.size(), 2u);
+    EXPECT_EQ(prefix.binding[2], ':');
+
+    SolverChain chain(ctx);
+    QueryControl control;
+    control.query_candidates = SymexLimits{}.query_candidates;
+    chain.set_control(control);
+    std::vector<uint8_t> model;
+    ASSERT_EQ(chain.CheckSat(q.path, &model), SatResult::kSat);
+    ASSERT_EQ(chain.MayBeTrue(q.path, q.cond, &model), SatResult::kSat);
+    std::vector<const Expr*> all = q.path;
+    all.push_back(q.cond);
+    EXPECT_TRUE(Satisfies(all, model));
+    // About 100k (two digits) and 83k (one digit) candidates today, for
+    // both queries together.
+    EXPECT_LT(chain.metrics().Get(Counter::kSolverCoreCandidates), 200000u);
+  }
+}
+
 // ---- Canary (registered separately in CMakeLists: label `solver` only).
 
 // The solver-hostile workload that motivated the CDCL core: factor at its
@@ -549,7 +661,6 @@ TEST(CdclCanaryTest, FactorStyleDivisionAtFullWidthExhausts) {
   difftest::DiffOptions options;
   options.levels = {OptLevel::kOverify};
   options.jobs = {1};
-  options.preprocess = {true};
   options.limits.max_paths = 400000;
   options.limits.max_seconds = 300;  // safety net; Release exhausts far under
   difftest::DiffReport report = difftest::RunDifferential(*workload, /*sym_bytes=*/0, options);

@@ -132,9 +132,8 @@ TEST(SolverChainTest, ModelReuseAcrossSimilarQueries) {
   SolverChain chain(ctx);
   std::vector<const Expr*> path = {
       ctx.Compare(ICmpPredicate::kEq, ctx.Symbol(0), ctx.Constant('x', 8))};
-  // First query solves; the second (weaker) must not reach the core search —
-  // the preprocessor substitutes the byte binding and settles it outright
-  // (with preprocessing disabled it would be a cache/reuse hit instead).
+  // First query solves; the second (weaker) must not reach the core search:
+  // the preprocessor substitutes the byte binding and settles it outright.
   EXPECT_EQ(chain.CheckSat(path, nullptr), SatResult::kSat);
   uint64_t core_before = chain.metrics().Get(Counter::kSolverCoreQueries);
   auto weaker = ctx.Compare(ICmpPredicate::kUGT, ctx.Symbol(0), ctx.Constant(3, 8));
